@@ -49,13 +49,15 @@ def _gl(n: int):
 
 
 def thread_cap() -> int:
-    """Parallelism cap from the DISKT_THREADS environment variable (>= 1)."""
+    """Parallelism cap from the DISKT_THREADS environment variable, clamped
+    to [1, os.cpu_count()] so that a stray large value cannot start more
+    workers than there are cores."""
     raw = os.environ.get("DISKT_THREADS", "1")
     try:
         k = int(raw)
     except ValueError:
         return 1
-    return max(1, k)
+    return max(1, min(k, os.cpu_count() or 1))
 
 
 class OracleBudgetError(RuntimeError):

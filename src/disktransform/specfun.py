@@ -9,6 +9,7 @@ rational summation of the same series (see bessel_j).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,8 +215,14 @@ def hyp2f1(a: float, b: float, c: float, x: float, config: SeriesConfig | None =
     raise SeriesError(f"hyp2f1({a},{b};{c};{x}) did not converge in {cfg.max_terms} terms")
 
 
+@functools.cache
 def _gl_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]; cached, so the
+    arrays are shared by every caller and made read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _adaptive_interval(f, a: float, b: float, tol: float, max_depth: int = 60) -> float:

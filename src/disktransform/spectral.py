@@ -7,14 +7,24 @@ monomial to T1-part plus T2-part-of-the-conjugate with real rational monomial
 matrices, the realified matrix is block diagonal: (T1 + T2) on the real
 block, (T1 - T2) on the imaginary block.
 
-The monomial basis is far from orthogonal (its Gram matrix is Hilbert-like,
+Norms take one of two routes.
+
+P (estimate_P_norm) is solved in the orthonormal disk-polynomial basis:
+each angular sector's radial factors are Jacobi polynomials in |z|^2, so
+P's matrix between orthonormal bases is assembled directly in float64 by
+Gauss-Legendre quadrature, block by coupled sector pair, with no Gram
+matrix at all.
+
+Every other kind goes through assemble and operator_norm on the monomial
+basis, which is far from orthogonal (its Gram matrix is Hilbert-like,
 condition number around 1e30 at total degree 40), so floating whitening is
 hopeless.  Norms are instead computed from the exact rational payload:
 split into decoupled blocks by the exact zero pattern, whiten each block with
 an exact rational LDL factorization (no square roots until the final
 diagonal scaling), convert the whitened block to float, and take its largest
 singular value.  Entries of the whitened block are bounded by the operator
-norm, so the float conversion is benign.
+norm, so the float conversion is benign.  For P this exact route is the
+independent reference the float route is tested against.
 
 Root-finders for the two transcendental norm equations and the exact
 weighted Hardy-type ratio checks live here as well.
@@ -29,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .diskalg import DiskPolynomial, ExactScalar, norm_sq
-from .specfun import bessel_j, bessel_zero
+from .specfun import _gl_nodes, bessel_j, bessel_zero
 from .transforms import TransformKind, apply_transform, cauchy_P
 
 __all__ = [
@@ -301,6 +311,57 @@ def _components(n_in, n_out, basis, basis_out, payloads):
     return [g for g in groups.values() if g[0]]
 
 
+def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimate:
+    """Largest singular value over float blocks, one direct SVD each.
+
+    The residual ||B v - s u|| of the winning singular triple is reported
+    and must meet tol; iterations is 0 for this direct solver.  Among the
+    two largest singular values of each block, the runner-up overall
+    within 1e-10 of the winner marks the estimate degenerate.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    top_two = []
+    best = 0.0
+    best_block = None
+    for B in blocks:
+        svals = np.linalg.svd(B, compute_uv=False) if B.any() else [0.0]
+        top_two = sorted([*top_two, *map(float, svals[:2])], reverse=True)[:2]
+        if svals[0] > best:
+            best = float(svals[0])
+            best_block = B
+
+    residual = 0.0
+    if best_block is not None:
+        U, S, Vt = np.linalg.svd(best_block)
+        residual = float(np.linalg.norm(best_block @ Vt[0] - S[0] * U[:, 0]))
+        if residual > max(tol, 1e-10):
+            raise RuntimeError(f"singular value residual {residual:.3e} exceeds tol")
+    degenerate = len(top_two) == 2 and best > 0 and (best - top_two[1]) < 1e-10
+    return NormEstimate(value=best, truncation=truncation, residual=residual,
+                        iterations=0, degenerate=degenerate)
+
+
+def _whitened_blocks(opm: RealLinearOperatorMatrix):
+    """Whitened float blocks of opm, one per decoupled component and sign."""
+    if opm.exact is None:
+        Li = np.linalg.cholesky(opm.gram_in)
+        Lo = np.linalg.cholesky(opm.gram_out)
+        Z = Lo.T @ opm.A
+        yield np.linalg.solve(Li, Z.T).T
+        return
+    payloads = (opm.exact.plus_cols, opm.exact.minus_cols)
+    comps = _components(len(opm.basis), len(opm.basis_out),
+                        opm.basis, opm.basis_out, payloads)
+    for in_idx, out_idx in comps:
+        in_mons = [opm.basis[j] for j in in_idx]
+        out_pos = {o: i for i, o in enumerate(out_idx)}
+        out_mons = [opm.basis_out[o] for o in out_idx]
+        for cols in payloads:
+            sub = [{out_pos[o]: v for o, v in cols[j].items()} for j in in_idx]
+            yield _whitened_block(in_mons, out_mons, sub) if any(sub) else np.zeros(0)
+
+
 def operator_norm(opm: RealLinearOperatorMatrix, tol: float,
                   truncation: Optional[TruncationSpec] = None) -> NormEstimate:
     """Largest generalized singular value sup ||A x||_out / ||x||_in.
@@ -312,68 +373,100 @@ def operator_norm(opm: RealLinearOperatorMatrix, tol: float,
     Cholesky whitening of the full realified matrix is used instead (only
     viable for well-conditioned Gram matrices).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if truncation is None:
         deg = max((m + n for (m, n) in opm.basis), default=0)
         truncation = TruncationSpec(deg)
+    return _top_singular(_whitened_blocks(opm), tol, truncation)
 
-    top_two = []  # collect the two largest singular values seen anywhere
 
-    def note(s):
-        top_two.append(s)
-        top_two.sort(reverse=True)
-        del top_two[2:]
+def _disk_polys(kmax: int, beta: int, t: np.ndarray) -> np.ndarray:
+    """Radial disk polynomials psi_k(t) = sqrt(2k+beta+1) P_k^(0,beta)(2t-1)
+    for k = 0..kmax, stacked on a new last axis after t's shape.  They are
+    orthonormal on [0, 1] under the weight t^beta, so the functions
+    psi_k(|z|^2) |z|^|d| e^{i d theta} with beta = |d| are an orthonormal
+    basis of sector d.  Jacobi three-term recurrence, DLMF 18.9.1 with
+    alpha = 0; P_1 is written out because the n = 0 step divides by beta."""
+    x = 2.0 * t - 1.0
+    P = np.empty(t.shape + (kmax + 1,))
+    P[..., 0] = 1.0
+    if kmax >= 1:
+        P[..., 1] = 1.0 + 0.5 * (beta + 2) * (x - 1.0)
+    for n in range(1, kmax):
+        s = 2 * n + beta
+        a = (s + 1) * (s + 2) / (2 * (n + 1) * (n + beta + 1))
+        b = -beta * beta * (s + 1) / (2 * (n + 1) * (n + beta + 1) * s)
+        c = n * (n + beta) * (s + 2) / ((n + 1) * (n + beta + 1) * s)
+        P[..., n + 1] = (a * x + b) * P[..., n] - c * P[..., n - 1]
+    return P * np.sqrt(2 * np.arange(kmax + 1) + beta + 1)
 
-    best = 0.0
-    best_block = None
-    if opm.exact is not None:
-        payloads = (opm.exact.plus_cols, opm.exact.minus_cols)
-        comps = _components(len(opm.basis), len(opm.basis_out),
-                            opm.basis, opm.basis_out, payloads)
-        for in_idx, out_idx in comps:
-            in_mons = [opm.basis[j] for j in in_idx]
-            out_pos = {o: i for i, o in enumerate(out_idx)}
-            out_mons = [opm.basis_out[o] for o in out_idx]
-            for cols in payloads:
-                sub = [{out_pos[o]: v for o, v in cols[j].items()} for j in in_idx]
-                if not any(sub):
-                    note(0.0)
-                    continue
-                B = _whitened_block(in_mons, out_mons, sub)
-                svals = np.linalg.svd(B, compute_uv=False)
-                for s in svals[:2]:
-                    note(float(s))
-                if svals[0] > best:
-                    best = float(svals[0])
-                    best_block = B
-    else:
-        Li = np.linalg.cholesky(opm.gram_in)
-        Lo = np.linalg.cholesky(opm.gram_out)
-        Z = Lo.T @ opm.A
-        B = np.linalg.solve(Li, Z.T).T
-        svals = np.linalg.svd(B, compute_uv=False)
-        for s in svals[:2]:
-            note(float(s))
-        best = float(svals[0])
-        best_block = B
 
-    residual = 0.0
-    if best_block is not None and best > 0:
-        U, S, Vt = np.linalg.svd(best_block)
-        residual = float(np.linalg.norm(best_block @ Vt[0] - S[0] * U[:, 0]))
-        if residual > max(tol, 1e-10):
-            raise RuntimeError(f"singular value residual {residual:.3e} exceeds tol")
-    degenerate = len(top_two) == 2 and best > 0 and (best - top_two[1]) < 1e-10
-    return NormEstimate(value=best, truncation=truncation, residual=residual,
-                        iterations=0, degenerate=degenerate)
+def _P_blocks(trunc: TruncationSpec):
+    """P's realified Galerkin blocks between orthonormal bases, in float64.
+
+    Input sector d carries psi_k^d for k <= (D - |d|)//2.  In t = |z|^2 the
+    radial forms of radial_P_gd send p = psi_k^d to
+      d >= 1:  -int_t^1 p(s) ds            into sector d - 1  (linear)
+      d <= 0:  int_0^1 v^|d| p(t v) dv     into sector d - 1  (linear)
+               -int_0^1 s^|d| p(s) ds      into sector 1 - d  (antilinear)
+    so d = 1 stands alone and d <= 0 couples with 2 - d through sector 1 - d.
+    Orthogonality to psi_0^d = sqrt(|d| + 1) makes the antilinear constant
+    -1/sqrt(|d| + 1) at k = 0 and zero for k > 0; the real and imaginary
+    coefficient blocks carry it with signs + and -.
+
+    Rows sample each output sector e at n Gauss-Legendre nodes t_i in [0, 1]
+    with weights sqrt(w_i t_i^|e|), so ||B c|| is the exact L2 norm of the
+    image when q(t)^2 t^|e| has degree <= 2n - 1 for every image profile q.
+    That degree is at most D + 1 (Volterra 2(k+1) + d - 1, Hardy
+    2k + |d| + 1, constant |d| + 1), and the inner integrals in s and v have
+    degree at most D, so n = (D + 3)//2 integrates every term exactly.
+    """
+    D = trunc.max_total_degree
+    size = {d: (D - abs(d)) // 2 + 1 for d in range(-D, D + 1)
+            if trunc.d_set is None or d in trunc.d_set}
+    if not size:
+        raise ValueError("truncation admits no basis monomials")
+    x, wx = _gl_nodes((D + 3) // 2)
+    t, w = 0.5 * (x + 1.0), 0.5 * wx
+    n = len(t)
+
+    def hardy(beta, k):
+        psi = _disk_polys(k - 1, beta, np.outer(t, t))
+        return np.einsum("j,ijk->ik", w * t**beta, psi)
+
+    def volterra(beta, k):
+        psi = _disk_polys(k - 1, beta, t[:, None] + np.outer(1.0 - t, t))
+        return -(1.0 - t)[:, None] * np.einsum("j,ijk->ik", w, psi)
+
+    if 1 in size:
+        B = np.sqrt(w)[:, None] * volterra(1, size[1])
+        yield B
+        yield B
+    for d in range(0, -D - 1, -1):
+        a, b = size.get(d, 0), size.get(2 - d, 0)
+        if not a + b:
+            continue
+        rows = np.sqrt(w * t ** (1 - d))[:, None]
+        B = np.zeros((2 * n, a + b))
+        if a:
+            B[:n, :a] = rows * hardy(-d, a)
+        if b:
+            B[n:, a:] = rows * volterra(2 - d, b)
+        for sign in (1.0, -1.0):
+            if a:
+                B[n:, 0] = -sign / math.sqrt(1 - d) * rows[:, 0]
+            yield B.copy()
 
 
 def estimate_P_norm(trunc: TruncationSpec, tol: float) -> NormEstimate:
     """Galerkin lower bound for the L2 norm of the conjugating solution
-    operator on the truncated basis; nondecreasing in max_total_degree."""
-    opm = assemble(TransformKind.CauchyTransformP, trunc)
-    return operator_norm(opm, tol, truncation=trunc)
+    operator on the truncated basis; nondecreasing in max_total_degree.
+
+    Solved in the orthonormal disk-polynomial basis in float64 (see
+    _P_blocks), with no Gram matrix and no rational whitening.  The input
+    space is that of assemble, so operator_norm(assemble(CauchyTransformP,
+    trunc)) is an independent exact-rational route to the same value.
+    """
+    return _top_singular(_P_blocks(trunc), tol, trunc)
 
 
 def _bisect(f, a, b, max_iter=200):

@@ -199,6 +199,13 @@ def test_norm_2_restricted(capsys):
     assert abs(est - 0.8317) < 1e-3
 
 
+def test_norm_2_degree40(capsys):
+    code, out, _ = run(capsys, "norm", "2", "--max-degree", "40", "--format", "json")
+    assert code == 0
+    rows = {r["check_id"]: r for r in json.loads(out)}
+    assert rows["norm2_residual"]["status"] == "PASS"
+
+
 def test_norm_pinf(capsys):
     code, out, _ = run(capsys, "norm", "pinf", "--format", "json")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -175,9 +176,16 @@ def test_angular_parseval(beta, r):
 
 
 def test_thread_cap_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 7 fits under the clamp
     monkeypatch.delenv("DISKT_THREADS", raising=False)
     assert thread_cap() == 1
     monkeypatch.setenv("DISKT_THREADS", "7")
     assert thread_cap() == 7
     monkeypatch.setenv("DISKT_THREADS", "0")
     assert thread_cap() == 1
+
+
+def test_thread_cap_clamped_to_cores(monkeypatch):
+    # reads the cap only; no worker is started
+    monkeypatch.setenv("DISKT_THREADS", "1000000")
+    assert 1 <= thread_cap() <= os.cpu_count()

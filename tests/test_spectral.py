@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from disktransform import spectral
 from disktransform.diskalg import DiskPolynomial, ExactScalar, norm_sq
-from disktransform.specfun import bessel_j, bessel_zero
+from disktransform.specfun import _gl_nodes, bessel_j, bessel_zero
 from disktransform.spectral import (
     NormEstimate,
     TruncationSpec,
@@ -180,19 +181,61 @@ def test_estimate_P_degree0():
 
 def test_estimate_P_converges_to_alpha():
     alpha = solve_alpha()
-    est = estimate_P_norm(TruncationSpec(12), 1e-10)
-    assert abs(est.value - alpha) < 1e-6
-    assert est.residual < 1e-10
-    # realified payloads carry mirror blocks, so the top singular value
-    # is genuinely multiple
-    assert est.degenerate
-    assert est.truncation.max_total_degree == 12
+    for deg, bound in ((12, 1e-6), (40, 1e-13)):
+        est = estimate_P_norm(TruncationSpec(deg), 1e-10)
+        assert abs(est.value - alpha) < bound
+        assert est.residual < 1e-10
+        # realified payloads carry mirror blocks, so the top singular value
+        # is genuinely multiple
+        assert est.degenerate
+        assert est.truncation.max_total_degree == deg
 
 
 def test_estimate_monotone_in_degree():
     vals = [estimate_P_norm(TruncationSpec(d), 1e-10).value for d in (2, 4, 6, 8, 10)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
+    # the Galerkin gap closes super-exponentially: 2.8e-4, 1.8e-7, 3.4e-11, ~1e-15
+    alpha = solve_alpha()
+    gaps = [abs(alpha - v) for v in vals[:4]]
+    for lo, hi in zip(gaps, gaps[1:]):
+        assert hi <= lo / 100
+
+
+@pytest.mark.parametrize("d_set", [None, {1}, {0, 2}, {-3, 5}])
+def test_P_norm_float_route_matches_exact_route(d_set):
+    """The orthonormal float solve agrees with rational LDL whitening."""
+    for deg in range(13):
+        trunc = TruncationSpec(deg, d_set)
+        try:
+            opm = assemble(TransformKind.CauchyTransformP, trunc)
+        except ValueError:
+            with pytest.raises(ValueError):
+                estimate_P_norm(trunc, 1e-10)
+            continue
+        exact = operator_norm(opm, 1e-10, truncation=trunc)
+        est = estimate_P_norm(trunc, 1e-10)
+        assert abs(est.value - exact.value) < 1e-13
+        assert est.degenerate == exact.degenerate
+
+
+def test_disk_polys_orthonormal():
+    x, w = _gl_nodes(51)  # exact to degree 101 = 2 * 30 + 41
+    t, w = 0.5 * (x + 1), 0.5 * w
+    for beta in range(42):
+        psi = spectral._disk_polys(30, beta, t)
+        gram = psi.T @ ((w * t**beta)[:, None] * psi)
+        assert np.abs(gram - np.eye(31)).max() < 1e-13
+
+
+def test_estimate_P_avoids_rational_whitening(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("rational route used")
+
+    for name in ("assemble", "_ldl_exact", "_whitened_block"):
+        monkeypatch.setattr(spectral, name, boom)
+    est = estimate_P_norm(TruncationSpec(20), 1e-10)
+    assert abs(est.value - solve_alpha()) < 1e-13
 
 
 def test_restricted_pair_carries_norm():
