@@ -107,7 +107,8 @@ class ExactScalar:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # through complex, as __eq__ compares with float and complex
+        return hash(complex(self))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

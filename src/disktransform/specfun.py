@@ -4,15 +4,15 @@ Gauss hypergeometric 2F1 on [0, 1], complete elliptic integral E.
 Everything here is scalar real arithmetic.  The Bessel and 2F1 evaluators
 sum the defining series directly; no asymptotic expansions or analytic
 continuation are involved.  For large argument the Bessel series loses
-accuracy to cancellation in float64, so integer orders switch to exact
-rational summation of the same series (see bessel_j).
+accuracy to cancellation in float64, so integer and half-integer orders
+switch to fixed-point integer summation of the same series, with a
+truncation error below (terms + 1) * 2^-128 (see bessel_j).
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,9 +89,12 @@ def bessel_j(alpha: float, x: float, config: SeriesConfig | None = None) -> floa
 
         J_alpha(x) = sum_k (-1)^k / (Gamma(k+alpha+1) k!) (x/2)^(2k+alpha).
 
-    alpha >= 0.  Integer alpha with x > 8 is summed in exact rational
-    arithmetic: the alternating terms near x ~ 25 exceed the result by ~1e7,
-    which float64 cannot absorb at the 1e-10 accuracy the zero finder needs.
+    alpha >= 0.  For x <= 8 the series is summed in float64.  For x > 8 the
+    alternating terms near x ~ 25 exceed the result by ~1e7, which float64
+    cannot absorb at the 1e-10 accuracy the zero finder needs, so integer
+    and half-integer alpha switch to fixed-point integer summation of the
+    same series (see _bessel_j_fixed; its truncation error is below
+    (terms + 1) * 2^-128).  Any other alpha with x > 8 raises DomainError.
     """
     cfg = config or _DEFAULT
     if alpha < 0:
@@ -100,8 +103,12 @@ def bessel_j(alpha: float, x: float, config: SeriesConfig | None = None) -> floa
         raise DomainError(f"bessel_j needs x >= 0, got {x}")
     if x == 0:
         return 1.0 if alpha == 0 else 0.0
-    if alpha == int(alpha) and x > 8:
-        return _bessel_j_exact(int(alpha), x, cfg)
+    if x > 8:
+        if 2 * alpha != int(2 * alpha):
+            raise DomainError(
+                f"bessel_j({alpha}, {x}): for x > 8 only integer and "
+                "half-integer orders are supported")
+        return _bessel_j_fixed(alpha, x, cfg)
     half = 0.5 * x
     term = half**alpha / gamma(alpha + 1.0)
     total = term
@@ -115,18 +122,52 @@ def bessel_j(alpha: float, x: float, config: SeriesConfig | None = None) -> floa
     raise SeriesError(f"bessel_j({alpha}, {x}) did not converge")
 
 
-def _bessel_j_exact(d: int, x: float, cfg: SeriesConfig) -> float:
-    xr = Fraction(x) / 2  # exact binary-rational conversion
-    q = xr * xr
-    term = xr**d / math.factorial(d)
-    total = term
-    bound = Fraction(cfg.abs_tol) / 100
+def _bessel_j_fixed(alpha: float, x: float, cfg: SeriesConfig) -> float:
+    """J_alpha(x) for integer or half-integer alpha, the series summed in
+    Python integers scaled by 2^P.
+
+    x/2 = num / 2^sh exactly (x is a binary float).  Term k is term k-1
+    times num^2 / 2^(2 sh) / (k (k + alpha)), truncated toward zero.  For
+    alpha = n + 1/2, Gamma(k + alpha + 1) carries a factor sqrt(pi): the
+    sum runs over J_alpha(x) / sqrt(x / (2 pi)) with term ratio
+    -2 (x/2)^2 / (k (2k + 2n + 1)) and is scaled once at the end.
+
+    Each truncation errs by less than one unit 2^-P, and a unit dropped at
+    term j reaches term k multiplied by at most (x/2)^(2m) / (m!)^2,
+    m = k - j, a term of I_0(x) <= e^x.  So the summed error is below
+    (terms + 1) e^x 2^-P, and P = 128 + ceil(x log2 e) makes it below
+    (terms + 1) 2^-128 (times sqrt(x / (2 pi)) for half-integer alpha).
+    total / 2^P is correctly rounded int division.  The sum stops once
+    k > x/2 and |term| < abs_tol/100.
+    """
+    n = int(alpha)
+    half_order = alpha != n
+    num, den = x.as_integer_ratio()
+    sh = den.bit_length()  # den = 2^(sh-1), so x/2 = num / 2^sh
+    prec = 128 + math.ceil(x * math.log2(math.e))  # guard bits + bits of e^x
+    tn, td = cfg.abs_tol.as_integer_ratio()
+    bound = (tn << prec) // (100 * td)
+    if half_order:
+        # Gamma(n + 3/2) = sqrt(pi) (2n+1)! / (2^(2n+1) n!)
+        lead = (num**n << (prec + 2 * n + 1)) * math.factorial(n)
+        lead_den = math.factorial(2 * n + 1)
+        shift, step, offset = 2 * sh - 1, 2, 2 * n + 1
+        scale = math.sqrt(0.5 * x / math.pi)
+        bound //= math.isqrt(math.ceil(x)) + 1  # > scale: scaled term < abs_tol/100
+    else:
+        lead, lead_den = num**n << prec, math.factorial(n)
+        shift, step, offset = 2 * sh, 1, n
+        scale = 1.0
+    a = lead // (lead_den << (n * sh))  # |term_0| 2^P
+    total = a
+    num2 = num * num
+    half = 0.5 * x
     for k in range(1, cfg.max_terms):
-        term *= -q / (k * (k + d))
-        total += term
-        if k > float(xr) and abs(term) < bound:
-            return float(total)
-    raise SeriesError(f"bessel_j({d}, {x}) exact series did not converge")
+        a = a * num2 // (k * (step * k + offset) << shift)
+        total += -a if k & 1 else a
+        if k > half and a < bound:
+            return total / (1 << prec) * scale
+    raise SeriesError(f"bessel_j({alpha}, {x}) fixed-point series did not converge")
 
 
 def _bessel_j_prime(d: int, x: float) -> float:
@@ -196,7 +237,7 @@ def hyp2f1(a: float, b: float, c: float, x: float, config: SeriesConfig | None =
     total = 0.0
     term = 1.0  # term_0
     n0 = 0
-    chunk = 4096
+    chunk = 64  # doubles each pass: small x stops after tens of terms
     tail_factor = x / (1.0 - x)
     # the geometric tail bound needs the term ratio at or below x, which
     # holds once n clears the parameter scale

@@ -146,6 +146,14 @@ def test_conjugate_involution(rng):
     assert conjugate(phi) == DiskPolynomial({(0, 2): ExactScalar(0, -1)})
 
 
+def test_exact_scalar_hash_agrees_with_eq():
+    assert hash(ExactScalar(1)) == hash(1)
+    assert ExactScalar(Fraction(1, 2)) == 0.5
+    assert {0.5: "x"}[ExactScalar(Fraction(1, 2))] == "x"
+    assert {1j: "y"}[ExactScalar(0, 1)] == "y"
+    assert len({ExactScalar(3), 3, 3.0}) == 1
+
+
 def test_tuples_round_trip(rng):
     phi = rand_poly(rng)
     rows = to_tuples(phi)

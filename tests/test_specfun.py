@@ -1,11 +1,15 @@
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
 from disktransform.specfun import (
     DomainError,
+    SeriesConfig,
     bessel_j,
     bessel_zero,
     elliptic_e,
@@ -63,10 +67,56 @@ def test_bessel_at_zero():
 
 
 def test_bessel_large_argument_cancellation():
-    # recurrence in float loses digits past x ~ 8; the rational path must not
+    # recurrence in float loses digits past x ~ 8; the fixed-point path must not
     for x in (9.0, 15.0, 30.0):
         for nu in (0, 1, 6):
             assert abs(bessel_j(nu, x) - scipy.special.jv(nu, x)) < 1e-12
+
+
+def _bessel_j_fraction(d, x, cfg=SeriesConfig()):
+    """Integer-order series in exact rational arithmetic, with the stopping
+    rule of the fixed-point path: the reference it must equal bit for bit."""
+    xr = Fraction(x) / 2
+    q = xr * xr
+    term = xr**d / math.factorial(d)
+    total = term
+    bound = Fraction(cfg.abs_tol) / 100
+    for k in range(1, cfg.max_terms):
+        term *= -q / (k * (k + d))
+        total += term
+        if k > float(xr) and abs(term) < bound:
+            return float(total)
+    raise AssertionError("reference series did not converge")
+
+
+def test_bessel_fixed_point_matches_rational_series():
+    rng = random.Random(20)
+    points = [(rng.randint(0, 21), 45.0 - 37.0 * rng.random()) for _ in range(300)]
+    # values near the zeros are tiny, so their last bits are the hardest to hit
+    points += [(d, bessel_zero(d)) for d in range(5, 21)]
+    for d, x in points:
+        assert bessel_j(d, x) == _bessel_j_fraction(d, x), (d, x)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 7.5, 20.5])
+def test_bessel_half_integer_large_argument(alpha):
+    for x in (9.0, 30.0, 40.0, 50.0):
+        got = bessel_j(alpha, x)
+        assert abs(got - scipy.special.jv(alpha, x)) < 1e-12
+        assert abs(got - float(mpmath.besselj(alpha, x))) < 1e-12
+        if alpha == 0.5:  # DLMF 10.49.3 closed form
+            assert abs(got - math.sqrt(2 / (math.pi * x)) * math.sin(x)) < 1e-12
+
+
+def test_bessel_fractional_order_large_argument_rejected():
+    with pytest.raises(DomainError):
+        bessel_j(1.3, 30.0)
+    assert abs(bessel_j(1.3, 5.0) - scipy.special.jv(1.3, 5.0)) < 1e-12
+
+
+def test_bessel_zero_vs_scipy():
+    for d in range(21):
+        assert abs(bessel_zero(d) - scipy.special.jn_zeros(d, 1)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("d,ref", list(enumerate(J_ZEROS)))
@@ -117,6 +167,15 @@ def test_hyp2f1_vs_scipy():
     for a, b, c in ((0.6, 0.6, 1.0), (0.95, -0.05, 1.0), (0.75, 0.75, 2.0)):
         for x in np.linspace(0, 0.95, 11):
             assert abs(hyp2f1(a, b, c, float(x)) - scipy.special.hyp2f1(a, b, c, x)) < 1e-11
+
+
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])
+def test_hyp2f1_phi_parameters_vs_scipy(q):
+    ts = list(np.linspace(0.0, 1.0, 200)) + [1 - 10.0**-k for k in (2, 3, 4)]
+    for a, b, c in ((q / 2, q / 2 - 1, 1.0), (q / 2, q / 2, 2.0)):
+        for t in ts:
+            ref = scipy.special.hyp2f1(a, b, c, t)
+            assert abs(hyp2f1(a, b, c, float(t)) - ref) < 1e-11, (a, b, c, t)
 
 
 def test_hyp2f1_divergent_at_one():
