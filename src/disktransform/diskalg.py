@@ -278,18 +278,33 @@ def angular_norm_sq(g: AngularComponent):
 
 
 def evaluate(phi: DiskPolynomial, z):
-    """Evaluate at a point (or ndarray) with |z| <= 1."""
-    total = 0j if not hasattr(z, "shape") else None
-    zb = None
-    if total is None:
-        import numpy as np
+    """Evaluate at a point (or ndarray) with |z| <= 1.
 
-        total = np.zeros_like(z, dtype=complex)
-        zb = np.conj(z)
-    else:
+    On an array, each coefficient is converted to complex once and the
+    powers z^k and conj(z)^k are tabulated by repeated multiplication up to
+    the largest exponents.  The oracle makes one such call per refinement
+    step: on both rules of the initial panel, then on both rules of all
+    four children of each split."""
+    if not hasattr(z, "shape"):
+        total = 0j
         zb = complex(z).conjugate()
+        for (m, n), a in phi.items():
+            total = total + complex(a) * z**m * zb**n
+        return total
+    import numpy as np
+
+    total = np.zeros_like(z, dtype=complex)
+    if not phi:
+        return total
+    zp = [np.ones_like(z, dtype=complex)]
+    zbp = [zp[0]]
+    zb = np.conj(z)
+    for _ in range(max(m for m, _ in phi.coeffs)):
+        zp.append(zp[-1] * z)
+    for _ in range(max(n for _, n in phi.coeffs)):
+        zbp.append(zbp[-1] * zb)
     for (m, n), a in phi.items():
-        total = total + complex(a) * z**m * zb**n
+        total = total + complex(a) * zp[m] * zbp[n]
     return total
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import (DEFAULT_BUDGET, _adaptive_1d, _adaptive_2d, cauchy_eval,
-                     quad_disk, thread_cap)
+from .oracle import (DEFAULT_BUDGET, _adaptive_1d, _adaptive_2d, _exit_radius,
+                     cauchy_eval, quad_disk, thread_cap)
 from .specfun import elliptic_e, gamma, hyp2f1
 from .spectral import solve_alpha
 
@@ -175,8 +175,7 @@ def _l1_point(w: complex, tol: float, budget: int):
         raise ValueError("grid points must be interior")
 
     def F(B, U):
-        c = (np.exp(1j * B) * w.conjugate()).real
-        S = -c + np.sqrt(c * c + 1.0 - abs(w) ** 2)
+        S = _exit_radius(w, B)
         s = U * S
         zz = w + s * np.exp(1j * B)
         return np.abs(-np.exp(-1j * B) + s * zz / (1 - w.conjugate() * zz)) * S / math.pi

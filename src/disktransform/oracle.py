@@ -6,9 +6,12 @@ transforms is cross-checked against this module, so nothing here may import
 from transforms.
 
 Machinery: tensor Gauss-Legendre panels (8 and 16 nodes per axis), greedy
-refinement of the panel with the largest error indicator.  Panel bookkeeping
-uses an insertion counter as the heap tie-break, and accumulation order is
-fixed, so a run is reproducible bit for bit for a given configuration.
+refinement of the panel with the largest error indicator.  Each refinement
+step makes one integrand call: both rules of the initial panel, and later
+both rules of all four children of a split, are evaluated on one
+concatenated point array.  Panel bookkeeping uses an insertion counter as
+the heap tie-break, and accumulation order is fixed, so a run is
+reproducible bit for bit for a given configuration.
 
 Integrands are either a DiskPolynomial or a callable w -> value that accepts
 complex numpy arrays elementwise.
@@ -21,9 +24,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .diskalg import DiskPolynomial, evaluate
+from .specfun import _gl_nodes
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -37,15 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000
-
-_GL_CACHE: dict = {}
-
-
-def _gl(n: int):
-    if n not in _GL_CACHE:
-        x, w = leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+_NODES = 8  # per axis of a 2-D panel's coarse rule; the fine rule doubles it
+_PANEL_EVALS = 5 * _NODES * _NODES
 
 
 def thread_cap() -> int:
@@ -85,37 +81,53 @@ def _as_fn(phi):
     raise TypeError("integrand must be a DiskPolynomial or a callable")
 
 
-def _panel_2d(F, ax, bx, ay, by, n=8):
-    """One panel: n x n vs 2n x 2n tensor Gauss-Legendre; returns
-    (refined value, error indicator, evaluation count)."""
-    scale = 0.25 * (bx - ax) * (by - ay)
-    vals = []
-    for k in (n, 2 * n):
-        x, w = _gl(k)
+def _panels_2d(F, boxes):
+    """Panels for a list of boxes (ax, bx, ay, by), all in one call of F:
+    n x n vs 2n x 2n tensor Gauss-Legendre per box, n = _NODES.  Returns one
+    (refined value, error indicator) pair per box, each bit for bit what
+    the box would give alone."""
+    ax, bx, ay, by = np.array(boxes).T[:, :, None]
+    X = np.empty(len(boxes) * _PANEL_EVALS)
+    Y = np.empty_like(X)
+    rules = []
+    start = 0
+    for k in (_NODES, 2 * _NODES):
+        x, w = _gl_nodes(k)
         xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * x
         ys = 0.5 * (ay + by) + 0.5 * (by - ay) * x
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        vals.append(scale * np.einsum("i,j,ij->", w, w, F(X, Y)))
-    return vals[1], abs(vals[1] - vals[0]), 5 * n * n
+        stop = start + len(boxes) * k * k
+        # the k x k grid of each box, box after box, x along the rows
+        X[start:stop].reshape(-1, k, k)[...] = xs[:, :, None]
+        Y[start:stop].reshape(-1, k, k)[...] = ys[:, None, :]
+        rules.append((start, stop, k, w))
+        start = stop
+    vals = F(X, Y)
+    coarse, fine = (np.einsum("i,j,pij->p", w, w, vals[lo:hi].reshape(-1, k, k))
+                    for lo, hi, k, w in rules)
+    out = []
+    for (a, b, c, d), vc, vf in zip(boxes, coarse, fine):
+        scale = 0.25 * (b - a) * (d - c)
+        v = scale * vf
+        out.append((v, abs(v - scale * vc)))
+    return out
 
 
 def _adaptive_2d(F, box, tol, budget, evals_used=0):
     """Greedy panel refinement until the summed error indicator is <= tol.
 
-    Returns (value, err, evals).  Splits the worst panel into four; the heap
-    tie-break counter makes pop order, and hence the accumulated float sums,
-    reproducible.
+    Returns (value, err, evals).  Splits the worst panel into four, and the
+    four children go through one integrand call (as do both rules of the
+    initial panel); the heap tie-break counter makes pop order, and hence
+    the accumulated float sums, reproducible.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ax, bx, ay, by = box
-    evals = evals_used
-    v, e, ne = _panel_2d(F, ax, bx, ay, by)
-    evals += ne
+    evals = evals_used + _PANEL_EVALS
+    [(v, e)] = _panels_2d(F, [box])
     if evals > budget:
         raise OracleBudgetError(
             f"initial panel alone needs {evals} evaluations, budget is {budget}")
-    heap = [(-e, 0, (ax, bx, ay, by, v, e))]
+    heap = [(-e, 0, tuple(box) + (v, e))]
     counter = 1
     total_v = v
     total_e = e
@@ -128,9 +140,9 @@ def _adaptive_2d(F, box, tol, budget, evals_used=0):
         total_v -= pv
         total_e -= pe
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        for box2 in ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)):
-            v2, e2, ne = _panel_2d(F, *box2)
-            evals += ne
+        boxes = ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d))
+        for box2, (v2, e2) in zip(boxes, _panels_2d(F, boxes)):
+            evals += _PANEL_EVALS
             total_v += v2
             total_e += e2
             heapq.heappush(heap, (-e2, counter, box2 + (v2, e2)))
@@ -145,7 +157,7 @@ def _adaptive_1d(f, a, b, tol, budget, n=12):
     def measure(lo, hi):
         out = []
         for k in (n, 2 * n):
-            x, w = _gl(k)
+            x, w = _gl_nodes(k)
             xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
             out.append(0.5 * (hi - lo) * np.dot(w, f(xs)))
         return out[1], abs(out[1] - out[0]), 3 * n

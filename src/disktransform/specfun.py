@@ -94,9 +94,12 @@ def bessel_j(alpha: float, x: float, config: SeriesConfig | None = None) -> floa
     cannot absorb at the 1e-10 accuracy the zero finder needs, so integer
     and half-integer alpha switch to fixed-point integer summation of the
     same series (see _bessel_j_fixed; its truncation error is below
-    (terms + 1) * 2^-128).  Any other alpha with x > 8 raises DomainError.
+    (terms + 1) * 2^-128).  Any other alpha with x > 8 raises DomainError,
+    and so does a non-finite alpha or x.
     """
     cfg = config or _DEFAULT
+    if not (math.isfinite(alpha) and math.isfinite(x)):
+        raise DomainError(f"bessel_j needs finite alpha and x, got ({alpha}, {x})")
     if alpha < 0:
         raise DomainError(f"bessel_j needs alpha >= 0, got {alpha}")
     if x < 0:

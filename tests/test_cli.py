@@ -237,6 +237,17 @@ def test_norm_1_grid(capsys):
     assert "w = 0" in conj_rows[0]["computed"]
 
 
+def test_norm_1_output_independent_of_threads(capsys, monkeypatch):
+    # thread_cap clamps to the core count, so at most 2 workers start
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DISKT_THREADS", threads)
+        code, out, _ = run(capsys, "norm", "1", "--grid", "radial:5", "--format", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_norm_bad_inputs(capsys):
     assert run(capsys, "norm", "1", "--grid", "linear:5")[0] == 2
     assert run(capsys, "norm", "pinf", "--p", "oops")[0] == 2

@@ -1,3 +1,5 @@
+import cmath
+import heapq
 import math
 import os
 import random
@@ -6,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from disktransform import oracle
 from disktransform.diskalg import DiskPolynomial, ExactScalar, evaluate
 from disktransform.oracle import (
     OracleBudgetError,
@@ -189,3 +192,114 @@ def test_thread_cap_clamped_to_cores(monkeypatch):
     # reads the cap only; no worker is started
     monkeypatch.setenv("DISKT_THREADS", "1000000")
     assert 1 <= thread_cap() <= os.cpu_count()
+
+
+# --- batched panels ---------------------------------------------------------
+
+def _reference_adaptive_2d(F, box, tol, budget, evals_used=0):
+    """The per-panel refinement loop: one meshgrid and one integrand call per
+    rule and panel.  The batched oracle must reproduce it bit for bit."""
+    from numpy.polynomial.legendre import leggauss
+
+    def panel(ax, bx, ay, by, n=8):
+        scale = 0.25 * (bx - ax) * (by - ay)
+        vals = []
+        for k in (n, 2 * n):
+            x, w = leggauss(k)
+            xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * x
+            ys = 0.5 * (ay + by) + 0.5 * (by - ay) * x
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            vals.append(scale * np.einsum("i,j,ij->", w, w, F(X, Y)))
+        return vals[1], abs(vals[1] - vals[0]), 5 * n * n
+
+    evals = evals_used
+    v, e, ne = panel(*box)
+    evals += ne
+    if evals > budget:
+        raise OracleBudgetError("initial panel")
+    heap = [(-e, 0, tuple(box) + (v, e))]
+    counter = 1
+    total_v, total_e = v, e
+    while total_e > tol:
+        if evals > budget:
+            raise OracleBudgetError("budget")
+        _, _, (a, b, c, d, pv, pe) = heapq.heappop(heap)
+        total_v -= pv
+        total_e -= pe
+        mx, my = 0.5 * (a + b), 0.5 * (c + d)
+        for box2 in ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)):
+            v2, e2, ne = panel(*box2)
+            evals += ne
+            total_v += v2
+            total_e += e2
+            heapq.heappush(heap, (-e2, counter, box2 + (v2, e2)))
+            counter += 1
+    return total_v, total_e, evals
+
+
+def _oracle_calls(phi, z):
+    def bergman(w):
+        return evaluate(phi, w) / (1 - z * np.conj(w)) ** 2
+
+    return [cauchy_eval(phi, z, 1e-8), pv_beurling_eval(phi, z, 1e-7),
+            quad_disk(bergman, 1e-9)]
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 0.95])
+def test_batched_panels_match_per_panel_loop(monkeypatch, radius):
+    rng = random.Random(f"batched/{radius}")
+    for _ in range(2):
+        phi = rand_poly(rng, max_total=6)
+        z = radius * cmath.exp(2j * math.pi * rng.random())
+        got = _oracle_calls(phi, z)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_adaptive_2d", _reference_adaptive_2d)
+            want = _oracle_calls(phi, z)
+        for g, w in zip(got, want):
+            assert (g.value, g.err_estimate, g.evaluations) == \
+                   (w.value, w.err_estimate, w.evaluations), (phi, z)
+
+
+def test_one_integrand_call_per_refinement_step(monkeypatch):
+    pops = []
+    real_pop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or real_pop(h))
+    sizes = []
+
+    def F(X, Y):
+        sizes.append(X.size)
+        return np.abs(X * np.exp(1j * Y) - 0.3)  # cone: many splits
+
+    _, _, evals = oracle._adaptive_2d(F, (0.0, 1.0, 0.0, 2 * math.pi), 1e-9, 10**7)
+    splits = len(pops)
+    assert splits > 10
+    assert sizes == [320] + [4 * 320] * splits
+    assert evals == 320 * (1 + 4 * splits)
+
+
+def _monomial_sum(phi, z):
+    ref = np.zeros_like(z, dtype=complex)
+    scale = np.zeros(np.shape(z))
+    for (m, n), a in phi.items():
+        term = complex(a) * z**m * np.conj(z) ** n
+        ref = ref + term
+        scale = scale + np.abs(term)
+    return ref, scale
+
+
+@pytest.mark.parametrize("shape", [(37,), (6, 7)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_evaluate_power_table_matches_monomials(shape, exact):
+    rng = random.Random(f"evaluate/{shape}/{exact}")
+    gen = np.random.default_rng(len(shape))
+    z = gen.uniform(-0.7, 0.7, shape) + 1j * gen.uniform(-0.7, 0.7, shape)
+    for _ in range(10):
+        phi = rand_poly(rng, max_total=12, terms=8)
+        if not exact:
+            phi = DiskPolynomial({k: complex(a) for k, a in phi.items()})
+        got = evaluate(phi, z)
+        ref, scale = _monomial_sum(phi, z)
+        assert got.shape == shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    empty = evaluate(DiskPolynomial({}), z)
+    assert empty.shape == shape and not np.any(empty)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -112,6 +113,16 @@ def test_bessel_fractional_order_large_argument_rejected():
     with pytest.raises(DomainError):
         bessel_j(1.3, 30.0)
     assert abs(bessel_j(1.3, 5.0) - scipy.special.jv(1.3, 5.0)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,x", [(0, math.inf), (0, math.nan), (math.nan, 3.0)])
+def test_bessel_non_finite_rejected(alpha, x):
+    # a NaN once ran the float loop through all max_terms iterations before
+    # failing; the check must come before any series work
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        bessel_j(alpha, x)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_bessel_zero_vs_scipy():
