@@ -56,10 +56,10 @@ class RunConfig:
     def validate(self):
         if self.max_degree < 0:
             raise ConfigError("--max-degree must be >= 0")
-        if self.tol_quad <= 0:
-            raise ConfigError("--tol-quad must be positive")
-        if self.tol_eigen <= 0:
-            raise ConfigError("--tol-eigen must be positive")
+        if not 0 < self.tol_quad < math.inf:
+            raise ConfigError("--tol-quad must be positive and finite")
+        if not 0 < self.tol_eigen < math.inf:
+            raise ConfigError("--tol-eigen must be positive and finite")
         if self.budget <= 0:
             raise ConfigError("--budget must be positive")
         if self.fmt not in ("json", "csv", "table"):

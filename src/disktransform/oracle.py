@@ -112,17 +112,22 @@ def _panels_2d(F, boxes):
     return out
 
 
-def _adaptive_2d(F, box, tol, budget, evals_used=0):
+def _check_tol(tol):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _adaptive_2d(F, box, tol, budget):
     """Greedy panel refinement until the summed error indicator is <= tol.
 
     Returns (value, err, evals).  Splits the worst panel into four, and the
     four children go through one integrand call (as do both rules of the
     initial panel); the heap tie-break counter makes pop order, and hence
-    the accumulated float sums, reproducible.
+    the accumulated float sums, reproducible.  A non-finite integrand value
+    makes the summed indicator non-finite, which raises ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    evals = evals_used + _PANEL_EVALS
+    _check_tol(tol)
+    evals = _PANEL_EVALS
     [(v, e)] = _panels_2d(F, [box])
     if evals > budget:
         raise OracleBudgetError(
@@ -131,7 +136,9 @@ def _adaptive_2d(F, box, tol, budget, evals_used=0):
     counter = 1
     total_v = v
     total_e = e
-    while total_e > tol:
+    while not total_e <= tol:
+        if not math.isfinite(total_e):
+            raise ValueError("integrand is not finite on the integration region")
         if evals > budget:
             raise OracleBudgetError(
                 f"needed more than {budget} evaluations (err {total_e:.3e} > tol {tol:.3e})"
@@ -151,8 +158,7 @@ def _adaptive_2d(F, box, tol, budget, evals_used=0):
 
 
 def _adaptive_1d(f, a, b, tol, budget, n=12):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
 
     def measure(lo, hi):
         out = []
@@ -170,7 +176,9 @@ def _adaptive_1d(f, a, b, tol, budget, n=12):
     heap = [(-e, 0, (a, b, v, e))]
     counter = 1
     total_v, total_e = v, e
-    while total_e > tol:
+    while not total_e <= tol:
+        if not math.isfinite(total_e):
+            raise ValueError("integrand is not finite on the integration region")
         if evals > budget:
             raise OracleBudgetError(f"1-D quadrature budget {budget} exhausted")
         _, _, (lo, hi, pv, pe) = heapq.heappop(heap)
@@ -215,8 +223,8 @@ def cauchy_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> Qu
     [0, exit radius]; the Jacobian s cancels 1/|w - z| so the integrand is
     smooth.  Inner variable scaled to [0, 1] per ray.
     """
-    if abs(z) >= 1:
-        raise ValueError("z must be interior")
+    if not abs(z) < 1:
+        raise ValueError(f"z must be interior, got {z}")
     fn = _as_fn(phi)
 
     def F(B, U):
@@ -231,51 +239,27 @@ def cauchy_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> Qu
 def pv_beurling_eval(phi, z: complex, tol: float, budget: int = 4 * DEFAULT_BUDGET) -> QuadResult:
     """-p.v. int phi(w)/(z - w)^2 dA(w) for |z| < 1, phi C^1.
 
-    Strategy: subtract the constant phi(z).  The principal value of the
-    constant term vanishes (the angular factor e^{-2i beta} integrates to
-    zero on every centered ring, and rays to the boundary contribute a
-    beta-integral that cancels by the same symmetry, verified against the
-    closed form S[1] = 0).  The remainder (phi(w) - phi(z))/(z - w)^2 is
-    O(1/|w - z|): integrable, handled as a smooth main region
-    s in [(1-|z|)/2, exit radius] plus dyadic rings shrinking to s = 0 whose
-    values decay geometrically; the tail is extrapolated as one extra ring.
+    Subtract the constant phi(z): its principal value vanishes, because the
+    angular factor e^{-2i beta} integrates to zero on every ring centered at
+    z and the rays to the boundary cancel by the same symmetry (checked
+    against the closed form S[1] = 0).  In polar coordinates centered at z,
+    w = z + s e^{i beta}, the Jacobian s cancels one power of the kernel.
+    The graded radial map s = S(beta) U^2, S the exit radius, has Jacobian
+    2 S U, so one region (beta, U) in [0, 2 pi] x [0, 1] carries the bounded
+    integrand (phi(w) - phi(z)) e^{-2i beta} 2 / (pi U); the grading keeps it
+    smooth in U even where phi is only C^1 at z (Duffy 1982).
     """
-    if abs(z) >= 1:
-        raise ValueError("z must be interior")
+    if not abs(z) < 1:
+        raise ValueError(f"z must be interior, got {z}")
     fn = _as_fn(phi)
     fz = complex(fn(np.array([complex(z)]))[0])
-    eps0 = (1.0 - abs(z)) / 2.0
 
-    def F_main(B, U):
-        S = _exit_radius(z, B)
-        s = eps0 + U * (S - eps0)
-        w = z + s * np.exp(1j * B)
-        return (fn(w) - fz) * np.exp(-2j * B) / s * (S - eps0) / math.pi
+    def F(B, U):
+        w = z + (_exit_radius(z, B) * U * U) * np.exp(1j * B)
+        return (fn(w) - fz) * np.exp(-2j * B) * (2 / math.pi) / U
 
-    total, err, evals = _adaptive_2d(F_main, (0.0, 2 * math.pi, 0.0, 1.0), tol / 2, budget)
-
-    def F_ring(B, S):
-        w = z + S * np.exp(1j * B)
-        return (fn(w) - fz) * np.exp(-2j * B) / S / math.pi
-
-    est = total
-    hi = eps0
-    converged = False
-    for _ in range(60):
-        lo = hi / 2.0
-        rv, re_, evals = _adaptive_2d(F_ring, (0.0, 2 * math.pi, lo, hi), tol / 8, budget, evals)
-        err += re_
-        total += rv
-        new_est = total + rv  # remaining rings sum to about one more ring
-        if abs(new_est - est) < tol / 2:
-            est = new_est
-            converged = True
-            break
-        est = new_est
-        hi = lo
-    if not converged:
-        raise OracleBudgetError("ring extrapolation did not stabilize")
-    return QuadResult(complex(-est), float(err + abs(new_est - total)), evals)
+    v, e, ev = _adaptive_2d(F, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
+    return QuadResult(complex(-v), float(e), ev)
 
 
 def lp_norm_numeric(f, p: float, tol: float, budget: int = DEFAULT_BUDGET) -> float:

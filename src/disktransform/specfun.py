@@ -6,7 +6,10 @@ sum the defining series directly; no asymptotic expansions or analytic
 continuation are involved.  For large argument the Bessel series loses
 accuracy to cancellation in float64, so integer and half-integer orders
 switch to fixed-point integer summation of the same series, with a
-truncation error below (terms + 1) * 2^-128 (see bessel_j).
+truncation error below (terms + 1) * 2^-128 (see bessel_j).  E comes from
+the arithmetic-geometric mean (see elliptic_e), with no quadrature.
+bessel_j, hyp2f1 and elliptic_e raise DomainError for non-finite input
+before any iteration.
 """
 from __future__ import annotations
 
@@ -223,6 +226,8 @@ def hyp2f1(a: float, b: float, c: float, x: float, config: SeriesConfig | None =
     so the stopping rule controls the tail, not just the last term.
     """
     cfg = config or _DEFAULT
+    if not all(map(math.isfinite, (a, b, c))):
+        raise DomainError(f"hyp2f1 needs finite a, b and c, got ({a}, {b}, {c})")
     if c <= 0 and c == math.floor(c):
         raise DomainError(f"hyp2f1 pole: c = {c} is a non-positive integer")
     if not (0.0 <= x <= 1.0):
@@ -269,59 +274,48 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def _adaptive_interval(f, a: float, b: float, tol: float, max_depth: int = 60) -> float:
-    """Adaptive Gauss-Legendre on [a, b]; f maps ndarray -> ndarray."""
-    x8, w8 = _gl_nodes(8)
-    x16, w16 = _gl_nodes(16)
+def elliptic_e(m: float) -> float:
+    """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2 t) dt
+    for finite m <= 1.
 
-    def sample(lo, hi):
-        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        v1 = rad * float(np.dot(w8, f(mid + rad * x8)))
-        v2 = rad * float(np.dot(w16, f(mid + rad * x16)))
-        return v2, abs(v2 - v1)
-
-    total = 0.0
-    stack = [(a, b, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        v, e = sample(lo, hi)
-        # proportional tolerance allocation keeps the summed error below tol
-        if e <= tol * (hi - lo) / (b - a) or depth >= max_depth:
-            total += v
-        else:
-            m = 0.5 * (lo + hi)
-            stack.append((m, hi, depth + 1))
-            stack.append((lo, m, depth + 1))
-    return total
-
-
-def elliptic_e(m: float, tol: float = 1e-11) -> float:
-    """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2 t) dt.
-
-    Evaluated by adaptive quadrature of the defining integral, which is
-    robust for every m <= 1 including large negative parameters (the
-    integrand develops an |sin|-type kink near t = 0 at scale 1/sqrt(-m);
-    the adaptive refinement resolves it).
+    Arithmetic-geometric mean of 1 and sqrt(1 - m), DLMF 19.8.1 and 19.8.6.
+    For m < 0 the imaginary-modulus transformation DLMF 19.7.5,
+    E(m) = sqrt(1 - m) E(m'), maps to m' = -m / (1 - m) in (0, 1); its
+    complement 1 - m' = 1 / (1 - m) is passed in directly, so nothing
+    cancels as m' approaches 1.
     """
-    if m > 1.0:
-        raise DomainError(f"elliptic_e needs m <= 1, got {m}")
-    if m == 0.0:
-        return 0.5 * math.pi
+    if not -math.inf < m <= 1.0:
+        raise DomainError(f"elliptic_e needs finite m <= 1, got {m}")
     if m == 1.0:
         return 1.0
+    if m < 0.0:
+        return math.sqrt(1.0 - m) * _agm_e(-m / (1.0 - m), 1.0 / (1.0 - m))
+    return _agm_e(m, 1.0 - m)
 
-    def f(t):
-        return np.sqrt(1.0 - m * np.sin(t) ** 2)
 
-    scale = max(1.0, math.sqrt(abs(m)))
-    return _adaptive_interval(f, 0.0, 0.5 * math.pi, tol * scale)
+def _agm_e(m: float, mc: float) -> float:
+    """E(m) for 0 <= m < 1, given mc = 1 - m: with a_0 = 1, g_0 = sqrt(mc)
+    and c_0^2 = m, E = pi / (2 M) (1 - sum_n 2^(n-1) c_n^2), M the limit of
+    a_n, and 1 - c_0^2 / 2 = (1 + mc) / 2.  c_{n+1} = (a_n - g_n) / 2 is
+    formed as c_n^2 / (4 a_{n+1}), which does not cancel.  The loop stops
+    once c_n^2 <= 1e-30, when a_n - g_n = c_n^2 / (2 a_{n+1}) and the
+    remaining terms are far below one ulp of the result."""
+    a, g = 1.0, math.sqrt(mc)
+    c2, weight = m, 0.5
+    rest = 0.5 * (1.0 + mc)
+    while c2 > 1e-30:
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+        c2 = (c2 / (4.0 * a)) ** 2
+        weight *= 2.0
+        rest -= weight * c2
+    return 0.5 * math.pi / a * rest
 
 
 def elliptic_e_series(m: float, config: SeriesConfig | None = None) -> float:
     """Series form E(m) = (pi/2) sum_k [ ((1/2)_k / k!)^2 m^k / (1 - 2k) ].
 
-    Converges for |m| < 1; kept as an independent cross-check of the
-    quadrature route.
+    Converges for |m| < 1; kept as an independent cross-check of the AGM
+    route.
     """
     cfg = config or _DEFAULT
     if not (-1.0 < m < 1.0):

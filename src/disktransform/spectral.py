@@ -319,7 +319,7 @@ def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimat
     two largest singular values of each block, the runner-up overall
     within 1e-10 of the winner marks the estimate degenerate.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     top_two = []
     best = 0.0

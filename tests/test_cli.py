@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,11 @@ def test_config_validation():
         RunConfig(budget=-5).validate()
     with pytest.raises(ConfigError):
         RunConfig(fmt="xml").validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            RunConfig(tol_quad=bad).validate()
+        with pytest.raises(ConfigError):
+            RunConfig(tol_eigen=bad).validate()
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -150,6 +156,9 @@ def test_transform_parse_error_exit2(capsys):
 
 def test_bad_config_exit2(capsys):
     code, _, err = run(capsys, "--tol-quad", "-1", "verify")
+    assert code == 2
+    assert "config error" in err
+    code, _, err = run(capsys, "verify", "--tol-eigen", "nan")
     assert code == 2
     assert "config error" in err
 

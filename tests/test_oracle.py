@@ -106,11 +106,33 @@ def test_pv_matches_beurling_S():
         assert abs(got.value - closed) < 2e-5, (phi, z)
 
 
-def test_pv_ring_extrapolation_is_stable():
+def test_pv_graded_region_is_accurate():
     phi = DiskPolynomial({(2, 0): ExactScalar(1)})
     r1 = pv_beurling_eval(phi, 0.5 + 0.2j, 1e-7)
     closed = complex(evaluate(beurling_S(phi), 0.5 + 0.2j))
-    assert abs(r1.value - closed) < 1e-6
+    assert abs(r1.value - closed) < 1e-12
+
+
+def test_pv_c1_at_z_is_cheap_and_stable():
+    # |w - z|^1.5 is only C^1 at z; the graded map s = S U^2 keeps the
+    # integrand smooth there
+    def phi(w):
+        return np.abs(w - 0.2) ** 1.5
+
+    fine = pv_beurling_eval(phi, 0.2, 1e-10)
+    assert fine.evaluations <= 8000
+    assert abs(fine.value - pv_beurling_eval(phi, 0.2, 1e-8).value) < 1e-12
+
+
+def test_pv_entire_times_conj_matches_series():
+    # exp(w) conj(w) = sum_k w^k conj(w) / k!; the tail past k = 30 is below 1e-33
+    z = 0.3 + 0.4j
+    series = DiskPolynomial({(k, 1): ExactScalar(Fraction(1, math.factorial(k)))
+                             for k in range(31)})
+    closed = complex(evaluate(beurling_S(series), z))
+    got = pv_beurling_eval(lambda w: np.exp(w) * np.conj(w), z, 1e-10)
+    assert abs(got.value - closed) <= 1e-13
+    assert got.evaluations <= 30_000
 
 
 def test_oracle_agreement_four_operators():
@@ -192,6 +214,34 @@ def test_thread_cap_clamped_to_cores(monkeypatch):
     # reads the cap only; no worker is started
     monkeypatch.setenv("DISKT_THREADS", "1000000")
     assert 1 <= thread_cap() <= os.cpu_count()
+
+
+# --- input checks -------------------------------------------------------------
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tol_must_be_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        quad_disk(lambda w: np.abs(w), tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        angular_parseval_check(0.5, 0.5, tol)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_non_finite_z_rejected(z):
+    phi = DiskPolynomial({(2, 0): ExactScalar(1)})
+    with pytest.raises(ValueError, match="z must be interior"):
+        cauchy_eval(phi, z, 1e-8)
+    with pytest.raises(ValueError, match="z must be interior"):
+        pv_beurling_eval(phi, z, 1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_integrand_rejected():
+    with pytest.raises(ValueError, match="integrand is not finite"):
+        quad_disk(lambda w: np.where(abs(w) > 0.5, np.nan, 1.0), 1e-8)
+    with pytest.raises(ValueError, match="integrand is not finite"):
+        oracle._adaptive_1d(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0,
+                            1e-8, 10**6)
 
 
 # --- batched panels ---------------------------------------------------------

@@ -115,13 +115,24 @@ def test_bessel_fractional_order_large_argument_rejected():
     assert abs(bessel_j(1.3, 5.0) - scipy.special.jv(1.3, 5.0)) < 1e-12
 
 
-@pytest.mark.parametrize("alpha,x", [(0, math.inf), (0, math.nan), (math.nan, 3.0)])
-def test_bessel_non_finite_rejected(alpha, x):
-    # a NaN once ran the float loop through all max_terms iterations before
-    # failing; the check must come before any series work
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(bessel_j, (0, math.inf), id="0-inf"),
+    pytest.param(bessel_j, (0, math.nan), id="0-nan"),
+    pytest.param(bessel_j, (math.nan, 3.0), id="nan-3.0"),
+    pytest.param(hyp2f1, (math.nan, 0.5, 1.0, 0.5), id="hyp2f1-a-nan"),
+    pytest.param(hyp2f1, (0.5, math.inf, 1.0, 0.5), id="hyp2f1-b-inf"),
+    pytest.param(hyp2f1, (0.5, 0.5, math.nan, 0.5), id="hyp2f1-c-nan"),
+    pytest.param(elliptic_e, (math.nan,), id="elliptic_e-nan"),
+    pytest.param(elliptic_e, (math.inf,), id="elliptic_e-inf"),
+    pytest.param(elliptic_e, (-math.inf,), id="elliptic_e-minus-inf"),
+])
+def test_bessel_non_finite_rejected(fn, args):
+    # a NaN once ran a series or a quadrature through all its iterations
+    # before failing, or never returned; the check must come before any
+    # iteration.  The name predates the hyp2f1 and elliptic_e cases.
     t0 = time.perf_counter()
     with pytest.raises(DomainError):
-        bessel_j(alpha, x)
+        fn(*args)
     assert time.perf_counter() - t0 < 0.5
 
 
@@ -206,10 +217,12 @@ def test_elliptic_e_endpoints():
     assert abs(elliptic_e(1.0) - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("m", [-8.0, -4.0, -1.0, -0.5, 0.3, 0.9, 0.99])
+@pytest.mark.parametrize("m", [-8.0, -4.0, -1.0, -0.5, 0.3, 0.9, 0.99,
+                               -1e12, -1e6, 1 - 1e-12])
 def test_elliptic_e_vs_scipy(m):
     # parameter convention (not modulus): E(m) = int sqrt(1 - m sin^2)
-    assert abs(elliptic_e(m) - scipy.special.ellipe(m)) < 1e-10
+    ref = scipy.special.ellipe(m)
+    assert abs(elliptic_e(m) - ref) <= 1e-14 * ref
 
 
 def test_elliptic_e_series_route():
