@@ -23,7 +23,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import diskalg, extremal, oracle, spectral, transforms
@@ -304,17 +304,6 @@ class CheckRow:
     tol: str
     status: str
 
-    def as_dict(self):
-        return {
-            "check_id": self.check_id,
-            "reference": self.reference,
-            "expected": self.expected,
-            "computed": self.computed,
-            "abs_err": self.abs_err,
-            "tol": self.tol,
-            "status": self.status,
-        }
-
 
 def _num(x) -> str:
     if isinstance(x, float):
@@ -385,10 +374,12 @@ def _checks_spectral(cfg: RunConfig):
     rows = []
     alpha = spectral.solve_alpha()
     if cfg.max_degree >= 10:
-        est = spectral.estimate_P_norm(spectral.TruncationSpec(cfg.max_degree), cfg.tol_eigen)
+        est = spectral.estimate_norm(TransformKind.CauchyTransformP,
+                                     spectral.TruncationSpec(cfg.max_degree), cfg.tol_eigen)
         rows.append(_row("norm2_galerkin", "L2 norm estimate vs equation root",
                          alpha, est.value, 1e-3))
-        rest = spectral.estimate_P_norm(
+        rest = spectral.estimate_norm(
+            TransformKind.CauchyTransformP,
             spectral.TruncationSpec(cfg.max_degree, frozenset({1})), cfg.tol_eigen)
         rows.append(_row("norm2_restricted_d1", "single-component bound 2/j0",
                          2 / bessel_zero(0), rest.value, 1e-3))
@@ -402,8 +393,8 @@ def _checks_spectral(cfg: RunConfig):
         rows.append(_row_skipped("norm2_galerkin", "L2 norm estimate vs equation root", why))
         rows.append(_row_skipped("norm2_restricted_d1", "single-component bound 2/j0", why))
         rows.append(_row_skipped("norm2_bracket", "estimate inside the step-3 interval", why))
-    opm = spectral.assemble(TransformKind.BeurlingH, spectral.TruncationSpec(min(cfg.max_degree, 8) or 2))
-    iso = spectral.operator_norm(opm, cfg.tol_eigen)
+    iso_trunc = spectral.TruncationSpec(min(cfg.max_degree, 8) or 2)
+    iso = spectral.estimate_norm(TransformKind.BeurlingH, iso_trunc, cfg.tol_eigen)
     rows.append(_row("beurling_isometry_matrix", "matrix norm of the isometry",
                      1.0, iso.value, 1e-10))
     rows.append(_row("hardy_d1_profile_u1", "exact ratio 1/6 for the constant profile",
@@ -503,7 +494,7 @@ def run_verify(cfg: RunConfig):
 def emit(rows, fmt: str, stream) -> None:
     fields = ["check_id", "reference", "expected", "computed", "abs_err", "tol", "status"]
     if fmt == "json":
-        json.dump([r.as_dict() for r in rows], stream, indent=2)
+        json.dump([asdict(r) for r in rows], stream, indent=2)
         stream.write("\n")
     elif fmt == "csv":
         writer = csv.writer(stream, lineterminator="\r\n")
@@ -607,7 +598,8 @@ def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> i
             except ValueError:
                 raise ConfigError(f"invalid --d-set {d_set_raw!r}") from None
         alpha = spectral.solve_alpha()
-        est = spectral.estimate_P_norm(
+        est = spectral.estimate_norm(
+            TransformKind.CauchyTransformP,
             spectral.TruncationSpec(cfg.max_degree, trunc_dset), cfg.tol_eigen)
         ref = "full-basis reference value" if trunc_dset is None else "restricted basis (no reference)"
         if trunc_dset is None:

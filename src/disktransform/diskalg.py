@@ -99,6 +99,12 @@ class ExactScalar:
         return ExactScalar(self.re, -self.im)
 
     def __eq__(self, other):
+        """Exact against ExactScalar, Fraction and int; rounded through
+        complex against float and complex.  So it is not transitive:
+        ExactScalar(Fraction(1, 3)) equals both Fraction(1, 3) and 1/3, which
+        differ, and its hash (through complex) agrees with the float's only.
+        The rounded comparison is what lets an exact polynomial compare equal
+        to its float copy (to_tuples / from_tuples)."""
         o = self._coerce(other)
         if o is None:
             if isinstance(other, (float, complex)):

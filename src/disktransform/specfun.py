@@ -8,8 +8,8 @@ accuracy to cancellation in float64, so integer and half-integer orders
 switch to fixed-point integer summation of the same series, with a
 truncation error below (terms + 1) * 2^-128 (see bessel_j).  E comes from
 the arithmetic-geometric mean (see elliptic_e), with no quadrature.
-bessel_j, hyp2f1 and elliptic_e raise DomainError for non-finite input
-before any iteration.
+gamma, pochhammer, bessel_j, hyp2f1 and elliptic_e raise DomainError for
+non-finite input before any iteration.
 """
 from __future__ import annotations
 
@@ -61,7 +61,10 @@ _DEFAULT = SeriesConfig()
 
 
 def gamma(x: float) -> float:
-    """Gamma function on the real line, poles at 0, -1, -2, ... rejected."""
+    """Gamma function on the real line, poles at 0, -1, -2, ... and
+    non-finite x rejected."""
+    if not math.isfinite(x):
+        raise DomainError(f"gamma needs finite x, got {x}")
     if x <= 0 and x == math.floor(x):
         raise DomainError(f"gamma pole at x = {x}")
     try:
@@ -78,7 +81,10 @@ def _rgamma(x: float) -> float:
 
 
 def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1, for
+    finite a."""
+    if not math.isfinite(a):
+        raise DomainError(f"pochhammer needs finite a, got {a}")
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
     out = 1.0

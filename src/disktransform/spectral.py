@@ -1,30 +1,21 @@
-"""Operator-norm estimation on truncated monomial bases.
+"""Operator-norm estimation in the orthonormal disk-polynomial basis.
 
 The conjugating transforms are only real-linear, so a complex coefficient
 a = x + iy is split into (x, y) and an operator becomes a real matrix acting
-on stacked (Re, Im) coordinates.  Because every transform here sends a
-monomial to T1-part plus T2-part-of-the-conjugate with real rational monomial
-matrices, the realified matrix is block diagonal: (T1 + T2) on the real
-block, (T1 - T2) on the imaginary block.
+on stacked (Re, Im) coordinates.  Every transform normed here sends a
+function to a linear part plus a linear part of its conjugate, both real, so
+the realified matrix is block diagonal: (T1 + T2) on the real block,
+(T1 - T2) on the imaginary block.
 
-Norms take one of two routes.
-
-P (estimate_P_norm) is solved in the orthonormal disk-polynomial basis:
-each angular sector's radial factors are Jacobi polynomials in |z|^2, so
-P's matrix between orthonormal bases is assembled directly in float64 by
-Gauss-Legendre quadrature, block by coupled sector pair, with no Gram
-matrix at all.
-
-Every other kind goes through assemble and operator_norm on the monomial
-basis, which is far from orthogonal (its Gram matrix is Hilbert-like,
-condition number around 1e30 at total degree 40), so floating whitening is
-hopeless.  Norms are instead computed from the exact rational payload:
-split into decoupled blocks by the exact zero pattern, whiten each block with
-an exact rational LDL factorization (no square roots until the final
-diagonal scaling), convert the whitened block to float, and take its largest
-singular value.  Entries of the whitened block are bounded by the operator
-norm, so the float conversion is benign.  For P this exact route is the
-independent reference the float route is tested against.
+Each angular sector's radial factors are Jacobi polynomials in |z|^2, so the
+disk polynomials psi_k(|z|^2) |z|^|d| e^{i d theta} are an orthonormal basis
+of the truncated input space.  On a sector the monomial rules of P and H are
+radial forms in t = |z|^2 (multiplications, Volterra and Hardy integrals and
+one rank-one functional), so estimate_norm evaluates them by Gauss-Legendre
+quadrature and assembles the Galerkin blocks between orthonormal bases
+directly in float64, one coupled sector pair at a time, with no Gram matrix
+and no rational arithmetic.  The Galerkin value is the largest singular
+value over the blocks.
 
 Root-finders for the two transcendental norm equations and the exact
 weighted Hardy-type ratio checks live here as well.
@@ -32,23 +23,20 @@ weighted Hardy-type ratio checks live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .diskalg import DiskPolynomial, ExactScalar, norm_sq
+from .diskalg import DiskPolynomial, norm_sq
 from .specfun import _gl_nodes, bessel_j, bessel_zero
-from .transforms import TransformKind, apply_transform, cauchy_P
+from .transforms import TransformKind, cauchy_P
 
 __all__ = [
     "TruncationSpec",
-    "RealLinearOperatorMatrix",
     "NormEstimate",
-    "assemble",
-    "operator_norm",
-    "estimate_P_norm",
+    "estimate_norm",
     "solve_alpha",
     "solve_delta",
     "restricted_Z",
@@ -59,6 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationSpec:
+    """Input space spanned by the monomials z^m zbar^n with m + n <=
+    max_total_degree and, when d_set is given, angular degree m - n in it."""
     max_total_degree: int
     d_set: Optional[frozenset] = None
 
@@ -69,53 +59,11 @@ class TruncationSpec:
             object.__setattr__(self, "d_set", frozenset(self.d_set))
 
 
-def _basis_monomials(trunc: TruncationSpec) -> list:
-    out = []
-    for t in range(trunc.max_total_degree + 1):
-        for m in range(t + 1):
-            n = t - m
-            if trunc.d_set is None or (m - n) in trunc.d_set:
-                out.append((m, n))
-    return out
-
-
-@dataclass(frozen=True)
-class _ExactPayload:
-    """Rational data behind the float matrices: per-column sparse maps
-    output-index -> Fraction for the (T1 + T2) and (T1 - T2) blocks."""
-    plus_cols: tuple
-    minus_cols: tuple
-
-
-@dataclass(frozen=True)
-class RealLinearOperatorMatrix:
-    basis: tuple            # input monomials (m, n)
-    basis_out: tuple        # output monomials (m, n)
-    A: np.ndarray           # 2M x 2N on stacked (Re, Im) coordinates
-    gram_in: np.ndarray     # 2N x 2N
-    gram_out: np.ndarray    # 2M x 2M
-    exact: Optional[_ExactPayload] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        n2 = 2 * len(self.basis)
-        m2 = 2 * len(self.basis_out)
-        if self.A.shape != (m2, n2):
-            raise ValueError("A dimensions inconsistent with bases")
-        if self.gram_in.shape != (n2, n2) or self.gram_out.shape != (m2, m2):
-            raise ValueError("Gram dimensions inconsistent with bases")
-        for g in (self.gram_in, self.gram_out):
-            if g.size and not np.array_equal(g, g.T):
-                raise ValueError("Gram matrix not symmetric")
-            if g.size and np.any(np.diag(g) <= 0):
-                raise ValueError("Gram matrix not positive definite")
-
-
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
     truncation: TruncationSpec
     residual: float
-    iterations: int
     degenerate: bool = False  # top singular value numerically multiple
 
     def __post_init__(self):
@@ -123,201 +71,13 @@ class NormEstimate:
             raise ValueError("value and residual must be >= 0")
 
 
-def _mono_gram(mons) -> list:
-    """Exact Gram matrix of a monomial list: <z^m zbar^n, z^p zbar^q> is
-    1/(m+q+1) when m+q = n+p and 0 otherwise."""
-    k = len(mons)
-    G = [[Fraction(0)] * k for _ in range(k)]
-    for i, (mi, ni) in enumerate(mons):
-        for j, (mj, nj) in enumerate(mons):
-            if mi + nj == ni + mj:
-                G[i][j] = Fraction(1, mi + nj + 1)
-    return G
-
-
-def assemble(kind: TransformKind, trunc: TruncationSpec) -> RealLinearOperatorMatrix:
-    """Matrix of a transform on the truncated basis, realified.
-
-    Columns come from applying the transform to basis monomials with
-    coefficients 1 and i; the linear part is (T(e) - i T(ie))/2 and the
-    conjugating part (T(e) + i T(ie))/2, both real rational for every
-    operator here (asserted).  All entries are exact, then converted.
-    """
-    basis = _basis_monomials(trunc)
-    if not basis:
-        raise ValueError("truncation admits no basis monomials")
-    out_index: dict = {}
-    lin_cols = []
-    anti_cols = []
-    for (m, n) in basis:
-        u = apply_transform(kind, DiskPolynomial({(m, n): ExactScalar(1)}))
-        v = apply_transform(kind, DiskPolynomial({(m, n): ExactScalar(0, 1)}))
-        lin: dict = {}
-        anti: dict = {}
-        for key in sorted(set(u.coeffs) | set(v.coeffs)):
-            a = u.coeffs.get(key, ExactScalar(0))
-            b = v.coeffs.get(key, ExactScalar(0))
-            lr = (a.re + b.im) / 2   # (a - i b) / 2
-            li = (a.im - b.re) / 2
-            ar = (a.re - b.im) / 2   # (a + i b) / 2
-            ai = (a.im + b.re) / 2
-            if li or ai:
-                raise AssertionError("transform parts are not real rational")
-            if key not in out_index:
-                out_index[key] = len(out_index)
-            if lr:
-                lin[out_index[key]] = lr
-            if ar:
-                anti[out_index[key]] = ar
-        lin_cols.append(lin)
-        anti_cols.append(anti)
-    basis_out = [None] * len(out_index)
-    for key, i in out_index.items():
-        basis_out[i] = key
-
-    N, M = len(basis), len(basis_out)
-    plus_cols = []
-    minus_cols = []
-    for lin, anti in zip(lin_cols, anti_cols):
-        plus: dict = {}
-        minus: dict = {}
-        for o in set(lin) | set(anti):
-            l = lin.get(o, Fraction(0))
-            t = anti.get(o, Fraction(0))
-            if l + t:
-                plus[o] = l + t
-            if l - t:
-                minus[o] = l - t
-        plus_cols.append(plus)
-        minus_cols.append(minus)
-
-    A = np.zeros((2 * M, 2 * N))
-    for j in range(N):
-        for o, val in plus_cols[j].items():
-            A[o, j] = float(val)
-        for o, val in minus_cols[j].items():
-            A[M + o, N + j] = float(val)
-
-    def realified_gram(mons):
-        k = len(mons)
-        G = np.zeros((2 * k, 2 * k))
-        for i, row in enumerate(_mono_gram(mons)):
-            for j, val in enumerate(row):
-                if val:
-                    G[i, j] = float(val)
-                    G[k + i, k + j] = float(val)
-        return G
-
-    return RealLinearOperatorMatrix(
-        basis=tuple(basis),
-        basis_out=tuple(basis_out),
-        A=A,
-        gram_in=realified_gram(basis),
-        gram_out=realified_gram(basis_out),
-        exact=_ExactPayload(tuple(plus_cols), tuple(minus_cols)),
-    )
-
-
-def _ldl_exact(G):
-    """G = L D L^T for a rational symmetric positive definite matrix;
-    raises on a nonpositive pivot."""
-    k = len(G)
-    L = [[Fraction(0)] * k for _ in range(k)]
-    D = [Fraction(0)] * k
-    for j in range(k):
-        s = G[j][j] - sum(L[j][r] * L[j][r] * D[r] for r in range(j))
-        if s <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        D[j] = s
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, k):
-            t = G[i][j] - sum(L[i][r] * L[j][r] * D[r] for r in range(j))
-            L[i][j] = t / s
-    return L, D
-
-
-def _whitened_block(in_mons, out_mons, cols):
-    """Float matrix of the block in whitened coordinates.
-
-    With Gram factorizations G_in = Li Di Li^T and G_out = Lo Do Lo^T, the
-    generalized singular values of W are the singular values of
-    Do^{1/2} (Lo^T W Li^{-T}) Di^{-1/2}.  The inner product Lo^T W Li^{-T}
-    is done entirely in rationals; only the final diagonal scaling uses
-    float square roots.
-    """
-    M, N = len(out_mons), len(in_mons)
-    W = [[Fraction(0)] * N for _ in range(M)]
-    for j, col in enumerate(cols):
-        for o, val in col.items():
-            W[o][j] = val
-    Li, Di = _ldl_exact(_mono_gram(in_mons))
-    Lo, Do = _ldl_exact(_mono_gram(out_mons))
-    K = [[sum(Lo[r][i] * W[r][j] for r in range(i, M)) for j in range(N)]
-         for i in range(M)]
-    X = [[Fraction(0)] * N for _ in range(M)]
-    for j in range(N):
-        for i in range(M):
-            X[i][j] = K[i][j] - sum(X[i][r] * Li[j][r] for r in range(j))
-    B = np.zeros((M, N))
-    so = [math.sqrt(float(x)) for x in Do]
-    si = [math.sqrt(float(x)) for x in Di]
-    for i in range(M):
-        for j in range(N):
-            if X[i][j]:
-                B[i, j] = so[i] * float(X[i][j]) / si[j]
-    return B
-
-
-def _components(n_in, n_out, basis, basis_out, payloads):
-    """Union-find blocks of the coupled problem.  Inputs sharing an angular
-    degree d = m - n couple through the Gram matrix; an input couples to
-    every output its column touches in either sign block; outputs couple
-    through the output Gram the same way."""
-    parent = list(range(n_in + n_out))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    by_d: dict = {}
-    for i, (m, n) in enumerate(basis):
-        by_d.setdefault(m - n, []).append(i)
-    for idxs in by_d.values():
-        for i in idxs[1:]:
-            union(idxs[0], i)
-    by_d_out: dict = {}
-    for i, (m, n) in enumerate(basis_out):
-        by_d_out.setdefault(m - n, []).append(n_in + i)
-    for idxs in by_d_out.values():
-        for i in idxs[1:]:
-            union(idxs[0], i)
-    for cols in payloads:
-        for j, col in enumerate(cols):
-            for o in col:
-                union(j, n_in + o)
-
-    groups: dict = {}
-    for j in range(n_in):
-        groups.setdefault(find(j), [[], []])[0].append(j)
-    for o in range(n_out):
-        groups.setdefault(find(n_in + o), [[], []])[1].append(o)
-    return [g for g in groups.values() if g[0]]
-
-
 def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimate:
     """Largest singular value over float blocks, one direct SVD each.
 
     The residual ||B v - s u|| of the winning singular triple is reported
-    and must meet tol; iterations is 0 for this direct solver.  Among the
-    two largest singular values of each block, the runner-up overall
-    within 1e-10 of the winner marks the estimate degenerate.
+    and must meet tol.  Among the two largest singular values of each block,
+    the runner-up overall within 1e-10 of the winner marks the estimate
+    degenerate.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -339,134 +99,173 @@ def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimat
             raise RuntimeError(f"singular value residual {residual:.3e} exceeds tol")
     degenerate = len(top_two) == 2 and best > 0 and (best - top_two[1]) < 1e-10
     return NormEstimate(value=best, truncation=truncation, residual=residual,
-                        iterations=0, degenerate=degenerate)
+                        degenerate=degenerate)
 
 
-def _whitened_blocks(opm: RealLinearOperatorMatrix):
-    """Whitened float blocks of opm, one per decoupled component and sign."""
-    if opm.exact is None:
-        Li = np.linalg.cholesky(opm.gram_in)
-        Lo = np.linalg.cholesky(opm.gram_out)
-        Z = Lo.T @ opm.A
-        yield np.linalg.solve(Li, Z.T).T
-        return
-    payloads = (opm.exact.plus_cols, opm.exact.minus_cols)
-    comps = _components(len(opm.basis), len(opm.basis_out),
-                        opm.basis, opm.basis_out, payloads)
-    for in_idx, out_idx in comps:
-        in_mons = [opm.basis[j] for j in in_idx]
-        out_pos = {o: i for i, o in enumerate(out_idx)}
-        out_mons = [opm.basis_out[o] for o in out_idx]
-        for cols in payloads:
-            sub = [{out_pos[o]: v for o, v in cols[j].items()} for j in in_idx]
-            yield _whitened_block(in_mons, out_mons, sub) if any(sub) else np.zeros(0)
-
-
-def operator_norm(opm: RealLinearOperatorMatrix, tol: float,
-                  truncation: Optional[TruncationSpec] = None) -> NormEstimate:
-    """Largest generalized singular value sup ||A x||_out / ||x||_in.
-
-    Exact-payload route: decompose into decoupled blocks, whiten each with
-    rational LDL, then a direct float SVD per block and sign.  The residual
-    ||B v - s u|| of the winning singular triple is reported and must meet
-    tol.  iterations is 0 for this direct solver.  Without a payload a float
-    Cholesky whitening of the full realified matrix is used instead (only
-    viable for well-conditioned Gram matrices).
-    """
-    if truncation is None:
-        deg = max((m + n for (m, n) in opm.basis), default=0)
-        truncation = TruncationSpec(deg)
-    return _top_singular(_whitened_blocks(opm), tol, truncation)
-
-
-def _disk_polys(kmax: int, beta: int, t: np.ndarray) -> np.ndarray:
+def _disk_polys(kmax: int, beta: int, t: np.ndarray, deriv: bool = False) -> np.ndarray:
     """Radial disk polynomials psi_k(t) = sqrt(2k+beta+1) P_k^(0,beta)(2t-1)
-    for k = 0..kmax, stacked on a new last axis after t's shape.  They are
-    orthonormal on [0, 1] under the weight t^beta, so the functions
-    psi_k(|z|^2) |z|^|d| e^{i d theta} with beta = |d| are an orthonormal
-    basis of sector d.  Jacobi three-term recurrence, DLMF 18.9.1 with
-    alpha = 0; P_1 is written out because the n = 0 step divides by beta."""
+    for k = 0..kmax, stacked on a new last axis after t's shape, or with
+    deriv their derivatives psi_k'(t).  They are orthonormal on [0, 1] under
+    the weight t^beta, so the functions psi_k(|z|^2) |z|^|d| e^{i d theta}
+    with beta = |d| are an orthonormal basis of sector d.  Jacobi three-term
+    recurrence, DLMF 18.9.1 with alpha = 0, differentiated term by term for
+    psi'; P_1 is written out because the n = 0 step divides by beta."""
     x = 2.0 * t - 1.0
     P = np.empty(t.shape + (kmax + 1,))
+    dP = np.zeros_like(P) if deriv else None  # d/dx
     P[..., 0] = 1.0
     if kmax >= 1:
         P[..., 1] = 1.0 + 0.5 * (beta + 2) * (x - 1.0)
+        if deriv:
+            dP[..., 1] = 0.5 * (beta + 2)
     for n in range(1, kmax):
         s = 2 * n + beta
         a = (s + 1) * (s + 2) / (2 * (n + 1) * (n + beta + 1))
         b = -beta * beta * (s + 1) / (2 * (n + 1) * (n + beta + 1) * s)
         c = n * (n + beta) * (s + 2) / ((n + 1) * (n + beta + 1) * s)
         P[..., n + 1] = (a * x + b) * P[..., n] - c * P[..., n - 1]
-    return P * np.sqrt(2 * np.arange(kmax + 1) + beta + 1)
+        if deriv:
+            dP[..., n + 1] = a * P[..., n] + (a * x + b) * dP[..., n] - c * dP[..., n - 1]
+    scale = np.sqrt(2 * np.arange(kmax + 1) + beta + 1)
+    return 2.0 * dP * scale if deriv else P * scale
 
 
-def _P_blocks(trunc: TruncationSpec):
-    """P's realified Galerkin blocks between orthonormal bases, in float64.
+class _Radial:
+    """Radial forms at the n Gauss-Legendre nodes t of [0, 1].
 
-    Input sector d carries psi_k^d for k <= (D - |d|)//2.  In t = |z|^2 the
-    radial forms of radial_P_gd send p = psi_k^d to
-      d >= 1:  -int_t^1 p(s) ds            into sector d - 1  (linear)
-      d <= 0:  int_0^1 v^|d| p(t v) dv     into sector d - 1  (linear)
-               -int_0^1 s^|d| p(s) ds      into sector 1 - d  (antilinear)
-    so d = 1 stands alone and d <= 0 couples with 2 - d through sector 1 - d.
-    Orthogonality to psi_0^d = sqrt(|d| + 1) makes the antilinear constant
-    -1/sqrt(|d| + 1) at k = 0 and zero for k > 0; the real and imaginary
-    coefficient blocks carry it with signs + and -.
+    Each form takes the first k orthonormal profiles g = psi_0..psi_{k-1}
+    of a sector with weight t^beta and returns an (n, k) array of values at
+    the nodes, except moment, which returns k numbers.  The inner integrals
+    in s and v use the same n-point rule.
+    """
+
+    def __init__(self, n: int):
+        x, wx = _gl_nodes(n)
+        self.t, self.w = 0.5 * (x + 1.0), 0.5 * wx
+
+    def value(self, beta, k):
+        """g(t)"""
+        return _disk_polys(k - 1, beta, self.t)
+
+    def tail(self, beta, k):
+        """int_t^1 g(s) ds"""
+        t, w = self.t, self.w
+        psi = _disk_polys(k - 1, beta, t[:, None] + np.outer(1.0 - t, t))
+        return (1.0 - t)[:, None] * np.einsum("j,ijk->ik", w, psi)
+
+    def hardy(self, beta, k, gamma, deriv=False):
+        """int_0^1 v^gamma g(t v) dv, or with g' for deriv"""
+        t, w = self.t, self.w
+        psi = _disk_polys(k - 1, beta, np.outer(t, t), deriv)
+        return np.einsum("j,ijk->ik", w * t**gamma, psi)
+
+    def moment(self, beta, k):
+        """int_0^1 s^beta g(s) ds = <g, psi_0> / psi_0 with the constant
+        psi_0 = sqrt(beta + 1), so 1/sqrt(beta + 1) for g = psi_0 and zero
+        otherwise: exact by orthogonality, where quadrature would leave
+        rounding noise in the zeros."""
+        return np.eye(1, k)[0] / math.sqrt(beta + 1)
+
+
+@dataclass(frozen=True)
+class _Forms:
+    """A transform's action on one angular sector d (beta = |d|) of profile
+    g(t), t = |z|^2: the linear part sends sector d to sector d - shift with
+    profile upper(F, d, k) for d >= 1 and lower(F, beta, k) for d <= 0, and
+    for d <= 0 the antilinear part sends it to the constant
+    anti(beta) int_0^1 s^beta conj(g) ds in sector 2 - d - shift."""
+    shift: int
+    upper: Callable
+    lower: Callable
+    anti: Callable
+
+
+def _H_upper(F: _Radial, d: int, k: int):
+    if d == 1:  # z^{-1} t g = zbar g: the profile of sector -1 is g itself
+        return F.value(1, k)
+    return F.t[:, None] * F.value(d, k) - (d - 1) * F.tail(d, k)
+
+
+# The monomial rules of transforms.cauchy_P and transforms.beurling_H,
+# rewritten on profiles in t = |z|^2 (cf. transforms.radial_P_gd).
+_FORMS = {
+    TransformKind.CauchyTransformP: _Forms(
+        shift=1,
+        upper=lambda F, d, k: -F.tail(d, k),
+        lower=lambda F, beta, k: F.hardy(beta, k, beta),
+        anti=lambda beta: -1.0,
+    ),
+    TransformKind.BeurlingH: _Forms(
+        shift=2,
+        upper=_H_upper,
+        lower=lambda F, beta, k: F.hardy(beta, k, beta + 1, deriv=True),
+        anti=lambda beta: -(beta + 1.0),
+    ),
+}
+
+
+def _blocks(kind: TransformKind, trunc: TruncationSpec):
+    """Realified Galerkin blocks of kind between orthonormal bases, in float64.
+
+    Input sector d carries psi_k for k <= (D - |d|)//2.  By _FORMS, sector 1
+    stands alone and each d <= 0 couples with 2 - d through the output
+    sector 2 - d - shift, which takes 2 - d's linear image and d's
+    antilinear constant; the real and imaginary coefficient blocks carry that
+    constant with signs + and -.
 
     Rows sample each output sector e at n Gauss-Legendre nodes t_i in [0, 1]
     with weights sqrt(w_i t_i^|e|), so ||B c|| is the exact L2 norm of the
     image when q(t)^2 t^|e| has degree <= 2n - 1 for every image profile q.
-    That degree is at most D + 1 (Volterra 2(k+1) + d - 1, Hardy
-    2k + |d| + 1, constant |d| + 1), and the inner integrals in s and v have
-    degree at most D, so n = (D + 3)//2 integrates every term exactly.
+    That degree is at most D + 1 for P (Volterra 2(k+1) + d - 1, Hardy
+    2k + |d| + 1, constant |d| + 1) and D for H (t g - (d-1) int_t^1 g at
+    2k + d, Hardy of g' at 2k + |d|, constant |d|), and the inner integrals
+    in s and v have degree at most D, so n = (D + 3)//2 integrates every
+    term exactly.
     """
+    forms = _FORMS.get(kind)
+    if forms is None:
+        raise ValueError(f"no orthonormal-basis radial forms for {kind.name}")
     D = trunc.max_total_degree
     size = {d: (D - abs(d)) // 2 + 1 for d in range(-D, D + 1)
             if trunc.d_set is None or d in trunc.d_set}
     if not size:
         raise ValueError("truncation admits no basis monomials")
-    x, wx = _gl_nodes((D + 3) // 2)
-    t, w = 0.5 * (x + 1.0), 0.5 * wx
-    n = len(t)
+    F = _Radial((D + 3) // 2)
+    n = len(F.t)
 
-    def hardy(beta, k):
-        psi = _disk_polys(k - 1, beta, np.outer(t, t))
-        return np.einsum("j,ijk->ik", w * t**beta, psi)
-
-    def volterra(beta, k):
-        psi = _disk_polys(k - 1, beta, t[:, None] + np.outer(1.0 - t, t))
-        return -(1.0 - t)[:, None] * np.einsum("j,ijk->ik", w, psi)
+    def rows(e):
+        return np.sqrt(F.w * F.t ** abs(e))[:, None]
 
     if 1 in size:
-        B = np.sqrt(w)[:, None] * volterra(1, size[1])
+        B = rows(1 - forms.shift) * forms.upper(F, 1, size[1])
         yield B
         yield B
     for d in range(0, -D - 1, -1):
         a, b = size.get(d, 0), size.get(2 - d, 0)
         if not a + b:
             continue
-        rows = np.sqrt(w * t ** (1 - d))[:, None]
+        hi = rows(2 - d - forms.shift)
         B = np.zeros((2 * n, a + b))
         if a:
-            B[:n, :a] = rows * hardy(-d, a)
+            B[:n, :a] = rows(d - forms.shift) * forms.lower(F, -d, a)
+            anti = hi * (forms.anti(-d) * F.moment(-d, a))
         if b:
-            B[n:, a:] = rows * volterra(2 - d, b)
+            B[n:, a:] = hi * forms.upper(F, 2 - d, b)
         for sign in (1.0, -1.0):
             if a:
-                B[n:, 0] = -sign / math.sqrt(1 - d) * rows[:, 0]
+                B[n:, :a] = sign * anti
             yield B.copy()
 
 
-def estimate_P_norm(trunc: TruncationSpec, tol: float) -> NormEstimate:
-    """Galerkin lower bound for the L2 norm of the conjugating solution
-    operator on the truncated basis; nondecreasing in max_total_degree.
+def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> NormEstimate:
+    """Galerkin lower bound for the L2 norm of P (CauchyTransformP) or H
+    (BeurlingH) on the truncated basis; nondecreasing in max_total_degree.
 
     Solved in the orthonormal disk-polynomial basis in float64 (see
-    _P_blocks), with no Gram matrix and no rational whitening.  The input
-    space is that of assemble, so operator_norm(assemble(CauchyTransformP,
-    trunc)) is an independent exact-rational route to the same value.
+    _blocks).  Any other kind raises ValueError, as does a truncation that
+    admits no basis monomial.
     """
-    return _top_singular(_P_blocks(trunc), tol, trunc)
+    return _top_singular(_blocks(kind, trunc), tol, trunc)
 
 
 def _bisect(f, a, b, max_iter=200):

@@ -25,7 +25,7 @@ from disktransform.oracle import cauchy_eval, pv_beurling_eval, quad_disk
 from disktransform.specfun import bessel_j, bessel_zero, gamma
 from disktransform.spectral import (
     TruncationSpec,
-    estimate_P_norm,
+    estimate_norm,
     hardy_ratio,
     restricted_Z,
     solve_alpha,
@@ -83,7 +83,8 @@ def test_criterion_02_consistency_triangle():
 def test_criterion_03_galerkin_convergence():
     t0 = time.time()
     alpha = solve_alpha()
-    vals = [estimate_P_norm(TruncationSpec(d), 1e-10).value for d in (10, 20, 30, 40)]
+    vals = [estimate_norm(TransformKind.CauchyTransformP, TruncationSpec(d), 1e-10).value
+            for d in (10, 20, 30, 40)]
     elapsed = time.time() - t0
     mono = all(hi >= lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
     ok = abs(vals[-1] - alpha) < 1e-3 and mono and elapsed < 60.0
@@ -250,7 +251,8 @@ def test_criterion_12_counterexample_p2():
 
 def test_criterion_13_bounds_ledger():
     rng = random.Random(65)
-    rest = estimate_P_norm(TruncationSpec(12, frozenset({1})), 1e-10).value
+    rest = estimate_norm(TransformKind.CauchyTransformP,
+                         TruncationSpec(12, frozenset({1})), 1e-10).value
     rest_ok = abs(rest - 2 / bessel_zero(0)) < 1e-3
     j0_ok = True
     for d in (-1, -2, -3):
@@ -258,7 +260,7 @@ def test_criterion_13_bounds_ledger():
             g = rand_component(rng, d)
             if 3 * norm_sq(j0_op_conj(g)) > norm_sq(g.to_polynomial()):
                 j0_ok = False
-    full = estimate_P_norm(TruncationSpec(20), 1e-10).value
+    full = estimate_norm(TransformKind.CauchyTransformP, TruncationSpec(20), 1e-10).value
     lo, hi = 2 / bessel_zero(0), math.sqrt(1.5 + 2 / bessel_zero(1) ** 2)
     interval_ok = lo < full < hi
     ok = rest_ok and j0_ok and interval_ok

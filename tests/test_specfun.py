@@ -125,11 +125,15 @@ def test_bessel_fractional_order_large_argument_rejected():
     pytest.param(elliptic_e, (math.nan,), id="elliptic_e-nan"),
     pytest.param(elliptic_e, (math.inf,), id="elliptic_e-inf"),
     pytest.param(elliptic_e, (-math.inf,), id="elliptic_e-minus-inf"),
+    pytest.param(gamma, (math.nan,), id="gamma-nan"),
+    pytest.param(gamma, (math.inf,), id="gamma-inf"),
+    pytest.param(gamma, (-math.inf,), id="gamma-minus-inf"),
+    pytest.param(pochhammer, (math.nan, 3), id="pochhammer-nan"),
 ])
 def test_bessel_non_finite_rejected(fn, args):
     # a NaN once ran a series or a quadrature through all its iterations
     # before failing, or never returned; the check must come before any
-    # iteration.  The name predates the hyp2f1 and elliptic_e cases.
+    # iteration.  The name predates the other functions' cases.
     t0 = time.perf_counter()
     with pytest.raises(DomainError):
         fn(*args)

@@ -6,22 +6,18 @@ import numpy as np
 import pytest
 
 from disktransform import spectral
-from disktransform.diskalg import DiskPolynomial, ExactScalar, norm_sq
 from disktransform.specfun import _gl_nodes, bessel_j, bessel_zero
 from disktransform.spectral import (
-    NormEstimate,
     TruncationSpec,
-    assemble,
-    estimate_P_norm,
+    estimate_norm,
     extremal_phi0_ratio,
     hardy_ratio,
-    operator_norm,
     restricted_Z,
     solve_alpha,
     solve_delta,
 )
 from disktransform.transforms import TransformKind
-from conftest import rand_poly
+from _exact_galerkin import exact_norm, realified_columns, whitened_blocks
 
 ALPHA_REF = 1.086  # 3-decimal published value
 J0 = bessel_zero(0)
@@ -128,23 +124,37 @@ def test_hardy_bessel_profiles_attain_bound(d):
     assert abs(got - 1 / root ** 2) < 1e-4
 
 
-# --- matrix assembly and norms ----------------------------------------------
+# --- Galerkin norms ------------------------------------------------------------
+
+P, H = TransformKind.CauchyTransformP, TransformKind.BeurlingH
+
 
 def test_assemble_degree0_P():
-    opm = assemble(TransformKind.CauchyTransformP, TruncationSpec(0))
-    assert opm.basis == ((0, 0),)
-    # outputs z and zbar; realified matrix is 4x2 with unit entries
-    assert set(opm.basis_out) == {(1, 0), (0, 1)}
-    assert opm.A.shape == (4, 2)
-    assert sorted(np.abs(opm.A[np.nonzero(opm.A)])) == [1.0, 1.0, 1.0, 1.0]
-    est = operator_norm(opm, 1e-10)
+    basis, basis_out, plus, minus = realified_columns(P, TruncationSpec(0))
+    assert basis == [(0, 0)]
+    # outputs z and zbar; each sign block is 2x1 with unit entries
+    assert set(basis_out) == {(1, 0), (0, 1)}
+    assert [B.shape for B in whitened_blocks(P, TruncationSpec(0))] == [(2, 1), (2, 1)]
+    assert sorted(abs(v) for col in plus + minus for v in col.values()) == [1, 1, 1, 1]
+    est = exact_norm(P, TruncationSpec(0))
     assert abs(est.value - 1.0) < 1e-12
     assert est.degenerate  # both sign blocks carry the same norm
 
 
 def test_assemble_empty_basis_rejected():
+    trunc = TruncationSpec(3, frozenset({7}))
+    for kind in (P, H):
+        with pytest.raises(ValueError):
+            estimate_norm(kind, trunc, 1e-10)
     with pytest.raises(ValueError):
-        assemble(TransformKind.CauchyTransformP, TruncationSpec(3, frozenset({7})))
+        realified_columns(P, trunc)
+
+
+@pytest.mark.parametrize("kind", [TransformKind.BeurlingS, TransformKind.BergmanB,
+                                  TransformKind.HengartnerSchoberT])
+def test_estimate_norm_rejects_kinds_without_radial_forms(kind):
+    with pytest.raises(ValueError):
+        estimate_norm(kind, TruncationSpec(4), 1e-10)
 
 
 def test_truncation_spec_validation():
@@ -156,33 +166,40 @@ def test_truncation_spec_validation():
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 4, 5, 6, 7, 8])
 def test_H_isometry_matrix_norm(deg):
-    opm = assemble(TransformKind.BeurlingH, TruncationSpec(deg))
-    est = operator_norm(opm, 1e-10)
+    est = exact_norm(H, TruncationSpec(deg))
     assert abs(est.value - 1.0) < 1e-10
+
+
+def test_H_blocks_are_isometries():
+    """H is an isometry of L2, so every singular value of every block is 1.
+    numpy's Gauss-Legendre weights at 18 and 20 nodes (D = 33, 34, 37, 38)
+    are off by up to 8e-14 relative, which moves these to 1.3e-13."""
+    for deg in range(41):
+        bound = 1e-13 if (deg + 3) // 2 not in (18, 20) else 2e-13
+        for B in spectral._blocks(H, TruncationSpec(deg)):
+            assert np.abs(np.linalg.svd(B, compute_uv=False) - 1.0).max() < bound, deg
 
 
 def test_zero_operator_component():
     # S kills pure conjugate powers; restricting to d = -5 gives the zero map
-    opm = assemble(TransformKind.BeurlingS, TruncationSpec(5, frozenset({-5})))
-    est = operator_norm(opm, 1e-10)
+    est = exact_norm(TransformKind.BeurlingS, TruncationSpec(5, frozenset({-5})))
     assert est.value == 0.0
 
 
 def test_bergman_matrix_idempotent_norm():
-    opm = assemble(TransformKind.BergmanB, TruncationSpec(6))
-    est = operator_norm(opm, 1e-10)
+    est = exact_norm(TransformKind.BergmanB, TruncationSpec(6))
     assert abs(est.value - 1.0) < 1e-10  # orthogonal projection
 
 
 def test_estimate_P_degree0():
-    est = estimate_P_norm(TruncationSpec(0), 1e-10)
+    est = estimate_norm(P, TruncationSpec(0), 1e-10)
     assert abs(est.value - 1.0) < 1e-12
 
 
 def test_estimate_P_converges_to_alpha():
     alpha = solve_alpha()
-    for deg, bound in ((12, 1e-6), (40, 1e-13)):
-        est = estimate_P_norm(TruncationSpec(deg), 1e-10)
+    for deg, bound in ((12, 1e-6), (20, 1e-13), (40, 1e-13)):
+        est = estimate_norm(P, TruncationSpec(deg), 1e-10)
         assert abs(est.value - alpha) < bound
         assert est.residual < 1e-10
         # realified payloads carry mirror blocks, so the top singular value
@@ -192,7 +209,7 @@ def test_estimate_P_converges_to_alpha():
 
 
 def test_estimate_monotone_in_degree():
-    vals = [estimate_P_norm(TruncationSpec(d), 1e-10).value for d in (2, 4, 6, 8, 10)]
+    vals = [estimate_norm(P, TruncationSpec(d), 1e-10).value for d in (2, 4, 6, 8, 10)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
     # the Galerkin gap closes super-exponentially: 2.8e-4, 1.8e-7, 3.4e-11, ~1e-15
@@ -202,21 +219,32 @@ def test_estimate_monotone_in_degree():
         assert hi <= lo / 100
 
 
-@pytest.mark.parametrize("d_set", [None, {1}, {0, 2}, {-3, 5}])
-def test_P_norm_float_route_matches_exact_route(d_set):
+_D_SETS = [None, {1}, {0, 2}, {-3, 5}]
+
+
+# P's cases keep the bare d_set ids
+@pytest.mark.parametrize("kind,d_set", [
+    *(pytest.param(P, d_set, id=f"d_set{i}" if d_set else "None")
+      for i, d_set in enumerate(_D_SETS)),
+    *(pytest.param(H, d_set, id=f"H-d_set{i}" if d_set else "H-None")
+      for i, d_set in enumerate(_D_SETS)),
+])
+def test_P_norm_float_route_matches_exact_route(kind, d_set):
     """The orthonormal float solve agrees with rational LDL whitening."""
     for deg in range(13):
         trunc = TruncationSpec(deg, d_set)
         try:
-            opm = assemble(TransformKind.CauchyTransformP, trunc)
+            blocks = whitened_blocks(kind, trunc)
         except ValueError:
             with pytest.raises(ValueError):
-                estimate_P_norm(trunc, 1e-10)
+                estimate_norm(kind, trunc, 1e-10)
             continue
-        exact = operator_norm(opm, 1e-10, truncation=trunc)
-        est = estimate_P_norm(trunc, 1e-10)
+        exact = exact_norm(kind, trunc)
+        est = estimate_norm(kind, trunc, 1e-10)
         assert abs(est.value - exact.value) < 1e-13
         assert est.degenerate == exact.degenerate
+        # the same input space on both routes
+        assert sum(B.shape[1] for B in spectral._blocks(kind, trunc)) == blocks[0].shape[1] * 2
 
 
 def test_disk_polys_orthonormal():
@@ -228,30 +256,34 @@ def test_disk_polys_orthonormal():
         assert np.abs(gram - np.eye(31)).max() < 1e-13
 
 
-def test_estimate_P_avoids_rational_whitening(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("rational route used")
-
-    for name in ("assemble", "_ldl_exact", "_whitened_block"):
-        monkeypatch.setattr(spectral, name, boom)
-    est = estimate_P_norm(TruncationSpec(20), 1e-10)
-    assert abs(est.value - solve_alpha()) < 1e-13
+def test_disk_polys_derivative():
+    """psi_k(s) - psi_k(0) = int_0^s psi_k', by a Gauss-Legendre rule exact
+    for the degree k - 1 integrand."""
+    x, w = _gl_nodes(16)
+    v, w = 0.5 * (x + 1), 0.5 * w
+    s = np.linspace(0.0, 1.0, 9)
+    for beta in (0, 1, 5, 20):
+        psi = spectral._disk_polys(30, beta, s)
+        dpsi = spectral._disk_polys(30, beta, np.outer(s, v), deriv=True)
+        integral = s[:, None] * np.einsum("j,ijk->ik", w, dpsi)
+        err = np.abs((psi - psi[0]) - integral).max(axis=0) / np.abs(psi).max(axis=0)
+        assert err.max() < 1e-13
 
 
 def test_restricted_pair_carries_norm():
     """The d in {0, 2} pair alone reproduces the full-basis value."""
-    full = estimate_P_norm(TruncationSpec(10), 1e-10).value
-    pair = estimate_P_norm(TruncationSpec(10, frozenset({0, 2})), 1e-10).value
+    full = estimate_norm(P, TruncationSpec(10), 1e-10).value
+    pair = estimate_norm(P, TruncationSpec(10, frozenset({0, 2})), 1e-10).value
     assert abs(full - pair) < 1e-9
 
 
 def test_restricted_d1_reaches_hardy_constant():
-    est = estimate_P_norm(TruncationSpec(12, frozenset({1})), 1e-10)
+    est = estimate_norm(P, TruncationSpec(12, frozenset({1})), 1e-10)
     assert abs(est.value - 2 / J0) < 1e-3
 
 
 def test_norm_estimate_interval():
-    est = estimate_P_norm(TruncationSpec(12), 1e-10)
+    est = estimate_norm(P, TruncationSpec(12), 1e-10)
     assert 2 / J0 < est.value < math.sqrt(1.5 + 2 / J1 ** 2)
 
 
