@@ -2,134 +2,8 @@
 
 Closed-form action of the disk Cauchy transform and its relatives on
 two-variable polynomials, exact rational bookkeeping, quadrature oracles,
-Galerkin norm estimation, and the extremal-function toolkit.
+Galerkin norm estimation, and the extremal-function toolkit.  Import from
+the modules: diskalg, transforms, oracle, spectral, specfun, extremal, cli.
 """
-from .diskalg import (
-    AngularComponent,
-    DiskPolynomial,
-    ExactScalar,
-    angular_norm_sq,
-    conjugate,
-    d_dz,
-    d_dzbar,
-    decompose,
-    evaluate,
-    from_tuples,
-    inner_product,
-    norm_sq,
-    to_tuples,
-)
-from .extremal import (
-    ExponentPair,
-    counterexample_p2,
-    extremal_ratio_pinf,
-    l1_at_zero,
-    l1_integrand_scan,
-    monotonicity_scan,
-    norm_p_to_inf,
-    phi_fn,
-    riesz_thorin_bound,
-)
-from .oracle import (
-    OracleBudgetError,
-    QuadResult,
-    angular_parseval_check,
-    cauchy_eval,
-    lp_norm_numeric,
-    pv_beurling_eval,
-    quad_disk,
-)
-from .specfun import (
-    DomainError,
-    SeriesError,
-    bessel_j,
-    bessel_zero,
-    elliptic_e,
-    gamma,
-    hyp2f1,
-)
-from .spectral import (
-    NormEstimate,
-    TruncationSpec,
-    estimate_norm,
-    extremal_phi0_ratio,
-    hardy_ratio,
-    restricted_Z,
-    solve_alpha,
-    solve_delta,
-)
-from .transforms import (
-    TransformKind,
-    apply_transform,
-    bergman_B,
-    beurling_H,
-    beurling_S,
-    cauchy_P,
-    cauchy_integral,
-    j0_op,
-    j0_op_conj,
-    j0_star,
-    radial_P_gd,
-    t_hs,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AngularComponent",
-    "DiskPolynomial",
-    "DomainError",
-    "ExactScalar",
-    "ExponentPair",
-    "NormEstimate",
-    "OracleBudgetError",
-    "QuadResult",
-    "SeriesError",
-    "TransformKind",
-    "TruncationSpec",
-    "angular_norm_sq",
-    "angular_parseval_check",
-    "apply_transform",
-    "bergman_B",
-    "bessel_j",
-    "bessel_zero",
-    "beurling_H",
-    "beurling_S",
-    "cauchy_P",
-    "cauchy_eval",
-    "cauchy_integral",
-    "conjugate",
-    "counterexample_p2",
-    "d_dz",
-    "d_dzbar",
-    "decompose",
-    "elliptic_e",
-    "estimate_norm",
-    "evaluate",
-    "extremal_phi0_ratio",
-    "extremal_ratio_pinf",
-    "from_tuples",
-    "gamma",
-    "hardy_ratio",
-    "hyp2f1",
-    "inner_product",
-    "j0_op",
-    "j0_op_conj",
-    "j0_star",
-    "l1_at_zero",
-    "l1_integrand_scan",
-    "lp_norm_numeric",
-    "monotonicity_scan",
-    "norm_p_to_inf",
-    "norm_sq",
-    "phi_fn",
-    "pv_beurling_eval",
-    "quad_disk",
-    "radial_P_gd",
-    "restricted_Z",
-    "riesz_thorin_bound",
-    "solve_alpha",
-    "solve_delta",
-    "t_hs",
-    "to_tuples",
-]

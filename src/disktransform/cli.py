@@ -6,13 +6,15 @@ Subcommands:
   norm        norm estimation runs (2 | pinf | 1 | rt)
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 config or
-parse error (detected before any computation starts).
+parse error (a ValueError from the computational layers counts as one), 3
+any other error during computation, such as an exhausted oracle budget or a
+series that did not converge.  Exits 2 and 3 print one "error:" line to
+stderr and nothing to stdout.
 
 Report rows carry {check_id, reference, expected, computed, abs_err, tol,
 status} with status PASS | FAIL | SKIPPED | CONJECTURE.  Output is
 byte-identical across runs for a fixed configuration: fixed seed, fixed
-summation orders, no timestamps.  DISKT_THREADS caps worker threads; results
-do not depend on its value.
+summation orders, no timestamps.
 """
 from __future__ import annotations
 
@@ -711,6 +713,10 @@ def main(argv=None) -> int:
         # config misuse at the CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash must not look like a check FAIL (exit 1)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(out.getvalue())
     return code
 

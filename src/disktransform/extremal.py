@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import (DEFAULT_BUDGET, _adaptive_1d, _adaptive_2d, _exit_radius,
-                     cauchy_eval, quad_disk, thread_cap)
+from .oracle import DEFAULT_BUDGET, _about, _adaptive, cauchy_eval, quad_disk
 from .specfun import elliptic_e, gamma, hyp2f1
 from .spectral import solve_alpha
 
@@ -158,7 +157,7 @@ def l1_at_zero(tol: float, budget: int = DEFAULT_BUDGET) -> float:
     def f(arr):
         return np.array([_l1_radial_integrand(float(x)) for x in arr])
 
-    v, _, _ = _adaptive_1d(f, 0.0, 1.0, tol, budget)
+    v, _, _ = _adaptive(f, (0.0, 1.0), tol, budget)
     return (2.0 / math.pi) * float(v)
 
 
@@ -171,37 +170,25 @@ def l1_at_zero_direct(tol: float, budget: int = DEFAULT_BUDGET) -> float:
 
 
 def _l1_point(w: complex, tol: float, budget: int):
-    if abs(w) >= 1:
-        raise ValueError("grid points must be interior")
-
-    def F(B, U):
-        S = _exit_radius(w, B)
+    def F(B, U, S):
         s = U * S
         zz = w + s * np.exp(1j * B)
         return np.abs(-np.exp(-1j * B) + s * zz / (1 - w.conjugate() * zz)) * S / math.pi
 
-    v, e, _ = _adaptive_2d(F, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
-    return (w, float(np.real(v)), float(e))
+    res = _about(w, F, tol, budget)
+    return (w, res.value.real, res.err_estimate)
 
 
 def l1_integrand_scan(grid, tol: float, budget: int = 2 * DEFAULT_BUDGET):
     """F(w) = int |1/(w-z) + z/(1 - conj(w) z)| dA(z) for each grid point w.
 
     The 1/|w-z| singularity is removed by polar coordinates centered at w.
-    Returns rows (w, F(w), err_estimate) in grid order.  Points are
-    independent and are evaluated on up to DISKT_THREADS workers; results
-    are collected in grid order, so output does not depend on the worker
-    count.  The caller may report the argmax; nothing about the supremum
-    location is asserted here (the maximality of w = 0 is conjectural and is
-    labelled as such by the CLI)."""
-    pts = [complex(w) for w in grid]
-    cap = min(thread_cap(), max(1, len(pts)))
-    if cap == 1 or len(pts) == 1:
-        return [_l1_point(w, tol, budget) for w in pts]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(lambda w: _l1_point(w, tol, budget), pts))
+    Returns rows (w, F(w), err_estimate) in grid order; a point outside the
+    open disk (NaN included) raises ValueError.  The caller may report the
+    argmax; nothing about the supremum location is asserted here (the
+    maximality of w = 0 is conjectural and is labelled as such by the
+    CLI)."""
+    return [_l1_point(complex(w), tol, budget) for w in grid]
 
 
 def counterexample_p2(budget: int = DEFAULT_BUDGET) -> dict:
@@ -220,7 +207,7 @@ def counterexample_p2(budget: int = DEFAULT_BUDGET) -> dict:
     def f_sq(t):
         return 2.0 / (t * t)
 
-    v, _, _ = _adaptive_1d(f_sq, math.log(2.0), t_hi, 1e-10, budget)
+    v, _, _ = _adaptive(f_sq, (math.log(2.0), t_hi), 1e-10, budget)
     norm_sq_numeric = float(v) + 2.0 / t_hi
     reference = 2.0 / math.log(2.0)
 
@@ -231,7 +218,7 @@ def counterexample_p2(budget: int = DEFAULT_BUDGET) -> dict:
         def f_ann(t):
             return 2.0 / t
 
-        av, _, _ = _adaptive_1d(f_ann, math.log(2.0), math.log(2.0 / eps), 1e-10, budget)
+        av, _, _ = _adaptive(f_ann, (math.log(2.0), math.log(2.0 / eps)), 1e-10, budget)
         annuli.append((eps, float(av)))
 
     values = [a for _, a in annuli]

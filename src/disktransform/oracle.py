@@ -5,22 +5,23 @@ analytic-projection kernels, principal-value Beurling kernel).  Everything in
 transforms is cross-checked against this module, so nothing here may import
 from transforms.
 
-Machinery: tensor Gauss-Legendre panels (8 and 16 nodes per axis), greedy
-refinement of the panel with the largest error indicator.  Each refinement
-step makes one integrand call: both rules of the initial panel, and later
-both rules of all four children of a split, are evaluated on one
-concatenated point array.  Panel bookkeeping uses an insertion counter as
-the heap tie-break, and accumulation order is fixed, so a run is
-reproducible bit for bit for a given configuration.
+Machinery: one greedy refinement loop (_adaptive) for intervals and boxes
+splits the panel with the largest error indicator.  A box panel is tensor
+Gauss-Legendre with 8 and 16 nodes per axis, and each 2-D refinement step
+makes one integrand call for both rules of all four children of a split.  An
+interval panel is 12- against 24-point Gauss-Legendre, one integrand call
+per rule.  Panel bookkeeping uses an insertion counter as the heap
+tie-break, and accumulation order is fixed, so a run is reproducible bit for
+bit for a given configuration.
 
 Integrands are either a DiskPolynomial or a callable w -> value that accepts
 complex numpy arrays elementwise.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +43,7 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000
 _NODES = 8  # per axis of a 2-D panel's coarse rule; the fine rule doubles it
 _PANEL_EVALS = 5 * _NODES * _NODES
-
-
-def thread_cap() -> int:
-    """Parallelism cap from the DISKT_THREADS environment variable, clamped
-    to [1, os.cpu_count()] so that a stray large value cannot start more
-    workers than there are cores."""
-    raw = os.environ.get("DISKT_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(k, os.cpu_count() or 1))
+_NODES_1D = 12  # coarse rule of a 1-D segment; the fine rule doubles it
 
 
 class OracleBudgetError(RuntimeError):
@@ -112,30 +102,54 @@ def _panels_2d(F, boxes):
     return out
 
 
-def _check_tol(tol):
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+def _panels_1d(f, segments):
+    """Panels for a list of segments (a, b): n- vs 2n-point Gauss-Legendre,
+    n = _NODES_1D, one call of f per rule and segment."""
+    out = []
+    for a, b in segments:
+        coarse, fine = (0.5 * (b - a) * np.dot(w, f(0.5 * (a + b) + 0.5 * (b - a) * x))
+                        for x, w in (_gl_nodes(_NODES_1D), _gl_nodes(2 * _NODES_1D)))
+        out.append((fine, abs(fine - coarse)))
+    return out
 
 
-def _adaptive_2d(F, box, tol, budget):
+def _halves(a, b):
+    m = 0.5 * (a + b)
+    return (a, m), (m, b)
+
+
+def _quarters(a, b, c, d):
+    mx, my = 0.5 * (a + b), 0.5 * (c + d)
+    return (a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)
+
+
+# panel size -> (split, panels, evaluations per panel)
+_RULES = {2: (_halves, _panels_1d, 3 * _NODES_1D),
+          4: (_quarters, _panels_2d, _PANEL_EVALS)}
+
+
+def _adaptive(F, box, tol, budget):
     """Greedy panel refinement until the summed error indicator is <= tol.
 
-    Returns (value, err, evals).  Splits the worst panel into four, and the
-    four children go through one integrand call (as do both rules of the
-    initial panel); the heap tie-break counter makes pop order, and hence
-    the accumulated float sums, reproducible.  A non-finite integrand value
-    makes the summed indicator non-finite, which raises ValueError.
+    box is an interval (a, b), with F(x) on a 1-D array, or a box
+    (ax, bx, ay, by), with F(X, Y) on two equal-shape arrays.  Returns
+    (value, err, evals).  The worst panel splits into halves or quarters,
+    and its children are measured together (see _panels_1d, _panels_2d); the
+    heap tie-break counter makes pop order, and hence the accumulated float
+    sums, reproducible.  A non-finite integrand value makes the summed
+    indicator non-finite, which raises ValueError.
     """
-    _check_tol(tol)
-    evals = _PANEL_EVALS
-    [(v, e)] = _panels_2d(F, [box])
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    split, panels, cost = _RULES[len(box)]
+    evals = cost
+    [(v, e)] = panels(F, [box])
     if evals > budget:
         raise OracleBudgetError(
             f"initial panel alone needs {evals} evaluations, budget is {budget}")
-    heap = [(-e, 0, tuple(box) + (v, e))]
+    heap = [(-e, 0, box, v, e)]
     counter = 1
-    total_v = v
-    total_e = e
+    total_v, total_e = v, e
     while not total_e <= tol:
         if not math.isfinite(total_e):
             raise ValueError("integrand is not finite on the integration region")
@@ -143,54 +157,15 @@ def _adaptive_2d(F, box, tol, budget):
             raise OracleBudgetError(
                 f"needed more than {budget} evaluations (err {total_e:.3e} > tol {tol:.3e})"
             )
-        _, _, (a, b, c, d, pv, pe) = heapq.heappop(heap)
+        _, _, box, pv, pe = heapq.heappop(heap)
         total_v -= pv
         total_e -= pe
-        mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        boxes = ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d))
-        for box2, (v2, e2) in zip(boxes, _panels_2d(F, boxes)):
-            evals += _PANEL_EVALS
+        children = split(*box)
+        for child, (v2, e2) in zip(children, panels(F, children)):
+            evals += cost
             total_v += v2
             total_e += e2
-            heapq.heappush(heap, (-e2, counter, box2 + (v2, e2)))
-            counter += 1
-    return total_v, total_e, evals
-
-
-def _adaptive_1d(f, a, b, tol, budget, n=12):
-    _check_tol(tol)
-
-    def measure(lo, hi):
-        out = []
-        for k in (n, 2 * n):
-            x, w = _gl_nodes(k)
-            xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-            out.append(0.5 * (hi - lo) * np.dot(w, f(xs)))
-        return out[1], abs(out[1] - out[0]), 3 * n
-
-    v, e, ne = measure(a, b)
-    evals = ne
-    if evals > budget:
-        raise OracleBudgetError(
-            f"initial panel alone needs {evals} evaluations, budget is {budget}")
-    heap = [(-e, 0, (a, b, v, e))]
-    counter = 1
-    total_v, total_e = v, e
-    while not total_e <= tol:
-        if not math.isfinite(total_e):
-            raise ValueError("integrand is not finite on the integration region")
-        if evals > budget:
-            raise OracleBudgetError(f"1-D quadrature budget {budget} exhausted")
-        _, _, (lo, hi, pv, pe) = heapq.heappop(heap)
-        total_v -= pv
-        total_e -= pe
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            v2, e2, ne = measure(*seg)
-            evals += ne
-            total_v += v2
-            total_e += e2
-            heapq.heappush(heap, (-e2, counter, seg + (v2, e2)))
+            heapq.heappush(heap, (-e2, counter, child, v2, e2))
             counter += 1
     return total_v, total_e, evals
 
@@ -206,7 +181,7 @@ def quad_disk(f, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
     def F(R, T):
         return fn(R * np.exp(1j * T)) * R / math.pi
 
-    v, e, ev = _adaptive_2d(F, (0.0, 1.0, 0.0, 2 * math.pi), tol, budget)
+    v, e, ev = _adaptive(F, (0.0, 1.0, 0.0, 2 * math.pi), tol, budget)
     return QuadResult(complex(v), float(e), ev)
 
 
@@ -216,24 +191,36 @@ def _exit_radius(z: complex, beta):
     return -c + np.sqrt(c * c + 1.0 - abs(z) ** 2)
 
 
+def _about(z: complex, F, tol: float, budget: int) -> QuadResult:
+    """Integral of F(beta, U, S) over (beta, U) in [0, 2 pi] x [0, 1], for
+    polar coordinates centred at an interior point z: S = S(beta) is the exit
+    radius along e^{i beta}, and F maps U to a radius on [0, S] itself.
+    Rejects z outside the open disk (NaN included) before evaluating
+    anything."""
+    if not abs(z) < 1:
+        raise ValueError(f"z must be interior, got {z}")
+
+    def G(B, U):
+        return F(B, U, _exit_radius(z, B))
+
+    v, e, ev = _adaptive(G, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
+    return QuadResult(complex(v), float(e), ev)
+
+
 def cauchy_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
     """int phi(w)/(w - z) dA(w) for |z| < 1.
 
-    Polar coordinates centered at z: w = z + s e^{i beta} with s in
-    [0, exit radius]; the Jacobian s cancels 1/|w - z| so the integrand is
-    smooth.  Inner variable scaled to [0, 1] per ray.
+    Polar coordinates centered at z: w = z + s e^{i beta} with s = U S in
+    [0, S], S the exit radius; the Jacobian s cancels 1/|w - z| so the
+    integrand is smooth.
     """
-    if not abs(z) < 1:
-        raise ValueError(f"z must be interior, got {z}")
     fn = _as_fn(phi)
 
-    def F(B, U):
-        S = _exit_radius(z, B)
+    def F(B, U, S):
         w = z + (U * S) * np.exp(1j * B)
         return fn(w) * np.exp(-1j * B) * S / math.pi
 
-    v, e, ev = _adaptive_2d(F, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
-    return QuadResult(complex(v), float(e), ev)
+    return _about(z, F, tol, budget)
 
 
 def pv_beurling_eval(phi, z: complex, tol: float, budget: int = 4 * DEFAULT_BUDGET) -> QuadResult:
@@ -246,20 +233,22 @@ def pv_beurling_eval(phi, z: complex, tol: float, budget: int = 4 * DEFAULT_BUDG
     w = z + s e^{i beta}, the Jacobian s cancels one power of the kernel.
     The graded radial map s = S(beta) U^2, S the exit radius, has Jacobian
     2 S U, so one region (beta, U) in [0, 2 pi] x [0, 1] carries the bounded
-    integrand (phi(w) - phi(z)) e^{-2i beta} 2 / (pi U); the grading keeps it
-    smooth in U even where phi is only C^1 at z (Duffy 1982).
+    integrand (phi(z) - phi(w)) e^{-2i beta} 2 / (pi U), the leading minus
+    sign included; the grading keeps it smooth in U even where phi is only
+    C^1 at z (Duffy 1982).
     """
-    if not abs(z) < 1:
-        raise ValueError(f"z must be interior, got {z}")
     fn = _as_fn(phi)
-    fz = complex(fn(np.array([complex(z)]))[0])
 
-    def F(B, U):
-        w = z + (_exit_radius(z, B) * U * U) * np.exp(1j * B)
-        return (fn(w) - fz) * np.exp(-2j * B) * (2 / math.pi) / U
+    @functools.cache
+    def fz():
+        # phi(z), on the first integrand call: _about has checked z by then
+        return complex(fn(np.array([complex(z)]))[0])
 
-    v, e, ev = _adaptive_2d(F, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
-    return QuadResult(complex(-v), float(e), ev)
+    def F(B, U, S):
+        w = z + (S * U * U) * np.exp(1j * B)
+        return (fz() - fn(w)) * np.exp(-2j * B) * (2 / math.pi) / U
+
+    return _about(z, F, tol, budget)
 
 
 def lp_norm_numeric(f, p: float, tol: float, budget: int = DEFAULT_BUDGET) -> float:
@@ -287,7 +276,7 @@ def angular_parseval_check(beta: float, r: float, tol: float = 1e-10,
     def f(T):
         return 1.0 / np.abs(1.0 - r * np.exp(1j * T)) ** (2 * beta) / (2 * math.pi)
 
-    lhs, _, _ = _adaptive_1d(f, 0.0, 2 * math.pi, tol, budget)
+    lhs, _, _ = _adaptive(f, (0.0, 2 * math.pi), tol, budget)
 
     s = 0.0
     c = 1.0

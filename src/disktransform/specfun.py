@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesConfig",
     "DomainError",
     "SeriesError",
     "gamma",
@@ -37,27 +35,12 @@ class DomainError(ValueError):
 
 
 class SeriesError(RuntimeError):
-    """Series did not meet the tolerance within max_terms."""
+    """Series did not meet the tolerance within MAX_TERMS terms."""
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for series evaluation.
-
-    abs_tol is a bound on the truncation tail, not on single terms.
-    """
-
-    abs_tol: float = 1e-14
-    max_terms: int = 50_000_000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-_DEFAULT = SeriesConfig()
+# ABS_TOL bounds a series' truncation tail, not single terms
+ABS_TOL = 1e-14
+MAX_TERMS = 50_000_000
 
 
 def gamma(x: float) -> float:
@@ -93,7 +76,7 @@ def pochhammer(a: float, n: int) -> float:
     return out
 
 
-def bessel_j(alpha: float, x: float, config: SeriesConfig | None = None) -> float:
+def bessel_j(alpha: float, x: float) -> float:
     """Bessel function of the first kind via the defining power series
 
         J_alpha(x) = sum_k (-1)^k / (Gamma(k+alpha+1) k!) (x/2)^(2k+alpha).
@@ -106,7 +89,6 @@ def bessel_j(alpha: float, x: float, config: SeriesConfig | None = None) -> floa
     (terms + 1) * 2^-128).  Any other alpha with x > 8 raises DomainError,
     and so does a non-finite alpha or x.
     """
-    cfg = config or _DEFAULT
     if not (math.isfinite(alpha) and math.isfinite(x)):
         raise DomainError(f"bessel_j needs finite alpha and x, got ({alpha}, {x})")
     if alpha < 0:
@@ -120,21 +102,21 @@ def bessel_j(alpha: float, x: float, config: SeriesConfig | None = None) -> floa
             raise DomainError(
                 f"bessel_j({alpha}, {x}): for x > 8 only integer and "
                 "half-integer orders are supported")
-        return _bessel_j_fixed(alpha, x, cfg)
+        return _bessel_j_fixed(alpha, x)
     half = 0.5 * x
     term = half**alpha / gamma(alpha + 1.0)
     total = term
     ratio_base = half * half
-    for k in range(1, cfg.max_terms):
+    for k in range(1, MAX_TERMS):
         term *= -ratio_base / (k * (k + alpha))
         total += term
         # past k ~ x/2 the term ratio is below ~0.6, so the tail is < 2|term|
-        if k > half + 1 and abs(term) < 0.25 * cfg.abs_tol:
+        if k > half + 1 and abs(term) < 0.25 * ABS_TOL:
             return total
     raise SeriesError(f"bessel_j({alpha}, {x}) did not converge")
 
 
-def _bessel_j_fixed(alpha: float, x: float, cfg: SeriesConfig) -> float:
+def _bessel_j_fixed(alpha: float, x: float) -> float:
     """J_alpha(x) for integer or half-integer alpha, the series summed in
     Python integers scaled by 2^P.
 
@@ -150,14 +132,14 @@ def _bessel_j_fixed(alpha: float, x: float, cfg: SeriesConfig) -> float:
     (terms + 1) e^x 2^-P, and P = 128 + ceil(x log2 e) makes it below
     (terms + 1) 2^-128 (times sqrt(x / (2 pi)) for half-integer alpha).
     total / 2^P is correctly rounded int division.  The sum stops once
-    k > x/2 and |term| < abs_tol/100.
+    k > x/2 and |term| < ABS_TOL/100.
     """
     n = int(alpha)
     half_order = alpha != n
     num, den = x.as_integer_ratio()
     sh = den.bit_length()  # den = 2^(sh-1), so x/2 = num / 2^sh
     prec = 128 + math.ceil(x * math.log2(math.e))  # guard bits + bits of e^x
-    tn, td = cfg.abs_tol.as_integer_ratio()
+    tn, td = ABS_TOL.as_integer_ratio()
     bound = (tn << prec) // (100 * td)
     if half_order:
         # Gamma(n + 3/2) = sqrt(pi) (2n+1)! / (2^(2n+1) n!)
@@ -165,7 +147,7 @@ def _bessel_j_fixed(alpha: float, x: float, cfg: SeriesConfig) -> float:
         lead_den = math.factorial(2 * n + 1)
         shift, step, offset = 2 * sh - 1, 2, 2 * n + 1
         scale = math.sqrt(0.5 * x / math.pi)
-        bound //= math.isqrt(math.ceil(x)) + 1  # > scale: scaled term < abs_tol/100
+        bound //= math.isqrt(math.ceil(x)) + 1  # > scale: scaled term < ABS_TOL/100
     else:
         lead, lead_den = num**n << prec, math.factorial(n)
         shift, step, offset = 2 * sh, 1, n
@@ -174,7 +156,7 @@ def _bessel_j_fixed(alpha: float, x: float, cfg: SeriesConfig) -> float:
     total = a
     num2 = num * num
     half = 0.5 * x
-    for k in range(1, cfg.max_terms):
+    for k in range(1, MAX_TERMS):
         a = a * num2 // (k * (step * k + offset) << shift)
         total += -a if k & 1 else a
         if k > half and a < bound:
@@ -223,7 +205,7 @@ def bessel_zero(d: int, tol: float = 1e-12) -> float:
     return x
 
 
-def hyp2f1(a: float, b: float, c: float, x: float, config: SeriesConfig | None = None) -> float:
+def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) x^n on [0, 1].
 
     At x = 1 the Gauss limit Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
@@ -231,7 +213,6 @@ def hyp2f1(a: float, b: float, c: float, x: float, config: SeriesConfig | None =
     summed in numpy chunks with the geometric tail bound |term| x / (1 - x),
     so the stopping rule controls the tail, not just the last term.
     """
-    cfg = config or _DEFAULT
     if not all(map(math.isfinite, (a, b, c))):
         raise DomainError(f"hyp2f1 needs finite a, b and c, got ({a}, {b}, {c})")
     if c <= 0 and c == math.floor(c):
@@ -256,18 +237,18 @@ def hyp2f1(a: float, b: float, c: float, x: float, config: SeriesConfig | None =
     # the geometric tail bound needs the term ratio at or below x, which
     # holds once n clears the parameter scale
     n_safe = 8 + 4 * (abs(a) + abs(b) + abs(c))
-    while n0 < cfg.max_terms:
+    while n0 < MAX_TERMS:
         n = np.arange(n0, n0 + chunk, dtype=float)
         ratios = x * (a + n) * (b + n) / ((c + n) * (n + 1.0))
         terms = term * np.cumprod(ratios)
         total += term + float(np.sum(terms[:-1]))
         term = float(terms[-1])
         n0 += chunk
-        if n0 > n_safe and abs(term) * max(tail_factor, 1.0) < cfg.abs_tol:
+        if n0 > n_safe and abs(term) * max(tail_factor, 1.0) < ABS_TOL:
             return total + term
         if chunk < 1_048_576:
             chunk *= 2
-    raise SeriesError(f"hyp2f1({a},{b};{c};{x}) did not converge in {cfg.max_terms} terms")
+    raise SeriesError(f"hyp2f1({a},{b};{c};{x}) did not converge in {MAX_TERMS} terms")
 
 
 @functools.cache
@@ -317,21 +298,20 @@ def _agm_e(m: float, mc: float) -> float:
     return 0.5 * math.pi / a * rest
 
 
-def elliptic_e_series(m: float, config: SeriesConfig | None = None) -> float:
+def elliptic_e_series(m: float) -> float:
     """Series form E(m) = (pi/2) sum_k [ ((1/2)_k / k!)^2 m^k / (1 - 2k) ].
 
     Converges for |m| < 1; kept as an independent cross-check of the AGM
     route.
     """
-    cfg = config or _DEFAULT
     if not (-1.0 < m < 1.0):
         raise DomainError(f"elliptic_e_series needs |m| < 1, got {m}")
     total = 1.0
     coef = 1.0  # ((1/2)_k / k!)^2 at k = 0
-    for k in range(1, cfg.max_terms):
+    for k in range(1, MAX_TERMS):
         coef *= ((k - 0.5) / k) ** 2
         term = coef * m**k / (1 - 2 * k)
         total += term
-        if abs(term) < cfg.abs_tol * (1.0 - abs(m)):
+        if abs(term) < ABS_TOL * (1.0 - abs(m)):
             return 0.5 * math.pi * total
     raise SeriesError(f"elliptic_e_series({m}) did not converge")

@@ -163,6 +163,14 @@ def test_bad_config_exit2(capsys):
     assert "config error" in err
 
 
+def test_exhausted_budget_exit3(capsys):
+    # a compute error is neither a check FAIL (1) nor a usage error (2)
+    code, out, err = run(capsys, "verify", "--budget", "100")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: OracleBudgetError: ")
+
+
 def test_flags_after_subcommand(capsys):
     c1, o1, _ = run(capsys, "--max-degree", "6", "norm", "2")
     c2, o2, _ = run(capsys, "norm", "2", "--max-degree", "6")
@@ -247,7 +255,7 @@ def test_norm_1_grid(capsys):
 
 
 def test_norm_1_output_independent_of_threads(capsys, monkeypatch):
-    # thread_cap clamps to the core count, so at most 2 workers start
+    # DISKT_THREADS is read by nothing; a stray setting must not move output
     outs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("DISKT_THREADS", threads)

@@ -1,14 +1,13 @@
 import cmath
 import heapq
 import math
-import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from disktransform import oracle
+from disktransform import extremal, oracle
 from disktransform.diskalg import DiskPolynomial, ExactScalar, evaluate
 from disktransform.oracle import (
     OracleBudgetError,
@@ -18,7 +17,6 @@ from disktransform.oracle import (
     lp_norm_numeric,
     pv_beurling_eval,
     quad_disk,
-    thread_cap,
 )
 from disktransform.transforms import (
     bergman_B,
@@ -194,26 +192,13 @@ def test_lp_norm_rejects_bad_p():
         lp_norm_numeric(one, math.inf, 1e-8)
 
 
-@pytest.mark.parametrize("beta,r", [(0.5, 0.3), (0.75, 0.6), (1.25, 0.8), (2.0, 0.45)])
+_PARSEVAL_CASES = [(0.5, 0.3), (0.75, 0.6), (1.25, 0.8), (2.0, 0.45)]
+
+
+@pytest.mark.parametrize("beta,r", _PARSEVAL_CASES)
 def test_angular_parseval(beta, r):
     lhs, rhs = angular_parseval_check(beta, r)
     assert abs(lhs - rhs) < 1e-9
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 7 fits under the clamp
-    monkeypatch.delenv("DISKT_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("DISKT_THREADS", "7")
-    assert thread_cap() == 7
-    monkeypatch.setenv("DISKT_THREADS", "0")
-    assert thread_cap() == 1
-
-
-def test_thread_cap_clamped_to_cores(monkeypatch):
-    # reads the cap only; no worker is started
-    monkeypatch.setenv("DISKT_THREADS", "1000000")
-    assert 1 <= thread_cap() <= os.cpu_count()
 
 
 # --- input checks -------------------------------------------------------------
@@ -233,6 +218,8 @@ def test_non_finite_z_rejected(z):
         cauchy_eval(phi, z, 1e-8)
     with pytest.raises(ValueError, match="z must be interior"):
         pv_beurling_eval(phi, z, 1e-8)
+    with pytest.raises(ValueError, match="z must be interior"):
+        extremal.l1_integrand_scan([z], 1e-5)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -240,8 +227,8 @@ def test_non_finite_integrand_rejected():
     with pytest.raises(ValueError, match="integrand is not finite"):
         quad_disk(lambda w: np.where(abs(w) > 0.5, np.nan, 1.0), 1e-8)
     with pytest.raises(ValueError, match="integrand is not finite"):
-        oracle._adaptive_1d(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0,
-                            1e-8, 10**6)
+        oracle._adaptive(lambda x: np.where(x > 0.5, np.inf, 1.0), (0.0, 1.0),
+                         1e-8, 10**6)
 
 
 # --- batched panels ---------------------------------------------------------
@@ -303,7 +290,7 @@ def test_batched_panels_match_per_panel_loop(monkeypatch, radius):
         z = radius * cmath.exp(2j * math.pi * rng.random())
         got = _oracle_calls(phi, z)
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_adaptive_2d", _reference_adaptive_2d)
+            m.setattr(oracle, "_adaptive", _reference_adaptive_2d)
             want = _oracle_calls(phi, z)
         for g, w in zip(got, want):
             assert (g.value, g.err_estimate, g.evaluations) == \
@@ -320,11 +307,69 @@ def test_one_integrand_call_per_refinement_step(monkeypatch):
         sizes.append(X.size)
         return np.abs(X * np.exp(1j * Y) - 0.3)  # cone: many splits
 
-    _, _, evals = oracle._adaptive_2d(F, (0.0, 1.0, 0.0, 2 * math.pi), 1e-9, 10**7)
+    _, _, evals = oracle._adaptive(F, (0.0, 1.0, 0.0, 2 * math.pi), 1e-9, 10**7)
     splits = len(pops)
     assert splits > 10
     assert sizes == [320] + [4 * 320] * splits
     assert evals == 320 * (1 + 4 * splits)
+
+
+def _reference_adaptive_1d(f, a, b, tol, budget, n=12):
+    """A stand-alone 1-D refinement loop: per segment an n- and a 2n-point
+    Gauss-Legendre sum by np.dot, one integrand call each, and the two halves
+    of a split measured one after the other.  The shared loop must reproduce
+    it bit for bit."""
+    from numpy.polynomial.legendre import leggauss
+
+    def measure(lo, hi):
+        out = []
+        for k in (n, 2 * n):
+            x, w = leggauss(k)
+            xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            out.append(0.5 * (hi - lo) * np.dot(w, f(xs)))
+        return out[1], abs(out[1] - out[0]), 3 * n
+
+    v, e, evals = measure(a, b)
+    if evals > budget:
+        raise OracleBudgetError("initial panel")
+    heap = [(-e, 0, (a, b, v, e))]
+    counter = 1
+    total_v, total_e = v, e
+    while total_e > tol:
+        if evals > budget:
+            raise OracleBudgetError("budget")
+        _, _, (lo, hi, pv, pe) = heapq.heappop(heap)
+        total_v -= pv
+        total_e -= pe
+        mid = 0.5 * (lo + hi)
+        for seg in ((lo, mid), (mid, hi)):
+            v2, e2, ne = measure(*seg)
+            evals += ne
+            total_v += v2
+            total_e += e2
+            heapq.heappush(heap, (-e2, counter, seg + (v2, e2)))
+            counter += 1
+    return total_v, total_e, evals
+
+
+def test_shared_loop_matches_1d_reference(monkeypatch):
+    real = oracle._adaptive
+    calls = []
+
+    def recording(F, box, tol, budget):
+        out = real(F, box, tol, budget)
+        calls.append((F, box, tol, budget, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_adaptive", recording)
+    monkeypatch.setattr(extremal, "_adaptive", recording)
+    for beta, r in _PARSEVAL_CASES:
+        angular_parseval_check(beta, r)
+    extremal.l1_at_zero(5e-6)
+    extremal.counterexample_p2()  # the L2 norm integral and eight annuli
+    assert [len(box) for _, box, _, _, _ in calls] == [2] * 14
+    for F, (a, b), tol, budget, got in calls:
+        assert got == _reference_adaptive_1d(F, a, b, tol, budget), (a, b, tol)
 
 
 def _monomial_sum(phi, z):

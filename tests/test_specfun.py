@@ -9,8 +9,9 @@ import pytest
 import scipy.special
 
 from disktransform.specfun import (
+    ABS_TOL,
+    MAX_TERMS,
     DomainError,
-    SeriesConfig,
     bessel_j,
     bessel_zero,
     elliptic_e,
@@ -74,15 +75,15 @@ def test_bessel_large_argument_cancellation():
             assert abs(bessel_j(nu, x) - scipy.special.jv(nu, x)) < 1e-12
 
 
-def _bessel_j_fraction(d, x, cfg=SeriesConfig()):
+def _bessel_j_fraction(d, x):
     """Integer-order series in exact rational arithmetic, with the stopping
     rule of the fixed-point path: the reference it must equal bit for bit."""
     xr = Fraction(x) / 2
     q = xr * xr
     term = xr**d / math.factorial(d)
     total = term
-    bound = Fraction(cfg.abs_tol) / 100
-    for k in range(1, cfg.max_terms):
+    bound = Fraction(ABS_TOL) / 100
+    for k in range(1, MAX_TERMS):
         term *= -q / (k * (k + d))
         total += term
         if k > float(xr) and abs(term) < bound:
