@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import DEFAULT_BUDGET, _about, _adaptive, cauchy_eval, quad_disk
-from .specfun import elliptic_e, gamma, hyp2f1
+from .specfun import X_SWITCH, _agm, elliptic_e, gamma, hyp2f1
 from .spectral import solve_alpha
 
 __all__ = [
@@ -56,11 +56,21 @@ def phi_fn(q: float, t: float) -> float:
         (2/(2-q)) 2F1(q/2, q/2-1; 1; t) + 2F1(q/2, q/2; 2; t) t^{q/2}
 
     for q in [1, 2), t in [0, 1].  At t = 1 both series go through the
-    Gauss closed form (their parameter margin 2 - q is positive)."""
+    Gauss closed form (their parameter margin 2 - q is positive).
+
+    At q = 1 the margin is the integer 1, where hyp2f1 has no connection
+    formula, so for X_SWITCH < t < 1 the two values come from the complete
+    elliptic integrals E and K of one AGM loop: 2F1(1/2, -1/2; 1; m) =
+    (2/pi) E(m) (DLMF 19.5.1) and, by a contiguous relation,
+    2F1(1/2, 1/2; 2; m) = (4 / (pi m)) (E(m) - (1 - m) K(m)).  Below
+    X_SWITCH that difference cancels as m -> 0, and the series is used."""
     if not (1 <= q < 2):
         raise ValueError("q must lie in [1, 2)")
     if not (0 <= t <= 1):
         raise ValueError("t must lie in [0, 1]")
+    if q == 1.0 and X_SWITCH < t < 1.0:
+        e, k = _agm(t, 1.0 - t)
+        return (4.0 * e + 4.0 * (e - (1.0 - t) * k) / math.sqrt(t)) / math.pi
     first = (2.0 / (2.0 - q)) * hyp2f1(q / 2, q / 2 - 1, 1.0, t)
     second = hyp2f1(q / 2, q / 2, 2.0, t) * t ** (q / 2)
     return first + second

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+
+from disktransform import specfun
 
 from disktransform.extremal import (
     ExponentPair,
@@ -15,7 +18,7 @@ from disktransform.extremal import (
     phi_fn,
     riesz_thorin_bound,
 )
-from disktransform.specfun import gamma
+from disktransform.specfun import X_SWITCH, gamma
 from disktransform.spectral import solve_alpha
 
 EIGHT_OVER_PI = 8 / math.pi
@@ -60,6 +63,55 @@ def test_phi_domain():
         phi_fn(2.0, 0.5)
     with pytest.raises(ValueError):
         phi_fn(1.0, 1.5)
+
+
+def _phi_mpmath(q, t):
+    with mpmath.workdps(40):
+        q, t = mpmath.mpf(q), mpmath.mpf(t)
+        return (2 / (2 - q) * mpmath.hyp2f1(q / 2, q / 2 - 1, 1, t)
+                + mpmath.hyp2f1(q / 2, q / 2, 2, t) * t ** (q / 2))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.9] + [1 + 10.0**-k for k in range(2, 9)])
+def test_phi_near_one_vs_mpmath(q):
+    # q = 1 goes through E and K; q = 1 + 1e-k through the connection formula,
+    # or, where its terms cancel (t = 1 - 1e-6 at q = 1 + 1e-8), the series
+    for j in (1, 2, 3, 4, 6, 8, 10, 12):
+        t = 1 - 10.0**-j
+        got = phi_fn(q, t)
+        assert abs(got / _phi_mpmath(q, t) - 1) < 1e-14, t
+
+
+def test_phi_q19_close_to_one_returns():
+    # the plain series needs about 1e9 terms here and once raised SeriesError
+    got = phi_fn(1.9, 1 - 1e-8)
+    assert abs(got / _phi_mpmath(1.9, 1 - 1e-8) - 1) < 1e-14
+
+
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])
+def test_phi_continuous_at_switch(q):
+    lo = phi_fn(q, X_SWITCH)
+    hi = phi_fn(q, math.nextafter(X_SWITCH, 1.0))
+    assert abs(hi - lo) <= 1e-14 * lo
+
+
+def test_phi_near_one_sums_no_long_series(monkeypatch):
+    """phi(q, 1 - 10^-k) sums every series at an argument of at most
+    1 - X_SWITCH, so none is long.  k = 1 is left out: at q = 1.9,
+    t = 0.9 the connection terms cancel by a factor 8.7 and the series at
+    0.9 (a few hundred terms) is used by design."""
+    seen = []
+    series = specfun._series
+
+    def spy(a, b, c, x):
+        seen.append(x)
+        return series(a, b, c, x)
+
+    monkeypatch.setattr(specfun, "_series", spy)
+    for q in (1.0, 1.2, 1.5, 1.9):
+        for k in range(2, 13):
+            phi_fn(q, 1 - 10.0**-k)
+    assert seen and max(seen) <= 1 - X_SWITCH
 
 
 @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 import scipy.special
 
+from disktransform import specfun
 from disktransform.specfun import (
     ABS_TOL,
     MAX_TERMS,
+    X_SWITCH,
     DomainError,
+    SeriesError,
+    _agm,
     bessel_j,
     bessel_zero,
     elliptic_e,
@@ -141,6 +145,20 @@ def test_bessel_non_finite_rejected(fn, args):
     assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(pochhammer, (1.5, 2.5), id="pochhammer-n-2.5"),
+    pytest.param(pochhammer, (1.5, -1), id="pochhammer-n-minus-1"),
+    pytest.param(bessel_zero, (2.5,), id="bessel_zero-2.5"),
+    pytest.param(bessel_zero, (3, math.inf), id="bessel_zero-tol-inf"),
+    pytest.param(bessel_zero, (3, math.nan), id="bessel_zero-tol-nan"),
+])
+def test_specfun_bad_arguments_rejected(fn, args):
+    # pochhammer(1.5, 2.5) once failed with range()'s TypeError and
+    # bessel_zero(2.5) returned the zero of J_2.5
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
 def test_bessel_zero_vs_scipy():
     for d in range(21):
         assert abs(bessel_zero(d) - scipy.special.jn_zeros(d, 1)[0]) < 1e-12
@@ -210,6 +228,51 @@ def test_hyp2f1_divergent_at_one():
         hyp2f1(1.0, 1.0, 1.5, 1.0)  # c - a - b < 0 diverges
 
 
+def _rel_err(got, ref):
+    return float(abs(got / ref - 1))
+
+
+@pytest.mark.parametrize("a,b,c", [
+    pytest.param(0.3, 0.7, 1.6, id="generic-s0.6"),
+    pytest.param(1.25, -0.4, 2.3, id="generic-s1.45"),
+    pytest.param(-0.35, 0.8, 0.9, id="generic-s0.45"),
+    pytest.param(0.9, 0.8, 1.2, id="growing-s-0.5"),
+    pytest.param(1.5, 1.25, 2.1, id="growing-s-0.65"),
+    pytest.param(-3.0, 0.7, 1.4, id="terminating-a"),
+    pytest.param(0.45, -2.0, 2.2, id="terminating-b"),
+    pytest.param(2.5, 0.3, 0.5, id="terminating-c-a"),
+])
+def test_hyp2f1_connection_regime_vs_mpmath(a, b, c):
+    # past x = 1 - 1e-6 the series would need more than MAX_TERMS terms, so
+    # those values come from the 1 - x connection formula; for s = c - a - b
+    # < 0 they grow like (1 - x)^s
+    with mpmath.workdps(40):
+        for x in (0.61, 0.75, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12):
+            assert _rel_err(hyp2f1(a, b, c, x), mpmath.hyp2f1(a, b, c, x)) < 1e-14, x
+
+
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])
+def test_hyp2f1_continuous_at_switch(q):
+    below, above = X_SWITCH, math.nextafter(X_SWITCH, 1.0)
+    for a, b, c in ((q / 2, q / 2 - 1, 1.0), (q / 2, q / 2, 2.0)):
+        lo, hi = hyp2f1(a, b, c, below), hyp2f1(a, b, c, above)
+        assert abs(hi - lo) <= 1e-14 * abs(lo), (a, b, c)
+
+
+def test_hyp2f1_cancelling_terms_fall_back_to_series(monkeypatch):
+    # c - a - b = 1 + 1e-10: the connection terms cancel, so the series runs
+    # and raises its typed error instead of returning a guess; a smaller
+    # MAX_TERMS makes it give up quickly
+    monkeypatch.setattr(specfun, "MAX_TERMS", 100_000)
+    q = 1 + 1e-10
+    with pytest.raises(SeriesError):
+        hyp2f1(q / 2, q / 2 - 1, 1.0, 1 - 1e-8)
+    # exactly integer c - a - b: Gamma(-1) is a pole, so the series again
+    with pytest.raises(SeriesError):
+        hyp2f1(0.5, -0.5, 1.0, 1 - 1e-8)
+    assert abs(hyp2f1(0.5, -0.5, 1.0, 0.9) - 2 / math.pi * elliptic_e(0.9)) < 1e-15
+
+
 def test_hyp2f1_outside_domain():
     with pytest.raises(DomainError):
         hyp2f1(0.5, 0.5, 1.0, 1.2)
@@ -228,6 +291,14 @@ def test_elliptic_e_vs_scipy(m):
     # parameter convention (not modulus): E(m) = int sqrt(1 - m sin^2)
     ref = scipy.special.ellipe(m)
     assert abs(elliptic_e(m) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-8, 0.3, 0.6, 0.9, 0.99, 1 - 1e-6, 1 - 1e-9,
+                               1 - 1e-12])
+def test_agm_k_vs_scipy(m):
+    e, k = _agm(m, 1.0 - m)
+    assert abs(k - scipy.special.ellipk(m)) <= 1e-14 * k
+    assert e == elliptic_e(m)
 
 
 def test_elliptic_e_series_route():
