@@ -9,7 +9,6 @@ import pytest
 
 from disktransform import extremal, oracle
 from disktransform.diskalg import DiskPolynomial, ExactScalar, evaluate
-from disktransform.specfun import _gl_nodes
 from disktransform.oracle import (
     OracleBudgetError,
     QuadResult,
@@ -19,6 +18,7 @@ from disktransform.oracle import (
     pv_beurling_eval,
     quad_disk,
 )
+from disktransform.specfun import _gl_nodes
 from disktransform.transforms import (
     bergman_B,
     beurling_S,

@@ -172,9 +172,9 @@ def test_H_isometry_matrix_norm(deg):
 
 def test_H_blocks_are_isometries():
     """H is an isometry of L2, so every singular value of every block is 1.
-    The Gauss-Legendre weights are good to 3.2e-14 relative up to 41 nodes;
-    numpy's own weights (8e-14 off at 18 and 20 nodes) once moved D = 33,
-    34, 37 and 38 to 1.3e-13."""
+    The bound needs Gauss-Legendre weights good to 3.2e-14 relative up to
+    41 nodes: numpy's own (8e-14 off at 18 and 20 nodes) give 1.3e-13 at
+    D = 33, 34, 37 and 38."""
     for deg in range(41):
         for B in spectral._blocks(H, TruncationSpec(deg)):
             assert np.abs(np.linalg.svd(B, compute_uv=False) - 1.0).max() < 1e-13, deg
