@@ -245,30 +245,21 @@ def _fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _fmt_coeff(a, lead_unit_ok: bool):
+def _fmt_coeff(a: ExactScalar, lead_unit_ok: bool):
     """Returns (sign, body) where body omits a unit magnitude when the
     monomial part is nonempty (lead_unit_ok False)."""
-    if isinstance(a, ExactScalar):
-        if a.im == 0:
-            mag = abs(a.re)
-            sign = "-" if a.re < 0 else "+"
-            if mag == 1 and not lead_unit_ok:
-                return sign, ""
-            return sign, _fmt_fraction(mag)
-        if a.re == 0:
-            mag = abs(a.im)
-            sign = "-" if a.im < 0 else "+"
-            body = "i" if mag == 1 else f"{_fmt_fraction(mag)}i"
-            return sign, body
-        return "+", f"({_fmt_fraction(a.re)}{'+' if a.im > 0 else '-'}{_fmt_fraction(abs(a.im))}i)"
-    c = complex(a)
-    if c.imag == 0:
-        sign = "-" if c.real < 0 else "+"
-        mag = abs(c.real)
+    if a.im == 0:
+        mag = abs(a.re)
+        sign = "-" if a.re < 0 else "+"
         if mag == 1 and not lead_unit_ok:
             return sign, ""
-        return sign, repr(mag)
-    return "+", f"({c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}i)"
+        return sign, _fmt_fraction(mag)
+    if a.re == 0:
+        mag = abs(a.im)
+        sign = "-" if a.im < 0 else "+"
+        body = "i" if mag == 1 else f"{_fmt_fraction(mag)}i"
+        return sign, body
+    return "+", f"({_fmt_fraction(a.re)}{'+' if a.im > 0 else '-'}{_fmt_fraction(abs(a.im))}i)"
 
 
 def format_poly(phi: DiskPolynomial) -> str:

@@ -6,17 +6,16 @@ dA = (1/pi) dx dy, under which
 
     <z^m zbar^n, z^p zbar^q> = 1/(m+q+1)  if m + q == n + p, else 0.
 
-Coefficients are either python complex (float mode) or ExactScalar
-(rational real and imaginary parts, exact mode).  The two modes never mix
-inside one polynomial.  Instances are treated as immutable: no method
-mutates the coefficient map after construction.
+Coefficients are ExactScalar (rational real and imaginary parts); int and
+Fraction coefficients are promoted, and any other (float and complex
+included) is rejected with TypeError.  So inner products and norms carry no
+rounding error.  Instances are treated as immutable: no method mutates the
+coefficient map after construction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
 
 __all__ = [
     "ExactScalar",
@@ -31,7 +30,6 @@ __all__ = [
     "d_dzbar",
     "conjugate",
     "to_tuples",
-    "from_tuples",
 ]
 
 
@@ -99,22 +97,19 @@ class ExactScalar:
         return ExactScalar(self.re, -self.im)
 
     def __eq__(self, other):
-        """Exact against ExactScalar, Fraction and int; rounded through
-        complex against float and complex.  So it is not transitive:
-        ExactScalar(Fraction(1, 3)) equals both Fraction(1, 3) and 1/3, which
-        differ, and its hash (through complex) agrees with the float's only.
-        The rounded comparison is what lets an exact polynomial compare equal
-        to its float copy (to_tuples / from_tuples)."""
+        """Exact against every number type: a float or complex compares by
+        its exact binary value, so ExactScalar(Fraction(1, 3)) != 1/3.
+        Equality is therefore transitive and agrees with __hash__."""
+        if isinstance(other, (float, complex)):
+            return self.re == other.real and self.im == other.imag
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) == complex(other)
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        # through complex, as __eq__ compares with float and complex
-        return hash(complex(self))
+        # equal to the hash of the equal Fraction, int, float or complex
+        return hash(self.re) if self.im == 0 else hash(complex(self))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -126,44 +121,24 @@ class ExactScalar:
         return f"ExactScalar({self.re!r}, {self.im!r})"
 
 
-Coefficient = Union[complex, ExactScalar]
-
-
-def _conj_coeff(a: Coefficient) -> Coefficient:
-    return a.conjugate()
-
-
-def _is_zero(a: Coefficient) -> bool:
-    if isinstance(a, ExactScalar):
-        return not bool(a)
-    return a == 0
-
-
 class DiskPolynomial:
-    """Sparse polynomial in z and zbar; keys (m, n) with m, n >= 0."""
+    """Sparse polynomial in z and zbar; keys (m, n) with m, n >= 0, values
+    nonzero ExactScalar."""
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
         clean = {}
-        exact = None
         for (m, n), a in (coeffs or {}).items():
             if m < 0 or n < 0 or m != int(m) or n != int(n):
                 raise ValueError(f"bad monomial key ({m}, {n})")
-            is_ex = isinstance(a, ExactScalar)
-            if not is_ex and isinstance(a, (int, Fraction)):
-                a = ExactScalar(a)
-                is_ex = True
-            if exact is None:
-                exact = is_ex
-            elif exact != is_ex:
-                raise TypeError("mixed exact and float coefficients")
-            if not is_ex:
-                a = complex(a)
-            if not _is_zero(a):
-                clean[(int(m), int(n))] = a
+            e = ExactScalar._coerce(a)
+            if e is None:
+                raise TypeError(f"coefficient {a!r} of ({m}, {n}) is not "
+                                "an ExactScalar, int or Fraction")
+            if e:
+                clean[(int(m), int(n))] = e
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "exact", bool(exact) if clean else (exact if exact is not None else False))
 
     def __setattr__(self, *_):
         raise AttributeError("DiskPolynomial is immutable")
@@ -195,12 +170,6 @@ class DiskPolynomial:
 
     def __neg__(self):
         return DiskPolynomial({k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, c: Coefficient) -> "DiskPolynomial":
-        return DiskPolynomial({k: v * c for k, v in self.coeffs.items()})
-
-    def degree(self) -> int:
-        return max((m + n for (m, n) in self.coeffs), default=0)
 
     def __repr__(self):
         return f"DiskPolynomial({self.coeffs!r})"
@@ -241,46 +210,29 @@ def _mono_inner(m: int, n: int, p: int, q: int) -> Fraction:
     return Fraction(0)
 
 
-def inner_product(phi: DiskPolynomial, psi: DiskPolynomial):
-    """<phi, psi> = integral of phi * conj(psi) over the disk (normalized).
-
-    Exact mode returns an ExactScalar, float mode a complex.
-    """
-    exact = phi.exact and psi.exact
-    acc = ExactScalar(0) if exact else 0j
+def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
+    """<phi, psi> = integral of phi * conj(psi) over the disk (normalized)."""
+    acc = ExactScalar(0)
     for (m, n), a in phi.items():
         for (p, q), c in psi.items():
             g = _mono_inner(m, n, p, q)
             if g:
-                if exact:
-                    acc = acc + a * _conj_coeff(c) * g
-                else:
-                    acc = acc + complex(a) * complex(c).conjugate() * float(g)
+                acc = acc + a * c.conjugate() * g
     return acc
 
 
-def norm_sq(phi: DiskPolynomial):
-    """Squared L2 norm; Fraction in exact mode, float otherwise."""
-    v = inner_product(phi, phi)
-    if isinstance(v, ExactScalar):
-        return v.re
-    return v.real
+def norm_sq(phi: DiskPolynomial) -> Fraction:
+    """Squared L2 norm, exact."""
+    return inner_product(phi, phi).re
 
 
-def angular_norm_sq(g: AngularComponent):
+def angular_norm_sq(g: AngularComponent) -> Fraction:
     """Closed radial form: ||g_d||^2 = sum_{n,l} b_n conj(b_l) / (n+l+d+1)."""
-    exact = all(isinstance(a, ExactScalar) for a in g.b.values()) and bool(g.b)
-    acc = ExactScalar(0) if exact else 0j
+    acc = ExactScalar(0)
     for n, a in g.b.items():
         for l, c in g.b.items():
-            w = Fraction(1, n + l + g.d + 1)
-            if exact:
-                acc = acc + a * _conj_coeff(c) * w
-            else:
-                acc = acc + complex(a) * complex(c).conjugate() * float(w)
-    if isinstance(acc, ExactScalar):
-        return acc.re
-    return acc.real
+            acc = acc + a * c.conjugate() * Fraction(1, n + l + g.d + 1)
+    return acc.re
 
 
 def evaluate(phi: DiskPolynomial, z):
@@ -333,22 +285,14 @@ def d_dzbar(phi: DiskPolynomial) -> DiskPolynomial:
 
 def conjugate(phi: DiskPolynomial) -> DiskPolynomial:
     """Pointwise complex conjugate: (m, n) -> (n, m) with conjugated coefficients."""
-    return DiskPolynomial({(n, m): _conj_coeff(a) for (m, n), a in phi.items()})
+    return DiskPolynomial({(n, m): a.conjugate() for (m, n), a in phi.items()})
 
 
 def to_tuples(phi: DiskPolynomial) -> list[tuple[int, int, float, float]]:
-    """Serialize as (m, n, re, im) rows, sorted by (m, n)."""
+    """Serialize as (m, n, re, im) rows of floats, sorted by (m, n)."""
     rows = []
     for (m, n), a in sorted(phi.items()):
         c = complex(a)
         rows.append((m, n, c.real, c.imag))
     return rows
 
-
-def from_tuples(rows: Iterable) -> DiskPolynomial:
-    out = {}
-    for m, n, re, im in rows:
-        key = (int(m), int(n))
-        prev = out.get(key, 0j)
-        out[key] = prev + complex(re, im)
-    return DiskPolynomial(out)

@@ -415,6 +415,8 @@ def extremal_phi0_ratio(degree: int) -> float:
     the order-0 and order-2 Bessel functions of 2r/sqrt(lam0); truncating
     their (entire) power series at the given total degree yields a
     polynomial whose Rayleigh quotient approaches the norm root from below.
+    Each float coefficient enters as its exact Fraction value, so both norms
+    are exact and only the final quotient and square root round.
     """
     if degree < 2:
         raise ValueError("degree must be at least 2 (both angular parts present)")
@@ -426,13 +428,13 @@ def extremal_phi0_ratio(degree: int) -> float:
     k = 0
     while 2 * k <= degree:
         c = pref * (-1) ** k / (math.factorial(k) ** 2 * lam0**k)
-        coeffs[(k, k)] = complex(c)
+        coeffs[(k, k)] = Fraction(c)
         k += 1
     # order-2 series: sum_k (-1)^k r^{2k+2} / (k! (k+2)! lam0^{k+1}) * e^{2it}
     k = 0
     while 2 * k + 2 <= degree:
         c = pref * (-1) ** k / (math.factorial(k) * math.factorial(k + 2) * lam0 ** (k + 1))
-        coeffs[(k + 2, k)] = complex(c)
+        coeffs[(k + 2, k)] = Fraction(c)
         k += 1
     phi = DiskPolynomial(coeffs)
     return math.sqrt(norm_sq(cauchy_P(phi)) / norm_sq(phi))

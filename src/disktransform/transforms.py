@@ -1,7 +1,7 @@
 """Closed-form integral transforms of disk polynomials.
 
 Every operator acts per monomial a z^m zbar^n and returns a DiskPolynomial,
-exactly in exact mode.  Conventions (dA normalized by 1/pi):
+exactly.  Conventions (dA normalized by 1/pi):
 
     cauchy_integral  C[f](z) = int f(w) / (w - z) dA(w)
     j0_op            J0[f](z) = int z f(w) / (1 - conj(w) z) dA(w)

@@ -383,15 +383,12 @@ def _monomial_sum(phi, z):
 
 
 @pytest.mark.parametrize("shape", [(37,), (6, 7)])
-@pytest.mark.parametrize("exact", [True, False])
-def test_evaluate_power_table_matches_monomials(shape, exact):
-    rng = random.Random(f"evaluate/{shape}/{exact}")
+def test_evaluate_power_table_matches_monomials(shape):
+    rng = random.Random(f"evaluate/{shape}/True")
     gen = np.random.default_rng(len(shape))
     z = gen.uniform(-0.7, 0.7, shape) + 1j * gen.uniform(-0.7, 0.7, shape)
     for _ in range(10):
         phi = rand_poly(rng, max_total=12, terms=8)
-        if not exact:
-            phi = DiskPolynomial({k: complex(a) for k, a in phi.items()})
         got = evaluate(phi, z)
         ref, scale = _monomial_sum(phi, z)
         assert got.shape == shape
