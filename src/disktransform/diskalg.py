@@ -14,8 +14,10 @@ coefficient map after construction.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "ExactScalar",
@@ -33,14 +35,18 @@ __all__ = [
 ]
 
 
+_HALF_WORD = 1 << (sys.hash_info.width - 1)  # hashes lie in [-_HALF_WORD, _HALF_WORD)
+
+
 class ExactScalar:
     """Complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction part is kept as it is: it is immutable and already exact
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, *_):
         raise AttributeError("ExactScalar is immutable")
@@ -74,11 +80,12 @@ class ExactScalar:
         return ExactScalar(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactScalar(self.re * o.re - self.im * o.im,
-                           self.re * o.im + self.im * o.re)
+        if isinstance(other, (int, Fraction)):
+            return ExactScalar(self.re * other, self.im * other)
+        if isinstance(other, ExactScalar):
+            return ExactScalar(self.re * other.re - self.im * other.im,
+                               self.re * other.im + self.im * other.re)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -108,8 +115,16 @@ class ExactScalar:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        # equal to the hash of the equal Fraction, int, float or complex
-        return hash(self.re) if self.im == 0 else hash(complex(self))
+        """Equal to the hash of the equal Fraction, int, float or complex.
+
+        A non-real value combines the part hashes as CPython's complex hash
+        does, wrapped to the signed machine word, so no part is converted to
+        float and a part beyond the float range hashes too.  hash() itself
+        takes a result of -1 to -2, as the complex hash does."""
+        if not self.im:
+            return hash(self.re)
+        h = hash(self.re) + sys.hash_info.imag * hash(self.im)
+        return (h + _HALF_WORD) % (2 * _HALF_WORD) - _HALF_WORD
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -179,7 +194,7 @@ class DiskPolynomial:
 class AngularComponent:
     """Angular piece g_d(rho e^{i theta}) = f_d(rho) e^{i d theta}.
 
-    b maps the radial index n (with n >= max(0, -d)) to the coefficient of
+    b maps the radial index n (with n >= max(0, -d)) to the ExactScalar coefficient of
     rho^{2n+d}, i.e. the monomial z^{n+d} zbar^n of the ambient polynomial.
     """
 
@@ -196,43 +211,69 @@ class AngularComponent:
         return DiskPolynomial({(n + self.d, n): a for n, a in self.b.items()})
 
 
+def _sectors(phi: DiskPolynomial) -> dict[int, dict]:
+    """Coefficients by angular degree: {d: {n: a}} for the monomial
+    z^{n+d} zbar^n with coefficient a."""
+    out: dict[int, dict] = {}
+    for (m, n), a in phi.items():
+        out.setdefault(m - n, {})[n] = a
+    return out
+
+
 def decompose(phi: DiskPolynomial) -> list[AngularComponent]:
     """Split into angular components, sorted by increasing d."""
-    buckets: dict[int, dict] = {}
-    for (m, n), a in phi.items():
-        buckets.setdefault(m - n, {})[n] = a
-    return [AngularComponent(d, b) for d, b in sorted(buckets.items())]
+    return [AngularComponent(d, b) for d, b in sorted(_sectors(phi).items())]
 
 
-def _mono_inner(m: int, n: int, p: int, q: int) -> Fraction:
-    if m + q == n + p:
-        return Fraction(1, m + q + 1)
-    return Fraction(0)
+def _sector_norm_sq(d: int, b: dict) -> Fraction:
+    """sum_{n,l} Re(b_n conj(b_l)) / (n+l+d+1) for one angular degree d.
+
+    Each diagonal term is taken once and each off-diagonal pair once,
+    doubled.  The sums run in integers: every part is scaled to the common
+    denominator q of the parts, the terms are gathered by their divisor
+    w = n+l+d+1, and one Fraction is formed at the end."""
+    q = lcm(*(a.re.denominator for a in b.values()),
+            *(a.im.denominator for a in b.values()))
+    terms = [(n, a.re.numerator * (q // a.re.denominator),
+              a.im.numerator * (q // a.im.denominator)) for n, a in b.items()]
+    by_w: dict[int, int] = {}
+    for i, (n, x, y) in enumerate(terms):
+        w = 2 * n + d + 1
+        by_w[w] = by_w.get(w, 0) + x * x + y * y
+        for l, u, v in terms[i + 1:]:
+            w = n + l + d + 1
+            by_w[w] = by_w.get(w, 0) + 2 * (x * u + y * v)
+    den = lcm(*by_w)
+    return Fraction(sum(s * (den // w) for w, s in by_w.items()), den * q * q)
 
 
 def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
-    """<phi, psi> = integral of phi * conj(psi) over the disk (normalized)."""
-    acc = ExactScalar(0)
-    for (m, n), a in phi.items():
-        for (p, q), c in psi.items():
-            g = _mono_inner(m, n, p, q)
-            if g:
-                acc = acc + a * c.conjugate() * g
-    return acc
+    """<phi, psi> = integral of phi * conj(psi) over the disk (normalized).
+
+    Only monomials of equal angular degree d = m - n meet, since
+    <z^{n+d} zbar^n, z^{l+d} zbar^l> = 1/(n+l+d+1) and distinct degrees are
+    orthogonal; so the sum runs over the pairs within each degree."""
+    theirs = _sectors(psi)
+    re = im = Fraction(0)
+    for d, b in _sectors(phi).items():
+        c = theirs.get(d, {})
+        for n, a in b.items():
+            for l, e in c.items():
+                w = n + l + d + 1
+                re += (a.re * e.re + a.im * e.im) / w
+                im += (a.im * e.re - a.re * e.im) / w
+    return ExactScalar(re, im)
 
 
 def norm_sq(phi: DiskPolynomial) -> Fraction:
-    """Squared L2 norm, exact."""
-    return inner_product(phi, phi).re
+    """Squared L2 norm, exact: the sum of the angular_norm_sq of its
+    angular components."""
+    return sum((_sector_norm_sq(d, b) for d, b in _sectors(phi).items()), Fraction(0))
 
 
 def angular_norm_sq(g: AngularComponent) -> Fraction:
     """Closed radial form: ||g_d||^2 = sum_{n,l} b_n conj(b_l) / (n+l+d+1)."""
-    acc = ExactScalar(0)
-    for n, a in g.b.items():
-        for l, c in g.b.items():
-            acc = acc + a * c.conjugate() * Fraction(1, n + l + g.d + 1)
-    return acc.re
+    return _sector_norm_sq(g.d, g.b)
 
 
 def evaluate(phi: DiskPolynomial, z):

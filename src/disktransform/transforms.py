@@ -64,9 +64,9 @@ def cauchy_integral(phi: DiskPolynomial) -> DiskPolynomial:
         c = Fraction(1, n + 1)
         if m - n >= 1:
             _accumulate(out, (m - n - 1, 0), a * c)
-            _accumulate(out, (m, n + 1), -(a * c))
+            _accumulate(out, (m, n + 1), a * -c)
         else:
-            _accumulate(out, (m, n + 1), -(a * c))
+            _accumulate(out, (m, n + 1), a * -c)
     return DiskPolynomial(out)
 
 
@@ -116,11 +116,11 @@ def cauchy_P(phi: DiskPolynomial) -> DiskPolynomial:
     for (m, n), a in phi.items():
         c = Fraction(1, n + 1)
         if m - n >= 1:
-            _accumulate(out, (m - n - 1, 0), -(a * c))
+            _accumulate(out, (m - n - 1, 0), a * -c)
             _accumulate(out, (m, n + 1), a * c)
         else:
             _accumulate(out, (m, n + 1), a * c)
-            _accumulate(out, (1 + n - m, 0), -(a.conjugate() * c))
+            _accumulate(out, (1 + n - m, 0), a.conjugate() * -c)
     return DiskPolynomial(out)
 
 
@@ -135,7 +135,7 @@ def beurling_S(phi: DiskPolynomial) -> DiskPolynomial:
         if m >= 1:
             _accumulate(out, (m - 1, n + 1), a * Fraction(m, n + 1))
         if m - n > 1:
-            _accumulate(out, (m - n - 2, 0), -(a * Fraction(m - n - 1, n + 1)))
+            _accumulate(out, (m - n - 2, 0), a * -Fraction(m - n - 1, n + 1))
     return DiskPolynomial(out)
 
 
@@ -160,9 +160,9 @@ def beurling_H(phi: DiskPolynomial) -> DiskPolynomial:
         if m >= 1:
             _accumulate(out, (m - 1, n + 1), a * Fraction(m, n + 1))
         if m - n > 1:
-            _accumulate(out, (m - n - 2, 0), -(a * Fraction(m - n - 1, n + 1)))
+            _accumulate(out, (m - n - 2, 0), a * -Fraction(m - n - 1, n + 1))
         elif 1 - m + n > 0:
-            _accumulate(out, (n - m, 0), -(a.conjugate() * Fraction(1 - m + n, n + 1)))
+            _accumulate(out, (n - m, 0), a.conjugate() * -Fraction(1 - m + n, n + 1))
     return DiskPolynomial(out)
 
 
@@ -183,11 +183,11 @@ def radial_P_gd(g: AngularComponent) -> DiskPolynomial:
         c = Fraction(1, 2 * n + 2)  # int rho^{2n+1} = rho^{2n+2} / (2n+2)
         if d >= 1:
             # -2 z^{d-1} (1 - |z|^{2n+2}) c
-            _accumulate(out, (d - 1, 0), -(b * (2 * c)))
+            _accumulate(out, (d - 1, 0), b * (-2 * c))
             _accumulate(out, (n + d, n + 1), b * (2 * c))
         else:
             _accumulate(out, (n + d, n + 1), b * (2 * c))
-            _accumulate(out, (1 - d, 0), -(b.conjugate() * (2 * c)))
+            _accumulate(out, (1 - d, 0), b.conjugate() * (-2 * c))
     return DiskPolynomial(out)
 
 

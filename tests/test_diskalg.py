@@ -1,4 +1,4 @@
-import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +19,7 @@ from disktransform.diskalg import (
     to_tuples,
 )
 from conftest import rand_poly
+import _exact_inner as ref
 
 
 def test_exact_scalar_field_ops():
@@ -45,6 +46,46 @@ def test_exact_scalar_immutable():
     a = ExactScalar(1)
     with pytest.raises(AttributeError):
         a.re = Fraction(2)
+
+
+def test_exact_scalar_keeps_fraction_parts():
+    f, g = Fraction(2, 7), Fraction(-5, 3)
+    a = ExactScalar(f, g)
+    assert a.re is f and a.im is g
+    assert a == ExactScalar(Fraction(f), Fraction(g)) == ExactScalar("2/7", "-5/3")
+    b = ExactScalar(3)
+    assert type(b.re) is Fraction and type(b.im) is Fraction and b.re == 3
+
+
+def _general_mul(x: ExactScalar, k) -> ExactScalar:
+    # the full complex product, with k promoted to an ExactScalar first
+    k = k if isinstance(k, ExactScalar) else ExactScalar(k)
+    return ExactScalar(x.re * k.re - x.im * k.im, x.re * k.im + x.im * k.re)
+
+
+@pytest.mark.parametrize("k", [3, -4, 0, True, False, Fraction(2, 7), Fraction(-9, 4),
+                               ExactScalar(Fraction(1, 3), -2)],
+                         ids=repr)
+def test_exact_scalar_mul_fast_paths(k):
+    x = ExactScalar(Fraction(-3, 4), Fraction(5, 6))
+    for got in (x * k, k * x):
+        assert got == _general_mul(x, k)
+        assert type(got) is ExactScalar
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        with pytest.raises(AttributeError):
+            got.im = Fraction(0)
+    assert x == ExactScalar(Fraction(-3, 4), Fraction(5, 6))
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 1j, 1 + 0j], ids=repr)
+def test_exact_scalar_mul_rejects_inexact(k):
+    x = ExactScalar(Fraction(1, 3), 1)
+    assert x.__mul__(k) is NotImplemented
+    assert x.__rmul__(k) is NotImplemented
+    with pytest.raises(TypeError):
+        x * k
+    with pytest.raises(TypeError):
+        k * x
 
 
 def test_poly_promotes_int_and_fraction():
@@ -171,6 +212,83 @@ def test_exact_scalar_hash_agrees_with_eq():
     assert ExactScalar(Fraction(1, 3), 1) != complex(1 / 3, 1)
     assert ExactScalar(Fraction(1, 4), -2) == complex(0.25, -2)
     assert hash(ExactScalar(Fraction(1, 4), -2)) == hash(complex(0.25, -2))
+
+
+def test_exact_scalar_hash_matches_complex():
+    # CPython's complex hash, including its wrap to the machine word and
+    # its -1 -> -2 rule, wherever the value is a float complex
+    assert hash(complex(-1000004, 1)) == -2
+    values = [(Fraction(1, 4), -2), (0, 1), (-1000004, 1), (0, 2 ** 60),
+              (2 ** 60, -(2 ** 61)), (Fraction(-3, 8), Fraction(1, 1024))]
+    for re, im in values:
+        assert hash(ExactScalar(re, im)) == hash(complex(re, im))
+
+
+def test_exact_scalar_hash_beyond_float_range():
+    big = ExactScalar(10 ** 400, 1)
+    assert hash(big) == hash(ExactScalar(Fraction(10 ** 401, 10), 1))
+    assert {big: "x"}[ExactScalar(10 ** 400, 1)] == "x"
+    # built from the part hashes: R has the hash of 5, so R + i hashes as 5 + i
+    R = sys.hash_info.modulus * 10 ** 390 + 5
+    assert hash(R) == 5
+    assert hash(ExactScalar(R, 1)) == hash(complex(5, 1))
+    assert hash(ExactScalar(1, Fraction(1, R))) == hash(ExactScalar(1, Fraction(1, 5)))
+
+
+def _inner_cases(rng) -> list[DiskPolynomial]:
+    """The zero polynomial, then in turn: single monomials; mixed angular
+    degrees; one degree with coefficient pairs whose products cancel
+    (b, -b, i b, -i b); differences of overlapping polynomials, where shared
+    coefficients cancel to zero; and parts with large coprime denominators."""
+    def scalar(hi=9):
+        return ExactScalar(Fraction(rng.randint(-hi, hi), rng.randint(1, hi)),
+                           Fraction(rng.randint(-hi, hi), rng.randint(1, hi)))
+
+    polys = [DiskPolynomial({})]
+    for i in range(330):
+        kind = i % 5
+        if kind == 0:
+            polys.append(DiskPolynomial({(rng.randint(0, 9), rng.randint(0, 9)): scalar()}))
+        elif kind == 1:
+            polys.append(rand_poly(rng, max_total=10, terms=8))
+        elif kind == 2:
+            d = rng.randint(-4, 4)
+            lo = max(0, -d)
+            coeffs = {}
+            for _ in range(3):
+                b = scalar()
+                n, l = rng.sample(range(lo, lo + 6), 2)
+                coeffs[(n + d, n)] = b
+                coeffs[(l + d, l)] = b * rng.choice([-1, ExactScalar(0, 1), ExactScalar(0, -1)])
+            polys.append(DiskPolynomial(coeffs))
+        elif kind == 3:
+            f = rand_poly(rng, max_total=6, terms=6)
+            g = DiskPolynomial({k: a for k, a in f.items() if rng.random() < 0.7})
+            polys.append(f - g if i % 10 == 3 else f - (g + rand_poly(rng, max_total=6, terms=2)))
+        else:
+            polys.append(DiskPolynomial({k: scalar(10 ** 12) for k in
+                                         rand_poly(rng, max_total=8, terms=6).coeffs}))
+    return polys
+
+
+def test_inner_products_match_all_pairs_reference(rng):
+    """Bucketed by angular degree, inner_product, norm_sq and
+    angular_norm_sq give the rationals of the all-pairs loop."""
+    polys = _inner_cases(rng)
+    assert len(polys) >= 300
+    assert sum(len(p) == 0 for p in polys) >= 2  # cancellation leaves zero too
+    assert sum(len(decompose(p)) >= 3 for p in polys) >= 60
+    for phi, psi in zip(polys, polys[1:] + polys[:1]):
+        for a, b in ((phi, psi), (phi, phi), (phi, polys[0])):
+            got = inner_product(a, b)
+            assert got == ref.inner_product(a, b)
+            assert type(got) is ExactScalar
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+        n2 = norm_sq(phi)
+        assert type(n2) is Fraction and n2 == ref.norm_sq(phi)
+        for g in decompose(phi):
+            a2 = angular_norm_sq(g)
+            assert type(a2) is Fraction and a2 == ref.angular_norm_sq(g)
 
 
 def test_tuples_round_trip(rng):
