@@ -3,7 +3,8 @@
 Subcommands:
   verify      run the verification suite and emit a report
   transform   apply an operator to a polynomial given in the w-grammar
-  norm        norm estimation runs (2 | pinf | 1 | rt)
+  norm        norm estimation runs (2 | pinf | 1 | rt); the rt row checks that
+              the interpolation bound lies between alpha and 8/pi
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 config or
 parse error (a ValueError from the computational layers counts as one), 3
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from . import diskalg, extremal, oracle, spectral, transforms
 from .diskalg import DiskPolynomial, ExactScalar
-from .specfun import bessel_j, bessel_zero
+from .specfun import bessel_j, bessel_zero, gamma
 from .transforms import TransformKind
 
 __all__ = ["main", "RunConfig", "ConfigError", "PolyParseError", "parse_poly", "format_poly"]
@@ -305,23 +306,24 @@ def _num(x) -> str:
 
 
 def _row(check_id, reference, expected, computed, tol) -> CheckRow:
+    """PASS when |computed - expected| <= tol: the one rule of the ledger."""
     err = abs(computed - expected)
-    status = "PASS" if err <= tol else "FAIL"
-    return CheckRow(check_id, reference, _num(float(expected)), _num(float(computed)),
-                    _num(float(err)), _num(float(tol)), status)
+    return CheckRow(check_id, reference, _num(expected), _num(computed), _num(err),
+                    _num(tol), "PASS" if err <= tol else "FAIL")
 
 
 def _row_bool(check_id, reference, ok: bool) -> CheckRow:
-    return CheckRow(check_id, reference, "True", str(bool(ok)), "0" if ok else "1",
-                    "0", "PASS" if ok else "FAIL")
+    return _row(check_id, reference, True, bool(ok), 0)
 
 
-def _row_skipped(check_id, reference, why: str) -> CheckRow:
-    return CheckRow(check_id, reference, why, "", "", "", "SKIPPED")
+def _row_report(check_id, reference, expected, computed="", abs_err="",
+                status="PASS") -> CheckRow:
+    """A row that states without checking: a report, a CONJECTURE or a SKIPPED."""
+    return CheckRow(check_id, reference, expected, _num(computed), _num(abs_err), "", status)
 
 
 # ---------------------------------------------------------------------------
-# the verification registry
+# the verification ledger
 
 
 def _random_exact_poly(rng: random.Random, max_total: int, terms: int) -> DiskPolynomial:
@@ -338,146 +340,102 @@ def _random_exact_poly(rng: random.Random, max_total: int, terms: int) -> DiskPo
 
 
 _BESSEL_TABLE = [2.4048, 3.8317, 5.1356, 6.3802, 7.5883]
-
-
-def _checks_roots(cfg: RunConfig):
-    rows = []
-    alpha = spectral.solve_alpha(cfg.tol_eigen if cfg.tol_eigen < 1e-10 else 1e-12)
-    delta = spectral.solve_delta()
-    lam0 = alpha * alpha
-    rows.append(_row("alpha_root", "norm equation root, 3-decimal value 1.086",
-                     1.086, alpha, 5e-4))
-    res = abs(2 * bessel_j(0, 2 / alpha) - alpha * bessel_j(1, 2 / alpha))
-    rows.append(_row("alpha_residual", "root-finder postcondition", 0.0, res, 1e-12))
-    rows.append(_row("delta_root", "auxiliary equation root, 3-decimal value 1.841",
-                     1.841, delta, 5e-4))
-    rows.append(_row("alpha_delta_consistency", "algebraic identity alpha = 2/delta",
-                     2 / delta, alpha, 1e-10))
-    rows.append(_row("lambda0_value", "squared norm root, 3-decimal value 1.180",
-                     1.180, lam0, 5e-4))
-    rows.append(_row("fixed_point_Z", "two-component reduction fixed point",
-                     lam0, spectral.restricted_Z(lam0), 1e-9))
-    for d, ref in enumerate(_BESSEL_TABLE):
-        rows.append(_row(f"bessel_zero_j{d}", "first Bessel zero, 4-decimal table",
-                         ref, bessel_zero(d), 5e-5))
-    return rows
-
-
-def _checks_spectral(cfg: RunConfig):
-    rows = []
-    alpha = spectral.solve_alpha()
-    if cfg.max_degree >= 10:
-        est = spectral.estimate_norm(TransformKind.CauchyTransformP,
-                                     spectral.TruncationSpec(cfg.max_degree), cfg.tol_eigen)
-        rows.append(_row("norm2_galerkin", "L2 norm estimate vs equation root",
-                         alpha, est.value, 1e-3))
-        rest = spectral.estimate_norm(
-            TransformKind.CauchyTransformP,
-            spectral.TruncationSpec(cfg.max_degree, frozenset({1})), cfg.tol_eigen)
-        rows.append(_row("norm2_restricted_d1", "single-component bound 2/j0",
-                         2 / bessel_zero(0), rest.value, 1e-3))
-        lo = 2 / bessel_zero(0)
-        hi = math.sqrt(1.5 + 2 / bessel_zero(1) ** 2)
-        rows.append(_row_bool("norm2_bracket",
-                              f"estimate inside ({lo:.4f}, {hi:.4f})",
-                              lo < est.value < hi))
-    else:
-        why = "requires --max-degree >= 10"
-        rows.append(_row_skipped("norm2_galerkin", "L2 norm estimate vs equation root", why))
-        rows.append(_row_skipped("norm2_restricted_d1", "single-component bound 2/j0", why))
-        rows.append(_row_skipped("norm2_bracket", "estimate inside the step-3 interval", why))
-    iso_trunc = spectral.TruncationSpec(min(cfg.max_degree, 8) or 2)
-    iso = spectral.estimate_norm(TransformKind.BeurlingH, iso_trunc, cfg.tol_eigen)
-    rows.append(_row("beurling_isometry_matrix", "matrix norm of the isometry",
-                     1.0, iso.value, 1e-10))
-    rows.append(_row("hardy_d1_profile_u1", "exact ratio 1/6 for the constant profile",
-                     1 / 6, float(spectral.hardy_ratio(1, [1])), 1e-15))
-    return rows
-
-
-def _checks_exact(cfg: RunConfig):
-    rng = random.Random(cfg.seed)
-    n_ok = 0
-    trials = 20
-    for _ in range(trials):
-        phi = _random_exact_poly(rng, 6, 5)
-        if diskalg.norm_sq(transforms.beurling_H(phi)) == diskalg.norm_sq(phi):
-            n_ok += 1
-    rows = [_row_bool("isometry_exact_sample",
-                      f"exact rational norm equality on {trials} seeded polynomials",
-                      n_ok == trials)]
-    ident_ok = 0
-    for _ in range(trials):
-        phi = _random_exact_poly(rng, 6, 5)
-        lhs = transforms.cauchy_P(phi)
-        rhs = -transforms.cauchy_integral(phi) - transforms.j0_op(diskalg.conjugate(phi))
-        if lhs == rhs:
-            ident_ok += 1
-    rows.append(_row_bool("solution_operator_identity",
-                          f"P = -C - J0(conj) on {trials} seeded polynomials",
-                          ident_ok == trials))
-    phi = _random_exact_poly(rng, 6, 5)
-    tphi = transforms.t_hs(phi)
-    worst = 0.0
-    for k in range(64):
-        th = 2 * math.pi * k / 64
-        worst = max(worst, abs(diskalg.evaluate(tphi, complex(math.cos(th), math.sin(th))).real))
-    rows.append(_row("boundary_real_part", "normalized variant vanishes on the circle",
-                     0.0, worst, 1e-12))
-    return rows
-
-
-def _checks_oracle(cfg: RunConfig):
-    z = 0.3 + 0.4j
-    phi = parse_poly("w^2")
-    closed = complex(diskalg.evaluate(transforms.cauchy_integral(phi), z))
-    got = oracle.cauchy_eval(phi, z, cfg.tol_quad, cfg.budget)
-    err = abs(closed - got.value)
-    tol = max(1e-6, 10 * got.err_estimate)
-    rows = [CheckRow("oracle_cauchy_w2", "closed form vs centered-polar quadrature",
-                     repr(closed), repr(got.value), _num(err), _num(tol),
-                     "PASS" if err <= tol else "FAIL")]
-    res = oracle.quad_disk(parse_poly("w*conj(w)"), cfg.tol_quad, cfg.budget)
-    rows.append(_row("oracle_area_moment", "second moment of the disk is 1/2",
-                     0.5, res.value.real, max(1e-8, 10 * res.err_estimate)))
-    lhs, rhs = oracle.angular_parseval_check(0.75, 0.6)
-    rows.append(_row("angular_mean_series", "circle mean vs coefficient series",
-                     rhs, lhs, 1e-8))
-    return rows
-
-
-def _checks_extremal(cfg: RunConfig):
-    rows = []
-    rows.append(_row("pinf_norm", "closed form 8/pi at p = inf",
-                     8 / math.pi, extremal.norm_p_to_inf(math.inf), 1e-12))
-    q = 1.0
-    from .specfun import gamma
-    rows.append(_row("phi_gauss_limit", "comparison function at t = 1, q = 1",
-                     2 * gamma(2 - q) / gamma(2 - q / 2) ** 2, extremal.phi_fn(q, 1.0), 1e-8))
-    rows.append(_row_bool("phi_monotone_q1", "nondecreasing on a 200-point grid",
-                          extremal.monotonicity_scan(1.0, 200)))
-    rows.append(_row("riesz_thorin_endpoint", "interpolation bound at p = inf",
-                     8 / math.pi, extremal.riesz_thorin_bound(math.inf), 1e-12))
-    v1 = extremal.l1_at_zero(5e-6, cfg.budget)
-    rows.append(_row("l1_at_zero_elliptic", "radial elliptic form, reference 2.10441",
-                     2.10441, v1, 5e-4))
-    cx = extremal.counterexample_p2(cfg.budget)
-    rows.append(_row("counterexample_norm", "squared L2 norm equals 2/log 2",
-                     cx["norm_sq_reference"], cx["norm_sq"], 1e-6))
-    rows.append(_row_bool("counterexample_divergence",
-                          "annulus integrals strictly increasing over eps = 1e-1..1e-8",
-                          cx["strictly_increasing"]))
-    return rows
+_TRIALS = 20
 
 
 def run_verify(cfg: RunConfig):
-    rows = []
-    rows.extend(_checks_roots(cfg))
-    rows.extend(_checks_spectral(cfg))
-    rows.extend(_checks_exact(cfg))
-    rows.extend(_checks_oracle(cfg))
-    rows.extend(_checks_extremal(cfg))
-    return rows
+    """The ledger rows in order; alpha, delta, the Bessel zeros and the
+    Galerkin estimates are each computed once and shared between rows."""
+    alpha = spectral.solve_alpha(cfg.tol_eigen if cfg.tol_eigen < 1e-10 else 1e-12)
+    delta = spectral.solve_delta()
+    lam0 = alpha * alpha
+    j = [bessel_zero(d) for d in range(len(_BESSEL_TABLE))]
+    rows = [
+        _row("alpha_root", "norm equation root, 3-decimal value 1.086", 1.086, alpha, 5e-4),
+        _row("alpha_residual", "root-finder postcondition", 0.0,
+             abs(2 * bessel_j(0, 2 / alpha) - alpha * bessel_j(1, 2 / alpha)), 1e-12),
+        _row("delta_root", "auxiliary equation root, 3-decimal value 1.841", 1.841, delta, 5e-4),
+        _row("alpha_delta_consistency", "algebraic identity alpha = 2/delta",
+             2 / delta, alpha, 1e-10),
+        _row("lambda0_value", "squared norm root, 3-decimal value 1.180", 1.180, lam0, 5e-4),
+        _row("fixed_point_Z", "two-component reduction fixed point",
+             lam0, spectral.restricted_Z(lam0), 1e-9),
+        *(_row(f"bessel_zero_j{d}", "first Bessel zero, 4-decimal table", ref, j[d], 5e-5)
+          for d, ref in enumerate(_BESSEL_TABLE)),
+    ]
+
+    if cfg.max_degree >= 10:
+        P = TransformKind.CauchyTransformP
+        est = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree),
+                                     cfg.tol_eigen).value
+        rest = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree, {1}),
+                                      cfg.tol_eigen).value
+        lo, hi = 2 / j[0], math.sqrt(1.5 + 2 / j[1] ** 2)
+        rows += [
+            _row("norm2_galerkin", "L2 norm estimate vs equation root", alpha, est, 1e-3),
+            _row("norm2_restricted_d1", "single-component bound 2/j0", lo, rest, 1e-3),
+            _row_bool("norm2_bracket", f"estimate inside ({lo:.4f}, {hi:.4f})", lo < est < hi),
+        ]
+    else:
+        why = "requires --max-degree >= 10"
+        rows += [_row_report(check_id, reference, why, status="SKIPPED")
+                 for check_id, reference in (
+                     ("norm2_galerkin", "L2 norm estimate vs equation root"),
+                     ("norm2_restricted_d1", "single-component bound 2/j0"),
+                     ("norm2_bracket", "estimate inside the step-3 interval"))]
+    iso = spectral.estimate_norm(TransformKind.BeurlingH,
+                                 spectral.TruncationSpec(min(cfg.max_degree, 8) or 2),
+                                 cfg.tol_eigen)
+
+    rng = random.Random(cfg.seed)
+    samples = [_random_exact_poly(rng, 6, 5) for _ in range(2 * _TRIALS + 1)]
+    isometric = all(diskalg.norm_sq(transforms.beurling_H(phi)) == diskalg.norm_sq(phi)
+                    for phi in samples[:_TRIALS])
+    identity = all(transforms.cauchy_P(phi) == -transforms.cauchy_integral(phi)
+                   - transforms.j0_op(diskalg.conjugate(phi))
+                   for phi in samples[_TRIALS:-1])
+    tphi = transforms.t_hs(samples[-1])
+    boundary = max(abs(diskalg.evaluate(tphi, complex(math.cos(th), math.sin(th))).real)
+                   for th in (2 * math.pi * k / 64 for k in range(64)))
+
+    z = 0.3 + 0.4j
+    w2 = parse_poly("w^2")
+    closed = complex(diskalg.evaluate(transforms.cauchy_integral(w2), z))
+    got = oracle.cauchy_eval(w2, z, cfg.tol_quad, cfg.budget)
+    area = oracle.quad_disk(parse_poly("w*conj(w)"), cfg.tol_quad, cfg.budget)
+    mean, series = oracle.angular_parseval_check(0.75, 0.6)
+    cx = extremal.counterexample_p2(cfg.budget)
+    return rows + [
+        _row("beurling_isometry_matrix", "matrix norm of the isometry", 1.0, iso.value, 1e-10),
+        _row("hardy_d1_profile_u1", "exact ratio 1/6 for the constant profile",
+             1 / 6, float(spectral.hardy_ratio(1, [1])), 1e-15),
+        _row_bool("isometry_exact_sample",
+                  f"exact rational norm equality on {_TRIALS} seeded polynomials", isometric),
+        _row_bool("solution_operator_identity",
+                  f"P = -C - J0(conj) on {_TRIALS} seeded polynomials", identity),
+        _row("boundary_real_part", "normalized variant vanishes on the circle",
+             0.0, boundary, 1e-12),
+        _row("oracle_cauchy_w2", "closed form vs centered-polar quadrature",
+             closed, got.value, max(1e-6, 10 * got.err_estimate)),
+        _row("oracle_area_moment", "second moment of the disk is 1/2",
+             0.5, area.value.real, max(1e-8, 10 * area.err_estimate)),
+        _row("angular_mean_series", "circle mean vs coefficient series", series, mean, 1e-8),
+        _row("pinf_norm", "closed form 8/pi at p = inf",
+             8 / math.pi, extremal.norm_p_to_inf(math.inf), 1e-12),
+        _row("phi_gauss_limit", "comparison function at t = 1, q = 1",
+             2 * gamma(1.0) / gamma(1.5) ** 2, extremal.phi_fn(1.0, 1.0), 1e-8),
+        _row_bool("phi_monotone_q1", "nondecreasing on a 200-point grid",
+                  extremal.monotonicity_scan(1.0, 200)),
+        _row("riesz_thorin_endpoint", "interpolation bound at p = inf",
+             8 / math.pi, extremal.riesz_thorin_bound(math.inf), 1e-12),
+        _row("l1_at_zero_elliptic", "radial elliptic form, reference 2.10441",
+             2.10441, extremal.l1_at_zero(5e-6, cfg.budget), 5e-4),
+        _row("counterexample_norm", "squared L2 norm equals 2/log 2",
+             cx["norm_sq_reference"], cx["norm_sq"], 1e-6),
+        _row_bool("counterexample_divergence",
+                  "annulus integrals strictly increasing over eps = 1e-1..1e-8",
+                  cx["strictly_increasing"]),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -590,25 +548,23 @@ def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> i
                 trunc_dset = frozenset(int(x) for x in d_set_raw.split(","))
             except ValueError:
                 raise ConfigError(f"invalid --d-set {d_set_raw!r}") from None
-        alpha = spectral.solve_alpha()
         est = spectral.estimate_norm(
             TransformKind.CauchyTransformP,
             spectral.TruncationSpec(cfg.max_degree, trunc_dset), cfg.tol_eigen)
-        ref = "full-basis reference value" if trunc_dset is None else "restricted basis (no reference)"
         if trunc_dset is None:
-            rows.append(_row("norm2_estimate", ref, alpha, est.value, 1e-3))
+            rows.append(_row("norm2_estimate", "full-basis reference value",
+                             spectral.solve_alpha(), est.value, 1e-3))
         else:
-            rows.append(CheckRow("norm2_estimate", ref, "", _num(est.value), "", "", "PASS"))
-        rows.append(CheckRow("norm2_residual", "singular-triple residual", "0",
-                             _num(est.residual), _num(est.residual), _num(cfg.tol_eigen),
-                             "PASS" if est.residual <= cfg.tol_eigen else "FAIL"))
+            rows.append(_row_report("norm2_estimate", "restricted basis (no reference)", "",
+                                    est.value))
+        rows.append(_row("norm2_residual", "singular-triple residual",
+                         0, est.residual, cfg.tol_eigen))
     elif kind == "pinf":
         p = _parse_p(p_raw if p_raw is not None else "inf")
         value = extremal.norm_p_to_inf(p)
-        pair = extremal.ExponentPair(p)
+        q = extremal.ExponentPair(p).q
         # independent route: series value at t = 1 instead of the gamma form
-        phi1 = extremal.phi_fn(pair.q, 1.0)
-        check = 2.0 * (phi1 / 2.0) ** (1.0 / pair.q)
+        check = 2.0 * (extremal.phi_fn(q, 1.0) / 2.0) ** (1.0 / q)
         rows.append(_row("pinf_closed_form", "cross-check through the t = 1 series limit",
                          check, value, 1e-8))
         if math.isinf(p):
@@ -617,25 +573,21 @@ def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> i
         grid = _parse_grid(grid_raw if grid_raw is not None else "radial:5")
         ref = extremal.l1_at_zero(5e-6, cfg.budget)
         scan = extremal.l1_integrand_scan(grid, max(cfg.tol_quad, 1e-5), cfg.budget)
-        best = max(range(len(scan)), key=lambda i: scan[i][1])
-        for w, val, err in scan:
-            rows.append(CheckRow(f"l1_F_at_{w.real:g}{w.imag:+g}i",
-                                 "kernel integral by singular quadrature", "",
-                                 _num(val), _num(err), "", "PASS"))
+        rows += [_row_report(f"l1_F_at_{w.real:g}{w.imag:+g}i",
+                             "kernel integral by singular quadrature", "", val, err)
+                 for w, val, err in scan]
         # radial grids always start at the origin
         rows.append(_row("l1_zero_consistency", "scan at w = 0 vs radial elliptic form",
                          ref, scan[0][1], 2e-4))
-        wb = scan[best][0]
-        rows.append(CheckRow("l1_argmax", "supremum location is unproven",
-                             "w = 0 (conjectured)", f"w = {wb.real:g}{wb.imag:+g}i",
-                             "", "", "CONJECTURE"))
+        wb = max(scan, key=lambda s: s[1])[0]
+        rows.append(_row_report("l1_argmax", "supremum location is unproven",
+                                "w = 0 (conjectured)", f"w = {wb.real:g}{wb.imag:+g}i",
+                                status="CONJECTURE"))
     elif kind == "rt":
         p = _parse_p(p_raw if p_raw is not None else "4")
         bound = extremal.riesz_thorin_bound(p)
-        alpha = spectral.solve_alpha()
-        w = 0.0 if math.isinf(p) else 2.0 / p
-        rows.append(_row("riesz_thorin_bound", "interpolation between p = 2 and p = inf",
-                         alpha**w * (8 / math.pi) ** (1 - w), bound, 1e-12))
+        rows.append(_row_bool("riesz_thorin_bound", f"alpha <= {bound!r} <= 8/pi",
+                              spectral.solve_alpha() <= bound <= 8 / math.pi))
     else:
         raise ConfigError(f"unknown norm kind {kind!r}; choose 2, pinf, 1 or rt")
     emit(rows, cfg.fmt, stream)

@@ -10,7 +10,7 @@ operator does not map L2 into bounded functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,18 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExponentPair:
-    """p in (2, inf] with its conjugate q = p/(p-1) in [1, 2)."""
+    """p in (2, inf] with its conjugate q = p/(p-1) in [1, 2), derived from p."""
     p: float
-    q: float = None  # type: ignore[assignment]
+    q: float = field(init=False)
 
     def __post_init__(self):
         if not (self.p > 2):
             raise ValueError("p must exceed 2 (p = inf allowed)")
-        q = 1.0 if math.isinf(self.p) else self.p / (self.p - 1)
-        if self.q is None:
-            object.__setattr__(self, "q", q)
-        elif abs(self.q - q) > 1e-12:
-            raise ValueError("q is not the conjugate exponent of p")
+        object.__setattr__(self, "q", 1.0 if math.isinf(self.p) else self.p / (self.p - 1))
         if not (1 <= self.q < 2):
             raise ValueError("conjugate exponent must lie in [1, 2)")
 

@@ -1,5 +1,5 @@
-"""Special-function kernel: gamma, Bessel J, Bessel zeros, Pochhammer,
-Gauss hypergeometric 2F1 on [0, 1], complete elliptic integral E.
+"""Special-function kernel: gamma, Bessel J, Bessel zeros, Gauss
+hypergeometric 2F1 on [0, 1], complete elliptic integral E.
 
 Everything here is scalar real arithmetic, with no asymptotic expansions.
 Bessel J sums its defining series.  For large argument that series loses
@@ -13,7 +13,7 @@ integer); on the profile parameter sets the relative error against mpmath
 is below 1e-14 except where a long series runs close to x = 1 (see
 hyp2f1).  E and K come from one
 arithmetic-geometric mean loop (see elliptic_e and _agm), with no
-quadrature.  gamma, pochhammer, bessel_j, hyp2f1 and elliptic_e raise
+quadrature.  gamma, bessel_j, hyp2f1 and elliptic_e raise
 DomainError for non-finite input before any iteration.
 """
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "DomainError",
     "SeriesError",
     "gamma",
-    "pochhammer",
     "bessel_j",
     "bessel_zero",
     "hyp2f1",
@@ -67,19 +66,6 @@ def _rgamma(x: float) -> float:
     if x <= 0 and x == math.floor(x):
         return 0.0
     return 1.0 / math.gamma(x)
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1, for
-    finite a and integer n >= 0."""
-    if not math.isfinite(a):
-        raise DomainError(f"pochhammer needs finite a, got {a}")
-    if not (isinstance(n, numbers.Integral) and n >= 0):
-        raise DomainError(f"pochhammer needs an integer n >= 0, got {n!r}")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
 
 
 def bessel_j(alpha: float, x: float) -> float:

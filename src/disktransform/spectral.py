@@ -342,9 +342,12 @@ def restricted_Z(lam: float) -> float:
     return X / Y
 
 
-def _int01_pow_log(a: int, j: int) -> Fraction:
-    """Exact int_0^1 r^a (-log r)^j dr = j! / (a+1)^{j+1} for a > -1."""
-    return Fraction(math.factorial(j), (a + 1) ** (j + 1))
+def _square_int01(f: dict, w: int) -> Fraction:
+    """Exact int_0^1 f(r)^2 r^w dr for f = sum c r^a (-log r)^j given as
+    {(a, j): c}, term by term through int_0^1 r^a (-log r)^j dr =
+    j!/(a+1)^{j+1}, a > -1."""
+    return sum(ci * cj * Fraction(math.factorial(i + j), (a + b + w + 1) ** (i + j + 1))
+               for (a, i), ci in f.items() for (b, j), cj in f.items())
 
 
 def hardy_ratio(d: int, u) -> Fraction:
@@ -354,58 +357,25 @@ def hardy_ratio(d: int, u) -> Fraction:
     d <= 0:  int_0^1 (int_0^r rho^{1-d} u)^2 r^{2d-1} dr / int_0^1 rho u^2
     d >= 1:  same with the inner integral taken from r to 1.
 
-    The d >= 1 inner integral picks up a log term when some exponent
-    1 - d + k hits -1; products of powers and logs integrate exactly via
-    int_0^1 r^a (-log r)^j dr = j!/(a+1)^{j+1}, so the result is rational.
+    The d >= 1 inner integral of rho^{-1} is -log r, so the inner integral
+    is a sum of terms r^a (-log r)^j and the result is rational.
     """
     coeffs = [Fraction(c) for c in u]
     if not any(coeffs):
         raise ValueError("profile must not be identically zero")
-    den = Fraction(0)
-    for k, ck in enumerate(coeffs):
-        for l, cl in enumerate(coeffs):
-            den += ck * cl * Fraction(1, k + l + 2)
-
-    num = Fraction(0)
-    if d <= 0:
-        # inner integral: sum_k u_k r^{2-d+k} / (2-d+k); squared, times r^{2d-1}
-        for k, ck in enumerate(coeffs):
-            for l, cl in enumerate(coeffs):
-                # squared powers give r^{4-2d+k+l}; the weight r^{2d-1}
-                # leaves r^{3+k+l}
-                ek = 2 - d + k
-                el = 2 - d + l
-                num += ck * cl * Fraction(1, ek * el) * Fraction(1, 4 + k + l)
-    else:
-        # inner integral as (powers, log coefficient):
-        #   exponent e = 1 - d + k; e != -1 -> (1 - r^{e+1})/(e+1); e == -1 -> -log r
-        parts = []
-        for k, ck in enumerate(coeffs):
-            e = 1 - d + k
-            if e == -1:
-                parts.append((None, ck))
-            else:
-                parts.append(((e + 1, ck * Fraction(1, e + 1)), None))
-        w = 2 * d - 1
-        for pk, lk in parts:
-            for pl, ll in parts:
-                if pk is not None and pl is not None:
-                    (e1, c1), (e2, c2) = pk, pl
-                    # (c1 - c1 r^{e1})(c2 - c2 r^{e2}) r^w
-                    num += c1 * c2 * (
-                        _int01_pow_log(w, 0) - _int01_pow_log(w + e1, 0)
-                        - _int01_pow_log(w + e2, 0) + _int01_pow_log(w + e1 + e2, 0)
-                    )
-                elif pk is not None and pl is None:
-                    (e1, c1) = pk
-                    # (c1 - c1 r^{e1}) * ll (-log r) * r^w
-                    num += c1 * ll * (_int01_pow_log(w, 1) - _int01_pow_log(w + e1, 1))
-                elif pk is None and pl is not None:
-                    (e2, c2) = pl
-                    num += lk * c2 * (_int01_pow_log(w, 1) - _int01_pow_log(w + e2, 1))
-                else:
-                    num += lk * ll * _int01_pow_log(w, 2)
-    return num / den
+    inner: dict = {}  # (power of r, power of -log r) -> coefficient
+    for k, c in enumerate(coeffs):
+        e = 1 - d + k  # the inner integrand's power of rho
+        if d <= 0:
+            terms = {(e + 1, 0): c / (e + 1)}
+        elif e == -1:
+            terms = {(0, 1): c}
+        else:
+            terms = {(0, 0): c / (e + 1), (e + 1, 0): -c / (e + 1)}
+        for key, v in terms.items():
+            inner[key] = inner.get(key, 0) + v
+    profile = {(k, 0): c for k, c in enumerate(coeffs)}
+    return _square_int01(inner, 2 * d - 1) / _square_int01(profile, 1)
 
 
 def extremal_phi0_ratio(degree: int) -> float:

@@ -187,6 +187,36 @@ def test_verify_low_degree_skips(capsys):
     assert all(s in ("PASS", "SKIPPED") for s in status.values())
 
 
+VERIFY_IDS = [
+    "alpha_root", "alpha_residual", "delta_root", "alpha_delta_consistency",
+    "lambda0_value", "fixed_point_Z", "bessel_zero_j0", "bessel_zero_j1",
+    "bessel_zero_j2", "bessel_zero_j3", "bessel_zero_j4", "norm2_galerkin",
+    "norm2_restricted_d1", "norm2_bracket", "beurling_isometry_matrix",
+    "hardy_d1_profile_u1", "isometry_exact_sample", "solution_operator_identity",
+    "boundary_real_part", "oracle_cauchy_w2", "oracle_area_moment",
+    "angular_mean_series", "pinf_norm", "phi_gauss_limit", "phi_monotone_q1",
+    "riesz_thorin_endpoint", "l1_at_zero_elliptic", "counterexample_norm",
+    "counterexample_divergence",
+]
+
+
+def test_verify_ledger_order(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["check_id"] for r in rows] == VERIFY_IDS
+    assert {r["status"] for r in rows} == {"PASS"}
+
+
+def test_verify_low_degree_skipped_ids(capsys):
+    code, out, _ = run(capsys, "verify", "--max-degree", "4", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["check_id"] for r in rows] == VERIFY_IDS
+    skipped = {r["check_id"] for r in rows if r["status"] == "SKIPPED"}
+    assert skipped == {"norm2_galerkin", "norm2_restricted_d1", "norm2_bracket"}
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--max-degree", "4", "--format", "json")
     assert code == 0

@@ -36,8 +36,8 @@ def test_exponent_pair_rejects():
         ExponentPair(2.0)
     with pytest.raises(ValueError):
         ExponentPair(1.5)
-    with pytest.raises(ValueError):
-        ExponentPair(4.0, q=1.5)  # not the conjugate
+    with pytest.raises(TypeError):
+        ExponentPair(4.0, q=1.5)  # q is derived from p, never passed
 
 
 def test_phi_at_zero():

@@ -22,7 +22,6 @@ from disktransform.specfun import (
     elliptic_e_series,
     gamma,
     hyp2f1,
-    pochhammer,
 )
 
 # First positive zeros of J_0..J_4, 4-decimal reference table.
@@ -51,12 +50,6 @@ def test_gamma_pole():
         gamma(0.0)
     with pytest.raises(DomainError):
         gamma(-2.0)
-
-
-def test_pochhammer():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(3.0, 4) == 3 * 4 * 5 * 6
-    assert abs(pochhammer(0.5, 3) - 0.5 * 1.5 * 2.5) < 1e-15
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
@@ -133,7 +126,6 @@ def test_bessel_fractional_order_large_argument_rejected():
     pytest.param(gamma, (math.nan,), id="gamma-nan"),
     pytest.param(gamma, (math.inf,), id="gamma-inf"),
     pytest.param(gamma, (-math.inf,), id="gamma-minus-inf"),
-    pytest.param(pochhammer, (math.nan, 3), id="pochhammer-nan"),
 ])
 def test_bessel_non_finite_rejected(fn, args):
     # a NaN once ran a series or a quadrature through all its iterations
@@ -146,15 +138,12 @@ def test_bessel_non_finite_rejected(fn, args):
 
 
 @pytest.mark.parametrize("fn,args", [
-    pytest.param(pochhammer, (1.5, 2.5), id="pochhammer-n-2.5"),
-    pytest.param(pochhammer, (1.5, -1), id="pochhammer-n-minus-1"),
     pytest.param(bessel_zero, (2.5,), id="bessel_zero-2.5"),
     pytest.param(bessel_zero, (3, math.inf), id="bessel_zero-tol-inf"),
     pytest.param(bessel_zero, (3, math.nan), id="bessel_zero-tol-nan"),
 ])
 def test_specfun_bad_arguments_rejected(fn, args):
-    # without the check, pochhammer(1.5, 2.5) fails with range()'s TypeError
-    # and bessel_zero(2.5) returns the zero of J_2.5
+    # without the check, bessel_zero(2.5) returns the zero of J_2.5
     with pytest.raises(DomainError):
         fn(*args)
 

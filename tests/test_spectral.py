@@ -80,10 +80,14 @@ def test_hardy_examples_exact():
 
 
 def test_hardy_log_case_is_rational():
-    # d = 2 with constant profile hits the 1/r inner integrand (log term)
+    # d = 2 with constant profile hits the 1/r inner integrand (log term):
+    # int_0^1 log(r)^2 r^3 dr / int_0^1 r dr = (2/4^3) / (1/2)
     v = hardy_ratio(2, [1])
     assert isinstance(v, Fraction)
-    assert 0 < v < Fraction(1, 10)
+    assert v == Fraction(1, 16)
+    # d = 3: rho^2 integrates to the power 1 - r, rho to the log term
+    assert hardy_ratio(3, [0, 0, 1]) == Fraction(1, 28)
+    assert hardy_ratio(3, [0, 1]) == Fraction(1, 27)
 
 
 def test_hardy_rejects_zero_profile():
