@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "ExactScalar",
@@ -39,69 +39,93 @@ _HALF_WORD = 1 << (sys.hash_info.width - 1)  # hashes lie in [-_HALF_WORD, _HALF
 
 
 class ExactScalar:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as (a + b i) / d over Python ints, with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal fields and the arithmetic
+    builds no Fraction.  re and im are read-only Fraction views."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        # a Fraction part is kept as it is: it is immutable and already exact
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            x = re if type(re) is Fraction else Fraction(re)
+            y = im if type(im) is Fraction else Fraction(im)
+            # each part is in lowest terms, so over the lcm of the two
+            # denominators the three fields have no common factor
+            p, q = x.denominator, y.denominator
+            d = lcm(p, q)
+            a, b = x.numerator * (d // p), y.numerator * (d // q)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("ExactScalar is immutable")
 
-    @staticmethod
-    def _coerce(x) -> "ExactScalar | None":
-        if isinstance(x, ExactScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ExactScalar(x)
-        return None
+    __delattr__ = __setattr__
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def scaled(self, p: int, q: int) -> "ExactScalar":
+        """(p/q) * self for ints p and q, without building a Fraction."""
+        if q <= 0:
+            if not q:
+                raise ZeroDivisionError(f"ExactScalar scaled by {p}/0")
+            p, q = -p, -q
+        return _reduced(self._a * p, self._b * p, self._d * q)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactScalar(self.re + o.re, self.im + o.im)
+        o = _fields(other)
+        return NotImplemented if o is None else _sum(self._a, self._b, self._d, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _fields(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(self.re - o.re, self.im - o.im)
+        return _sum(self._a, self._b, self._d, -o[0], -o[1], o[2])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactScalar(o.re - self.re, o.im - self.im)
+        o = _fields(other)
+        return NotImplemented if o is None else _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.re * other, self.im * other)
-        if isinstance(other, ExactScalar):
-            return ExactScalar(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
-        return NotImplemented
+        o = _fields(other)
+        if o is None:
+            return NotImplemented
+        c, e, f = o
+        a, b = self._a, self._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExactScalar(self.re / other, self.im / other)
-        if isinstance(other, ExactScalar):
-            d = other.re * other.re + other.im * other.im
-            return self * ExactScalar(other.re / d, -other.im / d)
-        return NotImplemented
+        o = _fields(other)
+        if o is None:
+            return NotImplemented
+        # x / y = x conj(y) / |y|^2
+        c, e, f = o
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("ExactScalar division by zero")
+        a, b = self._a, self._b
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _exact(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _exact(self._a, -self._b, self._d)
 
     def __eq__(self, other):
         """Exact against every number type: a float or complex compares by
@@ -109,10 +133,8 @@ class ExactScalar:
         Equality is therefore transitive and agrees with __hash__."""
         if isinstance(other, (float, complex)):
             return self.re == other.real and self.im == other.imag
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        o = _fields(other)
+        return NotImplemented if o is None else (self._a, self._b, self._d) == o
 
     def __hash__(self):
         """Equal to the hash of the equal Fraction, int, float or complex.
@@ -121,19 +143,57 @@ class ExactScalar:
         does, wrapped to the signed machine word, so no part is converted to
         float and a part beyond the float range hashes too.  hash() itself
         takes a result of -1 to -2, as the complex hash does."""
-        if not self.im:
+        if not self._b:
             return hash(self.re)
         h = hash(self.re) + sys.hash_info.imag * hash(self.im)
         return (h + _HALF_WORD) % (2 * _HALF_WORD) - _HALF_WORD
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"ExactScalar({self.re!r}, {self.im!r})"
+
+
+_set_a, _set_b, _set_d = (s.__set__ for s in (ExactScalar._a, ExactScalar._b, ExactScalar._d))
+_new = object.__new__
+
+
+def _exact(a: int, b: int, d: int) -> ExactScalar:
+    """The ExactScalar (a + b i)/d, whose fields are already in normal form."""
+    s = _new(ExactScalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> ExactScalar:
+    """The ExactScalar (a + b i)/d for d > 0, brought to normal form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _exact(a // g, b // g, d // g)
+    return _exact(a, b, d)
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> ExactScalar:
+    """(a + b i)/d + (c + e i)/f in normal form."""
+    return _reduced(a * f + c * d, b * f + e * d, d * f)
+
+
+def _fields(x) -> tuple[int, int, int] | None:
+    """The normal-form fields (a, b, d) of an ExactScalar, int or Fraction;
+    None for any other type, float and complex included."""
+    if isinstance(x, ExactScalar):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 class DiskPolynomial:
@@ -145,14 +205,17 @@ class DiskPolynomial:
     def __init__(self, coeffs: dict | None = None):
         clean = {}
         for (m, n), a in (coeffs or {}).items():
-            if m < 0 or n < 0 or m != int(m) or n != int(n):
-                raise ValueError(f"bad monomial key ({m}, {n})")
-            e = ExactScalar._coerce(a)
-            if e is None:
-                raise TypeError(f"coefficient {a!r} of ({m}, {n}) is not "
-                                "an ExactScalar, int or Fraction")
-            if e:
-                clean[(int(m), int(n))] = e
+            if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+                if m < 0 or n < 0 or m != int(m) or n != int(n):
+                    raise ValueError(f"bad monomial key ({m}, {n})")
+                m, n = int(m), int(n)
+            if not isinstance(a, ExactScalar):
+                if not isinstance(a, (int, Fraction)):
+                    raise TypeError(f"coefficient {a!r} of ({m}, {n}) is not "
+                                    "an ExactScalar, int or Fraction")
+                a = ExactScalar(a)
+            if a:
+                clean[(m, n)] = a
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, *_):
@@ -167,9 +230,7 @@ class DiskPolynomial:
     def __eq__(self, other):
         if not isinstance(other, DiskPolynomial):
             return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -225,26 +286,43 @@ def decompose(phi: DiskPolynomial) -> list[AngularComponent]:
     return [AngularComponent(d, b) for d, b in sorted(_sectors(phi).items())]
 
 
-def _sector_norm_sq(d: int, b: dict) -> Fraction:
-    """sum_{n,l} Re(b_n conj(b_l)) / (n+l+d+1) for one angular degree d.
+def _scaled_sectors(coeffs: dict) -> tuple[int, dict[int, list]]:
+    """The common denominator q of the coefficients {(m, n): a}, and the
+    coefficients by angular degree, {d: [(n, x, y)]} with x + y i = q a for
+    the monomial z^{n+d} zbar^n."""
+    q = lcm(*(a._d for a in coeffs.values()))
+    out: dict[int, list] = {}
+    for (m, n), a in coeffs.items():
+        k = q // a._d
+        out.setdefault(m - n, []).append((n, a._a * k, a._b * k))
+    return q, out
+
+
+def _sum_over_w(by_w: dict) -> tuple[int, int]:
+    """sum_w by_w[w] / w as (numerator, denominator)."""
+    den = lcm(*by_w)
+    return sum(s * (den // w) for w, s in by_w.items()), den
+
+
+def _norm_sq(coeffs: dict) -> Fraction:
+    """sum over d of sum_{n,l} Re(b_n conj(b_l)) / (n+l+d+1), where b_n is
+    the coefficient of z^{n+d} zbar^n.
 
     Each diagonal term is taken once and each off-diagonal pair once,
-    doubled.  The sums run in integers: every part is scaled to the common
-    denominator q of the parts, the terms are gathered by their divisor
+    doubled.  The sums run in integers: every coefficient is scaled to the
+    common denominator q, the terms are gathered by their divisor
     w = n+l+d+1, and one Fraction is formed at the end."""
-    q = lcm(*(a.re.denominator for a in b.values()),
-            *(a.im.denominator for a in b.values()))
-    terms = [(n, a.re.numerator * (q // a.re.denominator),
-              a.im.numerator * (q // a.im.denominator)) for n, a in b.items()]
+    q, sectors = _scaled_sectors(coeffs)
     by_w: dict[int, int] = {}
-    for i, (n, x, y) in enumerate(terms):
-        w = 2 * n + d + 1
-        by_w[w] = by_w.get(w, 0) + x * x + y * y
-        for l, u, v in terms[i + 1:]:
-            w = n + l + d + 1
-            by_w[w] = by_w.get(w, 0) + 2 * (x * u + y * v)
-    den = lcm(*by_w)
-    return Fraction(sum(s * (den // w) for w, s in by_w.items()), den * q * q)
+    for d, terms in sectors.items():
+        for i, (n, x, y) in enumerate(terms):
+            w = 2 * n + d + 1
+            by_w[w] = by_w.get(w, 0) + x * x + y * y
+            for l, u, v in terms[i + 1:]:
+                w = n + l + d + 1
+                by_w[w] = by_w.get(w, 0) + 2 * (x * u + y * v)
+    num, den = _sum_over_w(by_w)
+    return Fraction(num, den * q * q)
 
 
 def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
@@ -252,28 +330,32 @@ def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
 
     Only monomials of equal angular degree d = m - n meet, since
     <z^{n+d} zbar^n, z^{l+d} zbar^l> = 1/(n+l+d+1) and distinct degrees are
-    orthogonal; so the sum runs over the pairs within each degree."""
-    theirs = _sectors(psi)
-    re = im = Fraction(0)
-    for d, b in _sectors(phi).items():
-        c = theirs.get(d, {})
-        for n, a in b.items():
-            for l, e in c.items():
+    orthogonal; so the sum runs over the pairs within each degree, in
+    integers over the common denominators of phi and psi."""
+    q, ours = _scaled_sectors(phi.coeffs)
+    r, theirs = _scaled_sectors(psi.coeffs)
+    re_w: dict[int, int] = {}
+    im_w: dict[int, int] = {}
+    for d, terms in ours.items():
+        for n, x, y in terms:
+            for l, u, v in theirs.get(d, ()):
                 w = n + l + d + 1
-                re += (a.re * e.re + a.im * e.im) / w
-                im += (a.im * e.re - a.re * e.im) / w
-    return ExactScalar(re, im)
+                re_w[w] = re_w.get(w, 0) + x * u + y * v
+                im_w[w] = im_w.get(w, 0) + y * u - x * v
+    re, den = _sum_over_w(re_w)
+    im, _ = _sum_over_w(im_w)
+    return _reduced(re, im, den * q * r)
 
 
 def norm_sq(phi: DiskPolynomial) -> Fraction:
     """Squared L2 norm, exact: the sum of the angular_norm_sq of its
-    angular components."""
-    return sum((_sector_norm_sq(d, b) for d, b in _sectors(phi).items()), Fraction(0))
+    angular components, which are orthogonal."""
+    return _norm_sq(phi.coeffs)
 
 
 def angular_norm_sq(g: AngularComponent) -> Fraction:
     """Closed radial form: ||g_d||^2 = sum_{n,l} b_n conj(b_l) / (n+l+d+1)."""
-    return _sector_norm_sq(g.d, g.b)
+    return _norm_sq(g.to_polynomial().coeffs)
 
 
 def evaluate(phi: DiskPolynomial, z):

@@ -135,9 +135,10 @@ def riesz_thorin_bound(p: float) -> float:
     (endpoints: the L2 norm root at p = 2, 8/pi at p = inf)."""
     if not (p >= 2):
         raise ValueError("p must be >= 2")
-    alpha = solve_alpha()
-    w = 0.0 if math.isinf(p) else 2.0 / p
-    return alpha**w * (8.0 / math.pi) ** (1.0 - w)
+    if math.isinf(p):
+        return 8.0 / math.pi  # the weight of alpha is 0: no root to solve
+    w = 2.0 / p
+    return solve_alpha() ** w * (8.0 / math.pi) ** (1.0 - w)
 
 
 _R_CLAMP = 1.0 - 1e-8

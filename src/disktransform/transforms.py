@@ -18,7 +18,6 @@ variant normalized to also have Im T[f](0) = 0.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .diskalg import AngularComponent, DiskPolynomial
 
@@ -61,12 +60,9 @@ def cauchy_integral(phi: DiskPolynomial) -> DiskPolynomial:
     -a z^m zbar^{n+1} / (n+1) otherwise."""
     out: dict = {}
     for (m, n), a in phi.items():
-        c = Fraction(1, n + 1)
         if m - n >= 1:
-            _accumulate(out, (m - n - 1, 0), a * c)
-            _accumulate(out, (m, n + 1), a * -c)
-        else:
-            _accumulate(out, (m, n + 1), a * -c)
+            _accumulate(out, (m - n - 1, 0), a.scaled(1, n + 1))
+        _accumulate(out, (m, n + 1), a.scaled(-1, n + 1))
     return DiskPolynomial(out)
 
 
@@ -75,7 +71,7 @@ def j0_op(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (m, n), a in phi.items():
         if m >= n:
-            _accumulate(out, (m - n + 1, 0), a * Fraction(1, m + 1))
+            _accumulate(out, (m - n + 1, 0), a.scaled(1, m + 1))
     return DiskPolynomial(out)
 
 
@@ -88,7 +84,7 @@ def j0_op_conj(g: AngularComponent) -> DiskPolynomial:
     for n, b in g.b.items():
         m = n + g.d
         if m <= n:
-            _accumulate(out, (1 + n - m, 0), b.conjugate() * Fraction(1, n + 1))
+            _accumulate(out, (1 + n - m, 0), b.conjugate().scaled(1, n + 1))
     return DiskPolynomial(out)
 
 
@@ -102,7 +98,7 @@ def j0_star(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (m, n), a in phi.items():
         if m >= n + 1:
-            _accumulate(out, (m - n - 1, 0), a * Fraction(1, m + 1))
+            _accumulate(out, (m - n - 1, 0), a.scaled(1, m + 1))
     return DiskPolynomial(out)
 
 
@@ -114,13 +110,12 @@ def cauchy_P(phi: DiskPolynomial) -> DiskPolynomial:
     """
     out: dict = {}
     for (m, n), a in phi.items():
-        c = Fraction(1, n + 1)
         if m - n >= 1:
-            _accumulate(out, (m - n - 1, 0), a * -c)
-            _accumulate(out, (m, n + 1), a * c)
+            _accumulate(out, (m - n - 1, 0), a.scaled(-1, n + 1))
+            _accumulate(out, (m, n + 1), a.scaled(1, n + 1))
         else:
-            _accumulate(out, (m, n + 1), a * c)
-            _accumulate(out, (1 + n - m, 0), a.conjugate() * -c)
+            _accumulate(out, (m, n + 1), a.scaled(1, n + 1))
+            _accumulate(out, (1 + n - m, 0), a.conjugate().scaled(-1, n + 1))
     return DiskPolynomial(out)
 
 
@@ -133,9 +128,9 @@ def beurling_S(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (m, n), a in phi.items():
         if m >= 1:
-            _accumulate(out, (m - 1, n + 1), a * Fraction(m, n + 1))
+            _accumulate(out, (m - 1, n + 1), a.scaled(m, n + 1))
         if m - n > 1:
-            _accumulate(out, (m - n - 2, 0), a * -Fraction(m - n - 1, n + 1))
+            _accumulate(out, (m - n - 2, 0), a.scaled(n + 1 - m, n + 1))
     return DiskPolynomial(out)
 
 
@@ -145,7 +140,7 @@ def bergman_B(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (p, q), a in phi.items():
         if p >= q:
-            _accumulate(out, (p - q, 0), a * Fraction(p - q + 1, p + 1))
+            _accumulate(out, (p - q, 0), a.scaled(p - q + 1, p + 1))
     return DiskPolynomial(out)
 
 
@@ -158,11 +153,11 @@ def beurling_H(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (m, n), a in phi.items():
         if m >= 1:
-            _accumulate(out, (m - 1, n + 1), a * Fraction(m, n + 1))
+            _accumulate(out, (m - 1, n + 1), a.scaled(m, n + 1))
         if m - n > 1:
-            _accumulate(out, (m - n - 2, 0), a * -Fraction(m - n - 1, n + 1))
+            _accumulate(out, (m - n - 2, 0), a.scaled(n + 1 - m, n + 1))
         elif 1 - m + n > 0:
-            _accumulate(out, (n - m, 0), a.conjugate() * -Fraction(1 - m + n, n + 1))
+            _accumulate(out, (n - m, 0), a.conjugate().scaled(m - n - 1, n + 1))
     return DiskPolynomial(out)
 
 
@@ -180,14 +175,14 @@ def radial_P_gd(g: AngularComponent) -> DiskPolynomial:
     out: dict = {}
     d = g.d
     for n, b in g.b.items():
-        c = Fraction(1, 2 * n + 2)  # int rho^{2n+1} = rho^{2n+2} / (2n+2)
+        # int rho^{2n+1} = rho^{2n+2} / (2n+2), and 2 / (2n+2) = 1 / (n+1)
         if d >= 1:
-            # -2 z^{d-1} (1 - |z|^{2n+2}) c
-            _accumulate(out, (d - 1, 0), b * (-2 * c))
-            _accumulate(out, (n + d, n + 1), b * (2 * c))
+            # -2 z^{d-1} (1 - |z|^{2n+2}) / (2n+2)
+            _accumulate(out, (d - 1, 0), b.scaled(-1, n + 1))
+            _accumulate(out, (n + d, n + 1), b.scaled(1, n + 1))
         else:
-            _accumulate(out, (n + d, n + 1), b * (2 * c))
-            _accumulate(out, (1 - d, 0), b.conjugate() * (-2 * c))
+            _accumulate(out, (n + d, n + 1), b.scaled(1, n + 1))
+            _accumulate(out, (1 - d, 0), b.conjugate().scaled(-1, n + 1))
     return DiskPolynomial(out)
 
 
@@ -204,7 +199,7 @@ def t_hs(phi: DiskPolynomial) -> DiskPolynomial:
     out = dict(cauchy_P(phi).coeffs)
     for (m, n), a in phi.items():
         if m == n + 1:
-            corr = (a - a.conjugate()) * Fraction(1, 2 * m)
+            corr = (a - a.conjugate()).scaled(1, 2 * m)
             _accumulate(out, (0, 0), corr)
     return DiskPolynomial(out)
 

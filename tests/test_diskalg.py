@@ -1,3 +1,5 @@
+import math
+import random
 import sys
 from fractions import Fraction
 
@@ -51,7 +53,9 @@ def test_exact_scalar_immutable():
 def test_exact_scalar_keeps_fraction_parts():
     f, g = Fraction(2, 7), Fraction(-5, 3)
     a = ExactScalar(f, g)
-    assert a.re is f and a.im is g
+    assert a.re == f and a.im == g
+    assert type(a.re) is Fraction and type(a.im) is Fraction
+    assert (a._a, a._b, a._d) == (6, -35, 21)  # (2/7 - 5/3 i) = (6 - 35 i)/21
     assert a == ExactScalar(Fraction(f), Fraction(g)) == ExactScalar("2/7", "-5/3")
     b = ExactScalar(3)
     assert type(b.re) is Fraction and type(b.im) is Fraction and b.re == 3
@@ -233,6 +237,102 @@ def test_exact_scalar_hash_beyond_float_range():
     assert hash(R) == 5
     assert hash(ExactScalar(R, 1)) == hash(complex(5, 1))
     assert hash(ExactScalar(1, Fraction(1, R))) == hash(ExactScalar(1, Fraction(1, 5)))
+
+
+def _random_part(rng) -> Fraction:
+    """Zero, small rationals, dyadic rationals (exact as floats), and parts
+    with denominators up to 1e12 or numerators beyond the float range."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == 2:
+        return Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** rng.randint(0, 30))
+    if kind == 3:
+        return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+    if kind == 4:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(10 ** 309, 10 ** 400),
+                        rng.randint(1, 10 ** 12))
+    return Fraction(rng.randint(-50, 50))
+
+
+def _pair_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pair_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def _check_exact(got, pair):
+    assert type(got) is ExactScalar
+    assert (got.re, got.im) == pair
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    # normal form: equal values have equal fields
+    assert got._d > 0 and math.gcd(got._a, got._b, got._d) == 1
+
+
+def _float_pair(pair):
+    try:
+        return float(pair[0]), float(pair[1])
+    except OverflowError:
+        return None
+
+
+def test_exact_scalar_matches_fraction_pair_reference():
+    rng = random.Random(20240613)
+    values = [(Fraction(0), Fraction(0))] + [(_random_part(rng), _random_part(rng))
+                                             for _ in range(299)]
+    for re, im in values:
+        x = ExactScalar(re, im)
+        xp = (re, im)
+        _check_exact(x, xp)
+        _check_exact(-x, (-re, -im))
+        _check_exact(x.conjugate(), (re, -im))
+        assert bool(x) == bool(re or im)
+        assert (x == re) == (im == 0) and (x == ExactScalar(re, im))
+        if im == 0:
+            assert hash(x) == hash(re)
+            if re.denominator == 1:
+                assert x == int(re) and hash(x) == hash(int(re))
+        floats = _float_pair(xp)
+        if floats is None:
+            with pytest.raises(OverflowError):
+                complex(x)
+        else:
+            assert complex(x) == complex(*floats)
+            exact = Fraction(floats[0]) == re and Fraction(floats[1]) == im
+            assert (x == complex(*floats)) == exact
+            if exact:
+                assert hash(x) == hash(complex(*floats))
+        # operands: another value, an int and a Fraction
+        yp = rng.choice(values)
+        k = rng.choice((0, 1, -1, rng.randint(-10 ** 15, 10 ** 15)))
+        f = _random_part(rng)
+        for other, op in ((ExactScalar(*yp), yp), (k, (Fraction(k), Fraction(0))),
+                          (f, (f, Fraction(0)))):
+            _check_exact(x + other, (re + op[0], im + op[1]))
+            _check_exact(other + x, (re + op[0], im + op[1]))
+            _check_exact(x - other, (re - op[0], im - op[1]))
+            _check_exact(other - x, (op[0] - re, op[1] - im))
+            _check_exact(x * other, _pair_mul(xp, op))
+            _check_exact(other * x, _pair_mul(xp, op))
+            if op == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    x / other
+            else:
+                _check_exact(x / other, _pair_div(xp, op))
+            assert (x == other) == (xp == op)
+            assert (x == other) <= (hash(x) == hash(other))
+        p, q = rng.randint(-30, 30), rng.choice((-1, 1)) * rng.randint(1, 30)
+        _check_exact(x.scaled(p, q), (re * p / q, im * p / q))
+        with pytest.raises(ZeroDivisionError):
+            x.scaled(p, 0)
+        for zero in (0, Fraction(0), ExactScalar(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
 
 
 def _inner_cases(rng) -> list[DiskPolynomial]:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from disktransform import specfun
+from disktransform import specfun, spectral
 from disktransform.extremal import (
     ExponentPair,
     counterexample_p2,
@@ -139,6 +139,18 @@ def test_riesz_thorin_endpoints():
     # interior: geometric interpolation at p = 4
     mid = math.sqrt(solve_alpha() * EIGHT_OVER_PI)
     assert abs(riesz_thorin_bound(4.0) - mid) < 1e-13
+
+
+def test_riesz_thorin_at_infinity_solves_no_alpha(monkeypatch):
+    # alpha**0 * (8/pi)**1 of the general formula, bit for bit
+    expected = solve_alpha() ** 0.0 * EIGHT_OVER_PI ** 1.0
+    calls = []
+    bisect = spectral._bisect
+    monkeypatch.setattr(spectral, "_bisect", lambda *a, **k: calls.append(a) or bisect(*a, **k))
+    assert riesz_thorin_bound(math.inf) == expected
+    assert calls == []
+    riesz_thorin_bound(4.0)
+    assert len(calls) == 1
 
 
 def test_riesz_thorin_rejects_small_p():
