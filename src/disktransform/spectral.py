@@ -13,9 +13,11 @@ of the truncated input space.  On a sector the monomial rules of P and H are
 radial forms in t = |z|^2 (multiplications, Volterra and Hardy integrals and
 one rank-one functional), so estimate_norm evaluates them by Gauss-Legendre
 quadrature and assembles the Galerkin blocks between orthonormal bases
-directly in float64, one coupled sector pair at a time, with no Gram matrix
-and no rational arithmetic.  The Galerkin value is the largest singular
-value over the blocks.
+directly in float64, with no Gram matrix and no rational arithmetic.  Each
+radial form is evaluated for a batch of sectors in one recurrence, and the
+real and imaginary blocks of a coupled sector pair are mirrors with the same
+singular values, so one block per pair is decomposed.  The Galerkin value is
+the largest singular value over the blocks.
 
 Root-finders for the two transcendental norm equations and the exact
 weighted Hardy-type ratio checks live here as well.
@@ -61,23 +63,34 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class NormEstimate:
+    """A Galerkin value, the residual of its singular triple, and whether
+    the top singular value is numerically multiple.  Every realified P or H
+    block is one of a mirror pair (see _blocks), so degenerate is True for
+    every nonzero P or H estimate by construction."""
     value: float
     truncation: TruncationSpec
     residual: float
-    degenerate: bool = False  # top singular value numerically multiple
+    degenerate: bool = False
 
     def __post_init__(self):
         if self.value < 0 or self.residual < 0:
             raise ValueError("value and residual must be >= 0")
 
 
-def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimate:
+def _top_singular(blocks, tol: float, truncation: TruncationSpec,
+                  mirrored: bool = False) -> NormEstimate:
     """Largest singular value over float blocks, one direct SVD each.
 
-    The residual ||B v - s u|| of the winning singular triple is reported
-    and must meet tol.  Among the two largest singular values of each block,
-    the runner-up overall within 1e-10 of the winner marks the estimate
-    degenerate.
+    A block whose Frobenius norm, which bounds its largest singular value,
+    is more than 1e-10 below the best so far is skipped: it can neither win
+    nor tie.  With mirrored, every block B stands for itself and its mirror
+    R B C, where R and C are diagonal matrices of signs.  Both are
+    orthogonal, so the mirror has exactly B's singular values, and they
+    count twice; every realified P or H block is such a pair.  The residual
+    ||B v - s u|| of the winning singular triple is reported and must meet
+    tol.  Among the two largest singular values of each block, the runner-up
+    overall within 1e-10 of the winner marks the estimate degenerate, so a
+    nonzero estimate over mirrored blocks is degenerate by construction.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -85,8 +98,11 @@ def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimat
     best = 0.0
     best_block = None
     for B in blocks:
+        if np.linalg.norm(B) < best - 1e-10:
+            continue
         svals = np.linalg.svd(B, compute_uv=False) if B.any() else [0.0]
-        top_two = sorted([*top_two, *map(float, svals[:2])], reverse=True)[:2]
+        top = [float(v) for v in svals[:2]] * (1 + mirrored)
+        top_two = sorted([*top_two, *top], reverse=True)[:2]
         if svals[0] > best:
             best = float(svals[0])
             best_block = B
@@ -102,41 +118,71 @@ def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimat
                         degenerate=degenerate)
 
 
-def _disk_polys(kmax: int, beta: int, t: np.ndarray, deriv: bool = False) -> np.ndarray:
+def _disk_polys(kmax: int, beta, t: np.ndarray, deriv: bool = False,
+                w: Optional[np.ndarray] = None) -> np.ndarray:
     """Radial disk polynomials psi_k(t) = sqrt(2k+beta+1) P_k^(0,beta)(2t-1)
     for k = 0..kmax, stacked on a new last axis after t's shape, or with
     deriv their derivatives psi_k'(t).  They are orthonormal on [0, 1] under
     the weight t^beta, so the functions psi_k(|z|^2) |z|^|d| e^{i d theta}
     with beta = |d| are an orthonormal basis of sector d.  Jacobi three-term
     recurrence, DLMF 18.9.1 with alpha = 0, differentiated term by term for
-    psi'; P_1 is written out because the n = 0 step divides by beta."""
+    psi'; P_1 is written out because the n = 0 step divides by beta.
+
+    beta is an int or a 1-D array of ints; an array runs all its weights in
+    one recurrence on a new leading axis, from step coefficients tabulated
+    once.  With w, given on t's last axis (and optionally on beta's), each
+    step is summed against w over t's last axis as soon as it is made, so
+    that axis is dropped from the result and no more than two steps are
+    held.
+    """
+    beta = np.asarray(beta)
+    bt = beta.reshape(beta.shape + t.ndim * (1,))
     x = 2.0 * t - 1.0
-    P = np.empty(t.shape + (kmax + 1,))
-    dP = np.zeros_like(P) if deriv else None  # d/dx
-    P[..., 0] = 1.0
+    P1 = 1.0 + 0.5 * (bt + 2) * (x - 1.0)
+    P0 = np.ones(P1.shape)
+    if deriv:  # d/dx
+        dP0 = np.zeros(P1.shape)
+        dP1 = dP0 + 0.5 * (bt + 2)
+    out = np.empty((P1.shape if w is None else P1.shape[:-1]) + (kmax + 1,))
+    if w is not None:
+        w = w[..., None]
+
+    def keep(k, p):
+        if w is None:
+            out[..., k] = p
+        else:
+            np.matmul(p, w, out=out[..., k:k + 1])
+
+    keep(0, dP0 if deriv else P0)
     if kmax >= 1:
-        P[..., 1] = 1.0 + 0.5 * (beta + 2) * (x - 1.0)
+        keep(1, dP1 if deriv else P1)
+    # steps n = 1..kmax-1: numerators and denominators are integers, exact
+    # in float64, so each quotient is rounded once, as in scalar arithmetic
+    n = np.arange(1.0, kmax).reshape((-1,) + bt.ndim * (1,))
+    nb = n + bt
+    s = n + nb
+    s1, s2 = s + 1.0, s + 2.0
+    den = (n + 1.0) * (nb + 1.0) * s
+    steps = zip(s * s1 * s2 / (den + den), -(bt * bt) * s1 / (den + den), n * nb * s2 / den)
+    for k, (a, b, c) in enumerate(steps, 2):
+        ax_b = a * x + b
         if deriv:
-            dP[..., 1] = 0.5 * (beta + 2)
-    for n in range(1, kmax):
-        s = 2 * n + beta
-        a = (s + 1) * (s + 2) / (2 * (n + 1) * (n + beta + 1))
-        b = -beta * beta * (s + 1) / (2 * (n + 1) * (n + beta + 1) * s)
-        c = n * (n + beta) * (s + 2) / ((n + 1) * (n + beta + 1) * s)
-        P[..., n + 1] = (a * x + b) * P[..., n] - c * P[..., n - 1]
-        if deriv:
-            dP[..., n + 1] = a * P[..., n] + (a * x + b) * dP[..., n] - c * dP[..., n - 1]
-    scale = np.sqrt(2 * np.arange(kmax + 1) + beta + 1)
-    return 2.0 * dP * scale if deriv else P * scale
+            dP0, dP1 = dP1, a * P1 + ax_b * dP1 - c * dP0
+        P0, P1 = P1, ax_b * P1 - c * P0
+        keep(k, dP1 if deriv else P1)
+    scale = np.sqrt(np.arange(1, 2 * kmax + 2, 2)  # sqrt(2k + beta + 1)
+                    + beta.reshape(beta.shape + (out.ndim - beta.ndim) * (1,)))
+    return 2.0 * out * scale if deriv else out * scale
 
 
 class _Radial:
     """Radial forms at the n Gauss-Legendre nodes t of [0, 1].
 
-    Each form takes the first k orthonormal profiles g = psi_0..psi_{k-1}
-    of a sector with weight t^beta and returns an (n, k) array of values at
-    the nodes, except moment, which returns k numbers.  The inner integrals
-    in s and v use the same n-point rule.
+    Each form takes a 1-D array of sector weights beta and the first k
+    orthonormal profiles g = psi_0..psi_{k-1} of each sector, with weight
+    t^beta, and returns their values at the nodes as a (len(beta), n, k)
+    array from one recurrence.  The inner integrals in s and v use the same
+    n-point rule and are summed inside the recurrence.
     """
 
     def __init__(self, n: int):
@@ -149,22 +195,14 @@ class _Radial:
 
     def tail(self, beta, k):
         """int_t^1 g(s) ds"""
-        t, w = self.t, self.w
-        psi = _disk_polys(k - 1, beta, t[:, None] + np.outer(1.0 - t, t))
-        return (1.0 - t)[:, None] * np.einsum("j,ijk->ik", w, psi)
+        t = self.t
+        inner = _disk_polys(k - 1, beta, t[:, None] + np.outer(1.0 - t, t), w=self.w)
+        return (1.0 - t)[:, None] * inner
 
     def hardy(self, beta, k, gamma, deriv=False):
         """int_0^1 v^gamma g(t v) dv, or with g' for deriv"""
-        t, w = self.t, self.w
-        psi = _disk_polys(k - 1, beta, np.outer(t, t), deriv)
-        return np.einsum("j,ijk->ik", w * t**gamma, psi)
-
-    def moment(self, beta, k):
-        """int_0^1 s^beta g(s) ds = <g, psi_0> / psi_0 with the constant
-        psi_0 = sqrt(beta + 1), so 1/sqrt(beta + 1) for g = psi_0 and zero
-        otherwise: exact by orthogonality, where quadrature would leave
-        rounding noise in the zeros."""
-        return np.eye(1, k)[0] / math.sqrt(beta + 1)
+        t = self.t
+        return _disk_polys(k - 1, beta, np.outer(t, t), deriv, self.w * t ** gamma[..., None])
 
 
 @dataclass(frozen=True)
@@ -173,17 +211,19 @@ class _Forms:
     g(t), t = |z|^2: the linear part sends sector d to sector d - shift with
     profile upper(F, d, k) for d >= 1 and lower(F, beta, k) for d <= 0, and
     for d <= 0 the antilinear part sends it to the constant
-    anti(beta) int_0^1 s^beta conj(g) ds in sector 2 - d - shift."""
+    anti(beta) int_0^1 s^beta conj(g) ds in sector 2 - d - shift.  upper
+    and lower take an array of sectors or weights, as _Radial's forms do."""
     shift: int
     upper: Callable
     lower: Callable
     anti: Callable
 
 
-def _H_upper(F: _Radial, d: int, k: int):
-    if d == 1:  # z^{-1} t g = zbar g: the profile of sector -1 is g itself
-        return F.value(1, k)
-    return F.t[:, None] * F.value(d, k) - (d - 1) * F.tail(d, k)
+def _H_upper(F: _Radial, d: np.ndarray, k: int):
+    # t g - (d-1) int_t^1 g, but for d = 1 z^{-1} t g = zbar g: the profile
+    # of sector -1 is g itself
+    c = d[:, None, None]
+    return F.t[:, None] ** (c > 1) * F.value(d, k) - (c - 1) * F.tail(d, k)
 
 
 # The monomial rules of transforms.cauchy_P and transforms.beurling_H,
@@ -203,6 +243,10 @@ _FORMS = {
     ),
 }
 
+# Floats in one recurrence step of a batch of sector pairs: with n nodes a
+# batch holds _BATCH_FLOATS // n^2 pairs, so D <= 40 (n <= 21) is one batch.
+_BATCH_FLOATS = 1 << 15
+
 
 def _blocks(kind: TransformKind, trunc: TruncationSpec):
     """Realified Galerkin blocks of kind between orthonormal bases, in float64.
@@ -210,8 +254,15 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
     Input sector d carries psi_k for k <= (D - |d|)//2.  By _FORMS, sector 1
     stands alone and each d <= 0 couples with 2 - d through the output
     sector 2 - d - shift, which takes 2 - d's linear image and d's
-    antilinear constant; the real and imaginary coefficient blocks carry that
-    constant with signs + and -.
+    antilinear constant.  The real and imaginary coefficient blocks carry
+    that constant with signs + and -: the minus block is R B C for the plus
+    block B, with R = diag(I, -I) on the two output sectors and
+    C = diag(I_a, -I_b) on the columns of d and 2 - d, so it has B's
+    singular values (sector 1's two blocks are equal).  Only B is yielded,
+    once for sector 1 and once per coupled pair, for _top_singular with
+    mirrored=True.  Sector 1 and then the pairs by increasing |d| are
+    assembled in batches of at most _BATCH_FLOATS // n^2, each form
+    evaluated for the whole batch in one recurrence.
 
     Rows sample each output sector e at n Gauss-Legendre nodes t_i in [0, 1]
     with weights sqrt(w_i t_i^|e|), so ||B c|| is the exact L2 norm of the
@@ -226,35 +277,41 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
     if forms is None:
         raise ValueError(f"no orthonormal-basis radial forms for {kind.name}")
     D = trunc.max_total_degree
-    size = {d: (D - abs(d)) // 2 + 1 for d in range(-D, D + 1)
-            if trunc.d_set is None or d in trunc.d_set}
+    sectors = range(-D, D + 1) if trunc.d_set is None else trunc.d_set
+    size = {d: (D - abs(d)) // 2 + 1 for d in sectors if abs(d) <= D}
     if not size:
         raise ValueError("truncation admits no basis monomials")
     F = _Radial((D + 3) // 2)
     n = len(F.t)
+    shift = forms.shift
+    rows = np.sqrt(F.w * F.t ** np.arange(D + 3)[:, None])[:, :, None]  # by |e|
 
-    def rows(e):
-        return np.sqrt(F.w * F.t ** abs(e))[:, None]
-
-    if 1 in size:
-        B = rows(1 - forms.shift) * forms.upper(F, 1, size[1])
-        yield B
-        yield B
-    for d in range(0, -D - 1, -1):
-        a, b = size.get(d, 0), size.get(2 - d, 0)
-        if not a + b:
-            continue
-        hi = rows(2 - d - forms.shift)
-        B = np.zeros((2 * n, a + b))
-        if a:
-            B[:n, :a] = rows(d - forms.shift) * forms.lower(F, -d, a)
-            anti = hi * (forms.anti(-d) * F.moment(-d, a))
-        if b:
-            B[n:, a:] = hi * forms.upper(F, 2 - d, b)
-        for sign in (1.0, -1.0):
+    # sector 1 (its own partner, 2 - 1 = 1), then the pairs d, 2 - d for d <= 0
+    units = [d for d in range(1, -D - 1, -1) if d in size or 2 - d in size]
+    per_batch = max(1, _BATCH_FLOATS // (n * n))
+    for i in range(0, len(units), per_batch):
+        batch = units[i:i + per_batch]
+        lo = np.array([-d for d in batch if d <= 0 and d in size])  # ascending |d|
+        hi = np.array([2 - d for d in batch if 2 - d in size])
+        if len(lo):
+            lower = iter(rows[lo + shift] * forms.lower(F, lo, size[-lo[0]]))
+        if len(hi):
+            upper = iter(rows[abs(hi - shift)] * forms.upper(F, hi, size[hi[0]]))
+        for d in batch:
+            if d == 1:
+                yield next(upper)[:, :size[1]]
+                continue
+            a, b = size.get(d, 0), size.get(2 - d, 0)
+            B = np.zeros((2 * n, a + b))
             if a:
-                B[n:, :a] = sign * anti
-            yield B.copy()
+                B[:n, :a] = next(lower)[:, :a]
+                # int_0^1 s^beta g(s) ds = <g, psi_0> / psi_0 with the constant
+                # psi_0 = sqrt(beta + 1): exact by orthogonality, where
+                # quadrature would leave rounding noise in the zeros
+                B[n:, 0] = rows[2 - d - shift, :, 0] * (forms.anti(-d) * (1.0 / math.sqrt(1 - d)))
+            if b:
+                B[n:, a:] = next(upper)[:, :b]
+            yield B
 
 
 def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> NormEstimate:
@@ -265,7 +322,7 @@ def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> Nor
     _blocks).  Any other kind raises ValueError, as does a truncation that
     admits no basis monomial.
     """
-    return _top_singular(_blocks(kind, trunc), tol, trunc)
+    return _top_singular(_blocks(kind, trunc), tol, trunc, mirrored=True)
 
 
 def _bisect(f, a, b, max_iter=200):

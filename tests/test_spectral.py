@@ -247,8 +247,93 @@ def test_P_norm_float_route_matches_exact_route(kind, d_set):
         est = estimate_norm(kind, trunc, 1e-10)
         assert abs(est.value - exact.value) < 1e-13
         assert est.degenerate == exact.degenerate
-        # the same input space on both routes
-        assert sum(B.shape[1] for B in spectral._blocks(kind, trunc)) == blocks[0].shape[1] * 2
+        # the same input space on both routes: one float block per mirror pair
+        assert sum(B.shape[1] for B in spectral._blocks(kind, trunc)) == blocks[0].shape[1]
+
+
+def _units(trunc):
+    """(d, a) for each block of _blocks in order: sector 1, then the coupled
+    pairs d, 2 - d for d = 0, -1, ..., with a = the width of sector d."""
+    D = trunc.max_total_degree
+
+    def size(d):
+        admitted = abs(d) <= D and (trunc.d_set is None or d in trunc.d_set)
+        return (D - abs(d)) // 2 + 1 if admitted else 0
+
+    return ([(1, 0)] if size(1) else []) + [
+        (d, size(d)) for d in range(0, -D - 1, -1) if size(d) + size(2 - d)]
+
+
+@pytest.mark.parametrize("kind", [P, H], ids=["P", "H"])
+def test_mirror_blocks_share_singular_values(kind):
+    """_blocks yields the real coefficient block B = [[L, 0], [N, U]] of each
+    coupled pair d, 2 - d (L and N on the a columns of sector d, U on the
+    columns of 2 - d, N the antilinear constant).  The imaginary block
+    flips the sign of N, and that is R B C with R = diag(I, -I) on the two
+    output sectors and C = diag(I_a, -I_b) on the columns.  R and C are
+    orthogonal, so both blocks have the same singular values and
+    _top_singular may count each yielded block twice.  Sector 1 has no
+    antilinear part: its two blocks are equal."""
+    for d_set in _D_SETS:
+        for deg in range(41):
+            trunc = TruncationSpec(deg, d_set)
+            try:
+                blocks = list(spectral._blocks(kind, trunc))
+            except ValueError:
+                continue
+            units = _units(trunc)
+            assert len(blocks) == len(units)
+            for B, (d, a) in zip(blocks, units):
+                n = B.shape[0] // 2
+                minus = B.copy()
+                minus[n:, :a] *= -1.0
+                s_plus = np.linalg.svd(B, compute_uv=False)
+                s_minus = np.linalg.svd(minus, compute_uv=False)
+                assert np.abs(s_minus - s_plus).max() <= 1e-15 * s_plus[0], (deg, d_set, d)
+
+
+def _top_two_reference(blocks, mirrored):
+    """(value, degenerate) with every block decomposed."""
+    svals = []
+    for B in blocks:
+        s = np.linalg.svd(B, compute_uv=False)[:2] if B.any() else [0.0]
+        svals += [float(v) for v in s] * (1 + mirrored)
+    top = sorted(svals, reverse=True)[:2]
+    return top[0], len(top) == 2 and top[0] > 0 and top[0] - top[1] < 1e-10
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_top_singular_skips_only_blocks_that_cannot_win(mirrored):
+    """Skipping a block whose Frobenius norm is more than 1e-10 below the
+    best leaves the value and the degenerate flag as if every block were
+    decomposed, near ties and zero blocks included."""
+    rng = np.random.default_rng(5)
+    rank_one = np.outer([1.0, 2.0, 0.5], [0.3, -1.0])
+    cases = [list(spectral._blocks(P, TruncationSpec(20))),
+             list(spectral._blocks(H, TruncationSpec(8))),
+             [rank_one, rank_one * (1 - 2e-11)], [rank_one, rank_one * (1 - 1e-10)],
+             [np.zeros((2, 2)), rank_one * 1e-12, np.zeros((3, 1))]]
+    for _ in range(60):
+        scale = rng.choice([1e-3, 1.0, 3.0])
+        cases.append([scale * rng.standard_normal(rng.integers(1, 6, size=2))
+                      for _ in range(rng.integers(1, 8))])
+    for blocks in cases:
+        est = spectral._top_singular(blocks, 1e-10, TruncationSpec(1), mirrored)
+        assert (est.value, est.degenerate) == _top_two_reference(blocks, mirrored)
+
+
+def test_disk_polys_batch_matches_each_weight():
+    """One recurrence over an array of weights gives, bit for bit, what one
+    call per weight gives: the steps are the same elementwise operations."""
+    x, _ = _gl_nodes(21)
+    t = 0.5 * (x + 1)
+    betas = np.arange(42)
+    for nodes in (t, np.outer(t, t)):
+        for deriv in (False, True):
+            batch = spectral._disk_polys(30, betas, nodes, deriv)
+            each = np.stack([spectral._disk_polys(30, int(b), nodes, deriv) for b in betas])
+            assert batch.shape == each.shape == (42,) + nodes.shape + (31,)
+            assert np.array_equal(batch, each)
 
 
 def test_disk_polys_orthonormal():
