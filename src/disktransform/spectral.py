@@ -243,8 +243,9 @@ _FORMS = {
     ),
 }
 
-# Floats in one recurrence step of a batch of sector pairs: with n nodes a
-# batch holds _BATCH_FLOATS // n^2 pairs, so D <= 40 (n <= 21) is one batch.
+# Floats in one recurrence step of a batch: with n nodes a batch holds
+# _BATCH_FLOATS // n^2 sector pairs, so D <= 40 (n <= 21) runs as one batch
+# and memory stays bounded at large D.
 _BATCH_FLOATS = 1 << 15
 
 
