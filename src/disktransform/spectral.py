@@ -77,35 +77,27 @@ class NormEstimate:
             raise ValueError("value and residual must be >= 0")
 
 
-def _top_singular(blocks, tol: float, truncation: TruncationSpec,
-                  mirrored: bool = False) -> NormEstimate:
+def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimate:
     """Largest singular value over float blocks, one direct SVD each.
 
-    A block whose Frobenius norm, which bounds its largest singular value,
-    is more than 1e-10 below the best so far is skipped: it can neither win
-    nor tie.  With mirrored, every block B stands for itself and its mirror
-    R B C, where R and C are diagonal matrices of signs.  Both are
-    orthogonal, so the mirror has exactly B's singular values, and they
-    count twice; every realified P or H block is such a pair.  The residual
-    ||B v - s u|| of the winning singular triple is reported and must meet
-    tol.  Among the two largest singular values of each block, the runner-up
-    overall within 1e-10 of the winner marks the estimate degenerate, so a
-    nonzero estimate over mirrored blocks is degenerate by construction.
+    Every block B stands for itself and its mirror R B C, where R and C are
+    diagonal matrices of signs (see _blocks).  Both are orthogonal, so the
+    mirror has exactly B's singular values and the top one is double: a
+    nonzero estimate is degenerate by construction.  A block whose Frobenius
+    norm, which bounds its largest singular value, is no more than the best
+    so far cannot win and is not decomposed.  The residual ||B v - s u|| of
+    the winning singular triple is reported and must meet tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    top_two = []
     best = 0.0
     best_block = None
     for B in blocks:
-        if np.linalg.norm(B) < best - 1e-10:
+        if np.linalg.norm(B) <= best:
             continue
-        svals = np.linalg.svd(B, compute_uv=False) if B.any() else [0.0]
-        top = [float(v) for v in svals[:2]] * (1 + mirrored)
-        top_two = sorted([*top_two, *top], reverse=True)[:2]
-        if svals[0] > best:
-            best = float(svals[0])
-            best_block = B
+        s = float(np.linalg.svd(B, compute_uv=False)[0])
+        if s > best:
+            best, best_block = s, B
 
     residual = 0.0
     if best_block is not None:
@@ -113,9 +105,8 @@ def _top_singular(blocks, tol: float, truncation: TruncationSpec,
         residual = float(np.linalg.norm(best_block @ Vt[0] - S[0] * U[:, 0]))
         if residual > max(tol, 1e-10):
             raise RuntimeError(f"singular value residual {residual:.3e} exceeds tol")
-    degenerate = len(top_two) == 2 and best > 0 and (best - top_two[1]) < 1e-10
     return NormEstimate(value=best, truncation=truncation, residual=residual,
-                        degenerate=degenerate)
+                        degenerate=best > 0)
 
 
 def _disk_polys(kmax: int, beta, t: np.ndarray, deriv: bool = False,
@@ -222,8 +213,11 @@ class _Forms:
 def _H_upper(F: _Radial, d: np.ndarray, k: int):
     # t g - (d-1) int_t^1 g, but for d = 1 z^{-1} t g = zbar g: the profile
     # of sector -1 is g itself
-    c = d[:, None, None]
-    return F.t[:, None] ** (c > 1) * F.value(d, k) - (c - 1) * F.tail(d, k)
+    out = F.value(d, k)
+    m = d > 1
+    if m.any():
+        out[m] = F.t[:, None] * out[m] - (d[m] - 1)[:, None, None] * F.tail(d[m], k)
+    return out
 
 
 # The monomial rules of transforms.cauchy_P and transforms.beurling_H,
@@ -260,8 +254,8 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
     block B, with R = diag(I, -I) on the two output sectors and
     C = diag(I_a, -I_b) on the columns of d and 2 - d, so it has B's
     singular values (sector 1's two blocks are equal).  Only B is yielded,
-    once for sector 1 and once per coupled pair, for _top_singular with
-    mirrored=True.  Sector 1 and then the pairs by increasing |d| are
+    once for sector 1 and once per coupled pair, and _top_singular counts
+    each block as a pair.  Sector 1 and then the pairs by increasing |d| are
     assembled in batches of at most _BATCH_FLOATS // n^2, each form
     evaluated for the whole batch in one recurrence.
 
@@ -323,7 +317,7 @@ def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> Nor
     _blocks).  Any other kind raises ValueError, as does a truncation that
     admits no basis monomial.
     """
-    return _top_singular(_blocks(kind, trunc), tol, trunc, mirrored=True)
+    return _top_singular(_blocks(kind, trunc), tol, trunc)
 
 
 def _bisect(f, a, b, max_iter=200):
