@@ -57,8 +57,8 @@ class RunConfig:
     budget: int = oracle.DEFAULT_BUDGET
 
     def validate(self):
-        if self.max_degree < 0:
-            raise ConfigError("--max-degree must be >= 0")
+        if not 0 <= self.max_degree <= spectral.MAX_TOTAL_DEGREE:
+            raise ConfigError(f"--max-degree must be in [0, {spectral.MAX_TOTAL_DEGREE}]")
         if not 0 < self.tol_quad < math.inf:
             raise ConfigError("--tol-quad must be positive and finite")
         if not 0 < self.tol_eigen < math.inf:

@@ -11,13 +11,13 @@ Each angular sector's radial factors are Jacobi polynomials in |z|^2, so the
 disk polynomials psi_k(|z|^2) |z|^|d| e^{i d theta} are an orthonormal basis
 of the truncated input space.  On a sector the monomial rules of P and H are
 radial forms in t = |z|^2 (multiplications, Volterra and Hardy integrals and
-one rank-one functional), so estimate_norm evaluates them by Gauss-Legendre
-quadrature and assembles the Galerkin blocks between orthonormal bases
-directly in float64, with no Gram matrix and no rational arithmetic.  Each
-radial form is evaluated for a batch of sectors in one recurrence, and the
-real and imaginary blocks of a coupled sector pair are mirrors with the same
-singular values, so one block per pair is decomposed.  The Galerkin value is
-the largest singular value over the blocks.
+one rank-one functional), each of them one Jacobi polynomial by DLMF 18.9.
+So estimate_norm evaluates every form at the Gauss-Legendre nodes alone, in
+one recurrence for all sectors, and assembles the Galerkin blocks between
+orthonormal bases directly in float64, with no Gram matrix and no rational
+arithmetic.  The real and imaginary blocks of a coupled sector pair are
+mirrors with the same singular values, so one block per pair is decomposed.
+The Galerkin value is the largest singular value over the blocks.
 
 Root-finders for the two transcendental norm equations and the exact
 weighted Hardy-type ratio checks live here as well.
@@ -36,6 +36,7 @@ from .specfun import _gl_nodes, bessel_j, bessel_zero
 from .transforms import TransformKind, cauchy_P
 
 __all__ = [
+    "MAX_TOTAL_DEGREE",
     "TruncationSpec",
     "NormEstimate",
     "estimate_norm",
@@ -47,6 +48,11 @@ __all__ = [
 ]
 
 
+# Largest truncation degree: (D + 3)//2 = 81 nodes is as far as _gl_nodes'
+# weights are verified, and the assembly's memory grows as D^3.
+MAX_TOTAL_DEGREE = 160
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Input space spanned by the monomials z^m zbar^n with m + n <=
@@ -55,8 +61,8 @@ class TruncationSpec:
     d_set: Optional[frozenset] = None
 
     def __post_init__(self):
-        if self.max_total_degree < 0:
-            raise ValueError("max_total_degree must be >= 0")
+        if not 0 <= self.max_total_degree <= MAX_TOTAL_DEGREE:
+            raise ValueError(f"max_total_degree must be in [0, {MAX_TOTAL_DEGREE}]")
         if self.d_set is not None:
             object.__setattr__(self, "d_set", frozenset(self.d_set))
 
@@ -109,61 +115,34 @@ def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimat
                         degenerate=best > 0)
 
 
-def _disk_polys(kmax: int, beta, t: np.ndarray, deriv: bool = False,
-                w: Optional[np.ndarray] = None) -> np.ndarray:
-    """Radial disk polynomials psi_k(t) = sqrt(2k+beta+1) P_k^(0,beta)(2t-1)
-    for k = 0..kmax, stacked on a new last axis after t's shape, or with
-    deriv their derivatives psi_k'(t).  They are orthonormal on [0, 1] under
-    the weight t^beta, so the functions psi_k(|z|^2) |z|^|d| e^{i d theta}
-    with beta = |d| are an orthonormal basis of sector d.  Jacobi three-term
-    recurrence, DLMF 18.9.1 with alpha = 0, differentiated term by term for
-    psi'; P_1 is written out because the n = 0 step divides by beta.
+def _jacobi(kmax: int, a: int, beta, x: np.ndarray) -> np.ndarray:
+    """Jacobi polynomials P_k^(a,beta)(x) for k = 0..kmax and a in {0, 1} at
+    the points of a 1-D x, on a new last axis.  Three-term recurrence, DLMF
+    18.9.1-2; P_1 is written out because the n = 0 step divides by a + beta,
+    which is 0 for a = beta = 0.  kmax may be -1.
 
     beta is an int or a 1-D array of ints; an array runs all its weights in
     one recurrence on a new leading axis, from step coefficients tabulated
-    once.  With w, given on t's last axis (and optionally on beta's), each
-    step is summed against w over t's last axis as soon as it is made, so
-    that axis is dropped from the result and no more than two steps are
-    held.
+    once.
     """
-    beta = np.asarray(beta)
-    bt = beta.reshape(beta.shape + t.ndim * (1,))
-    x = 2.0 * t - 1.0
-    P1 = 1.0 + 0.5 * (bt + 2) * (x - 1.0)
-    P0 = np.ones(P1.shape)
-    if deriv:  # d/dx
-        dP0 = np.zeros(P1.shape)
-        dP1 = dP0 + 0.5 * (bt + 2)
-    out = np.empty((P1.shape if w is None else P1.shape[:-1]) + (kmax + 1,))
-    if w is not None:
-        w = w[..., None]
-
-    def keep(k, p):
-        if w is None:
-            out[..., k] = p
-        else:
-            np.matmul(p, w, out=out[..., k:k + 1])
-
-    keep(0, dP0 if deriv else P0)
-    if kmax >= 1:
-        keep(1, dP1 if deriv else P1)
+    bt = np.asarray(beta)[..., None]  # on x's axis
+    P1 = (a + 1.0) + 0.5 * (a + bt + 2) * (x - 1.0)
+    out = np.empty(P1.shape + (kmax + 1,))
+    out[..., :1] = P0 = 1.0  # slices: kmax = -1 leaves no column
+    out[..., 1:2] = P1[..., None]
     # steps n = 1..kmax-1: numerators and denominators are integers, exact
     # in float64, so each quotient is rounded once, as in scalar arithmetic
     n = np.arange(1.0, kmax).reshape((-1,) + bt.ndim * (1,))
     nb = n + bt
-    s = n + nb
+    s = n + nb + a
     s1, s2 = s + 1.0, s + 2.0
-    den = (n + 1.0) * (nb + 1.0) * s
-    steps = zip(s * s1 * s2 / (den + den), -(bt * bt) * s1 / (den + den), n * nb * s2 / den)
-    for k, (a, b, c) in enumerate(steps, 2):
-        ax_b = a * x + b
-        if deriv:
-            dP0, dP1 = dP1, a * P1 + ax_b * dP1 - c * dP0
-        P0, P1 = P1, ax_b * P1 - c * P0
-        keep(k, dP1 if deriv else P1)
-    scale = np.sqrt(np.arange(1, 2 * kmax + 2, 2)  # sqrt(2k + beta + 1)
-                    + beta.reshape(beta.shape + (out.ndim - beta.ndim) * (1,)))
-    return 2.0 * out * scale if deriv else out * scale
+    den = (n + 1.0) * (nb + a + 1.0) * s
+    steps = zip(s * s1 * s2 / (den + den), (a * a - bt * bt) * s1 / (den + den),
+                (n + a) * nb * s2 / den)
+    for k, (A, B, C) in enumerate(steps, 2):
+        P0, P1 = P1, (A * x + B) * P1 - C * P0
+        out[..., k] = P1
+    return out
 
 
 class _Radial:
@@ -172,28 +151,50 @@ class _Radial:
     Each form takes a 1-D array of sector weights beta and the first k
     orthonormal profiles g = psi_0..psi_{k-1} of each sector, with weight
     t^beta, and returns their values at the nodes as a (len(beta), n, k)
-    array from one recurrence.  The inner integrals in s and v use the same
-    n-point rule and are summed inside the recurrence.
+    array.  With x = 2t - 1 and psi_j = sqrt(2j+beta+1) P_j^(0,beta)(x),
+    the derivative and Rodrigues-type identities of DLMF 18.9 turn every
+    Volterra and Hardy integral of psi_j into one Jacobi polynomial at the
+    same nodes, so no form samples an inner integral.  x is the Legendre
+    node itself, where the weight belongs, not 2t - 1 rounded back from t.
     """
 
     def __init__(self, n: int):
-        x, wx = _gl_nodes(n)
-        self.t, self.w = 0.5 * (x + 1.0), 0.5 * wx
+        self.x, wx = _gl_nodes(n)
+        self.t, self.w = 0.5 * (self.x + 1.0), 0.5 * wx
+
+    @staticmethod
+    def _norms(beta, k):  # sqrt(2j + beta + 1) for j < k, as (len(beta), 1, k)
+        return np.sqrt(np.arange(1, 2 * k, 2) + beta[:, None, None])
 
     def value(self, beta, k):
         """g(t)"""
-        return _disk_polys(k - 1, beta, self.t)
+        return self._norms(beta, k) * _jacobi(k - 1, 0, beta, self.x)
 
     def tail(self, beta, k):
-        """int_t^1 g(s) ds"""
-        t = self.t
-        inner = _disk_polys(k - 1, beta, t[:, None] + np.outer(1.0 - t, t), w=self.w)
-        return (1.0 - t)[:, None] * inner
+        """int_t^1 g(s) ds = (1 - t) sqrt(2j+beta+1)/(j+1) P_j^(1,beta-1)(x),
+        beta >= 1"""
+        out = _jacobi(k - 1, 1, beta - 1, self.x)
+        out *= self._norms(beta, k) / np.arange(1, k + 1)
+        out *= (1.0 - self.t)[:, None]
+        return out
 
-    def hardy(self, beta, k, gamma, deriv=False):
-        """int_0^1 v^gamma g(t v) dv, or with g' for deriv"""
-        t = self.t
-        return _disk_polys(k - 1, beta, np.outer(t, t), deriv, self.w * t ** gamma[..., None])
+    def hardy(self, beta, k):
+        """int_0^1 v^beta g(t v) dv = sqrt(2j+beta+1) (t - 1)/j
+        P_{j-1}^(1,beta+1)(x), and 1/sqrt(beta + 1) for j = 0"""
+        out = np.empty((len(beta), len(self.t), k))
+        out[..., 0] = 1.0 / np.sqrt(beta + 1.0)[:, None]
+        out[..., 1:] = _jacobi(k - 2, 1, beta + 1, self.x)
+        out[..., 1:] *= self._norms(beta, k)[..., 1:] / np.arange(1, k)
+        out[..., 1:] *= (self.t - 1.0)[:, None]
+        return out
+
+    def hardy_deriv(self, beta, k):
+        """int_0^1 v^(beta+1) g'(t v) dv = sqrt(2j+beta+1) P_{j-1}^(0,beta+2)(x),
+        and 0 for j = 0"""
+        out = np.zeros((len(beta), len(self.t), k))
+        out[..., 1:] = _jacobi(k - 2, 0, beta + 2, self.x)
+        out[..., 1:] *= self._norms(beta, k)[..., 1:]
+        return out
 
 
 @dataclass(frozen=True)
@@ -214,9 +215,9 @@ def _H_upper(F: _Radial, d: np.ndarray, k: int):
     # t g - (d-1) int_t^1 g, but for d = 1 z^{-1} t g = zbar g: the profile
     # of sector -1 is g itself
     out = F.value(d, k)
-    m = d > 1
-    if m.any():
-        out[m] = F.t[:, None] * out[m] - (d[m] - 1)[:, None, None] * F.tail(d[m], k)
+    i = int(d[0] == 1)  # d ascends, so only d[0] can be 1
+    out[i:] *= F.t[:, None]
+    out[i:] -= (d[i:] - 1)[:, None, None] * F.tail(d[i:], k)
     return out
 
 
@@ -226,21 +227,16 @@ _FORMS = {
     TransformKind.CauchyTransformP: _Forms(
         shift=1,
         upper=lambda F, d, k: -F.tail(d, k),
-        lower=lambda F, beta, k: F.hardy(beta, k, beta),
+        lower=_Radial.hardy,
         anti=lambda beta: -1.0,
     ),
     TransformKind.BeurlingH: _Forms(
         shift=2,
         upper=_H_upper,
-        lower=lambda F, beta, k: F.hardy(beta, k, beta + 1, deriv=True),
+        lower=_Radial.hardy_deriv,
         anti=lambda beta: -(beta + 1.0),
     ),
 }
-
-# Floats in one recurrence step of a batch: with n nodes a batch holds
-# _BATCH_FLOATS // n^2 sector pairs, so D <= 40 (n <= 21) runs as one batch
-# and memory stays bounded at large D.
-_BATCH_FLOATS = 1 << 15
 
 
 def _blocks(kind: TransformKind, trunc: TruncationSpec):
@@ -254,19 +250,17 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
     block B, with R = diag(I, -I) on the two output sectors and
     C = diag(I_a, -I_b) on the columns of d and 2 - d, so it has B's
     singular values (sector 1's two blocks are equal).  Only B is yielded,
-    once for sector 1 and once per coupled pair, and _top_singular counts
-    each block as a pair.  Sector 1 and then the pairs by increasing |d| are
-    assembled in batches of at most _BATCH_FLOATS // n^2, each form
-    evaluated for the whole batch in one recurrence.
+    once for sector 1 and once per coupled pair by increasing |d|, and
+    _top_singular counts each block as a pair.  Each form is evaluated once,
+    for every admitted sector it applies to.
 
     Rows sample each output sector e at n Gauss-Legendre nodes t_i in [0, 1]
     with weights sqrt(w_i t_i^|e|), so ||B c|| is the exact L2 norm of the
     image when q(t)^2 t^|e| has degree <= 2n - 1 for every image profile q.
     That degree is at most D + 1 for P (Volterra 2(k+1) + d - 1, Hardy
     2k + |d| + 1, constant |d| + 1) and D for H (t g - (d-1) int_t^1 g at
-    2k + d, Hardy of g' at 2k + |d|, constant |d|), and the inner integrals
-    in s and v have degree at most D, so n = (D + 3)//2 integrates every
-    term exactly.
+    2k + d, Hardy of g' at 2k + |d|, constant |d|), so n = (D + 3)//2
+    suffices.
     """
     forms = _FORMS.get(kind)
     if forms is None:
@@ -281,32 +275,35 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
     shift = forms.shift
     rows = np.sqrt(F.w * F.t ** np.arange(D + 3)[:, None])[:, :, None]  # by |e|
 
-    # sector 1 (its own partner, 2 - 1 = 1), then the pairs d, 2 - d for d <= 0
-    units = [d for d in range(1, -D - 1, -1) if d in size or 2 - d in size]
-    per_batch = max(1, _BATCH_FLOATS // (n * n))
-    for i in range(0, len(units), per_batch):
-        batch = units[i:i + per_batch]
-        lo = np.array([-d for d in batch if d <= 0 and d in size])  # ascending |d|
-        hi = np.array([2 - d for d in batch if 2 - d in size])
-        if len(lo):
-            lower = iter(rows[lo + shift] * forms.lower(F, lo, size[-lo[0]]))
-        if len(hi):
-            upper = iter(rows[abs(hi - shift)] * forms.upper(F, hi, size[hi[0]]))
-        for d in batch:
-            if d == 1:
-                yield next(upper)[:, :size[1]]
-                continue
-            a, b = size.get(d, 0), size.get(2 - d, 0)
-            B = np.zeros((2 * n, a + b))
-            if a:
-                B[:n, :a] = next(lower)[:, :a]
-                # int_0^1 s^beta g(s) ds = <g, psi_0> / psi_0 with the constant
-                # psi_0 = sqrt(beta + 1): exact by orthogonality, where
-                # quadrature would leave rounding noise in the zeros
-                B[n:, 0] = rows[2 - d - shift, :, 0] * (forms.anti(-d) * (1.0 / math.sqrt(1 - d)))
-            if b:
-                B[n:, a:] = next(upper)[:, :b]
-            yield B
+    def weighted(form, beta, e):
+        """form for the ascending weights beta, times the rows of sectors e"""
+        if not len(beta):
+            return iter(())
+        out = form(F, beta, (D - beta[0]) // 2 + 1)
+        out *= rows[e]
+        return iter(out)
+
+    # weights by ascending |d|: lo for the sectors d <= 0, hi for 2 - d >= 1
+    lo = np.array([b for b in range(D + 1) if -b in size])
+    hi = np.array([e for e in range(1, D + 1) if e in size])
+    lower = weighted(forms.lower, lo, lo + shift)
+    upper = weighted(forms.upper, hi, abs(hi - shift))
+    if 1 in size:
+        yield next(upper)[:, :size[1]]
+    for d in range(0, -D - 1, -1):
+        a, b = size.get(d, 0), size.get(2 - d, 0)
+        if not a + b:
+            continue
+        B = np.zeros((2 * n, a + b))
+        if a:
+            B[:n, :a] = next(lower)[:, :a]
+            # int_0^1 s^beta g(s) ds = <g, psi_0> / psi_0 with the constant
+            # psi_0 = sqrt(beta + 1): exact by orthogonality, where
+            # quadrature would leave rounding noise in the zeros
+            B[n:, 0] = rows[2 - d - shift, :, 0] * (forms.anti(-d) * (1.0 / math.sqrt(1 - d)))
+        if b:
+            B[n:, a:] = next(upper)[:, :b]
+        yield B
 
 
 def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> NormEstimate:

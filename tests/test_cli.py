@@ -122,6 +122,17 @@ def test_transform_table(capsys):
     assert "0 1 1" in lines[0]
 
 
+def test_max_degree_above_bound_is_config_error(capsys):
+    """Degrees past the verified Gauss-Legendre range stop before compute."""
+    RunConfig(max_degree=160).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(max_degree=161).validate()
+    code, out, err = run(capsys, "norm", "2", "--max-degree", "161")
+    assert code == 2 and out == "" and err.startswith("config error")
+    code, out, err = run(capsys, "verify", "--max-degree", "161")
+    assert code == 2 and out == "" and err.startswith("config error")
+
+
 def test_transform_examples_via_cli(capsys):
     for op, poly, pretty in (("P", "1", "z̄ - z"), ("H", "1", "-1"),
                              ("S", "w^2", "2 z z̄ - 1")):

@@ -295,3 +295,27 @@ def test_elliptic_e_series_route():
 def test_elliptic_e_rejects_m_above_one():
     with pytest.raises(DomainError):
         elliptic_e(1.5)
+
+
+# --- Gauss-Legendre rule -----------------------------------------------------
+
+def _legendre_and_derivative(n, x):
+    p0, p1 = 1, x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (p0 - x * p1) / (1 - x * x)
+
+
+@pytest.mark.parametrize("n", [8, 16, 41, 81])
+def test_gl_nodes_vs_mpmath(n):
+    """Nodes by Newton on P_n at 40 digits, weights 2 / ((1 - x^2) P_n'^2)."""
+    x, w = specfun._gl_nodes(n)
+    with mpmath.workdps(40):
+        for xi, wi in zip(x, w):
+            r = mpmath.mpf(float(xi))
+            for _ in range(4):
+                p, dp = _legendre_and_derivative(n, r)
+                r -= p / dp
+            dp = _legendre_and_derivative(n, r)[1]
+            assert abs(xi - r) < 1e-15
+            assert abs(wi / (2 / ((1 - r * r) * dp * dp)) - 1) < 1e-13

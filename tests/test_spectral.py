@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from disktransform import spectral
 from disktransform.specfun import _gl_nodes, bessel_j, bessel_zero
@@ -168,6 +169,13 @@ def test_truncation_spec_validation():
     assert isinstance(t.d_set, frozenset)
 
 
+def test_truncation_spec_degree_bound():
+    assert spectral.MAX_TOTAL_DEGREE == 160
+    TruncationSpec(160)
+    with pytest.raises(ValueError):
+        TruncationSpec(161)
+
+
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 4, 5, 6, 7, 8])
 def test_H_isometry_matrix_norm(deg):
     est = exact_norm(H, TruncationSpec(deg))
@@ -175,13 +183,10 @@ def test_H_isometry_matrix_norm(deg):
 
 
 def test_H_blocks_are_isometries():
-    """H is an isometry of L2, so every singular value of every block is 1.
-    The bound needs Gauss-Legendre weights good to 3.2e-14 relative up to
-    41 nodes: numpy's own (8e-14 off at 18 and 20 nodes) give 1.3e-13 at
-    D = 33, 34, 37 and 38."""
-    for deg in range(41):
+    """H is an isometry of L2, so every singular value of every block is 1."""
+    for deg, bound in [*((d, 2e-14) for d in range(41)), (80, 1e-13), (160, 1e-13)]:
         for B in spectral._blocks(H, TruncationSpec(deg)):
-            assert np.abs(np.linalg.svd(B, compute_uv=False) - 1.0).max() < 1e-13, deg
+            assert np.abs(np.linalg.svd(B, compute_uv=False) - 1.0).max() < bound, deg
 
 
 def test_zero_operator_component():
@@ -202,7 +207,7 @@ def test_estimate_P_degree0():
 
 def test_estimate_P_converges_to_alpha():
     alpha = solve_alpha()
-    for deg, bound in ((12, 1e-6), (20, 1e-13), (40, 1e-13)):
+    for deg, bound in ((12, 1e-6), (20, 1e-13), (40, 1e-13), (80, 1e-13), (160, 1e-13)):
         est = estimate_norm(P, TruncationSpec(deg), 1e-10)
         assert abs(est.value - alpha) < bound
         assert est.residual < 1e-10
@@ -314,40 +319,81 @@ def test_top_singular_skips_only_blocks_that_cannot_win():
 
 
 def test_disk_polys_batch_matches_each_weight():
-    """One recurrence over an array of weights gives, bit for bit, what one
-    call per weight gives: the steps are the same elementwise operations."""
+    """One Jacobi recurrence over an array of weights gives, bit for bit,
+    what one call per weight gives: the steps are the same elementwise
+    operations."""
     x, _ = _gl_nodes(21)
-    t = 0.5 * (x + 1)
     betas = np.arange(42)
-    for nodes in (t, np.outer(t, t)):
-        for deriv in (False, True):
-            batch = spectral._disk_polys(30, betas, nodes, deriv)
-            each = np.stack([spectral._disk_polys(30, int(b), nodes, deriv) for b in betas])
-            assert batch.shape == each.shape == (42,) + nodes.shape + (31,)
-            assert np.array_equal(batch, each)
+    for a in (0, 1):
+        batch = spectral._jacobi(30, a, betas, x)
+        each = np.stack([spectral._jacobi(30, a, int(b), x) for b in betas])
+        assert batch.shape == each.shape == (42, 21, 31)
+        assert np.array_equal(batch, each)
+
+
+def test_jacobi_matches_scipy():
+    x, _ = _gl_nodes(41)
+    betas = np.arange(42)
+    k = np.arange(31)
+    for a in (0, 1):
+        got = spectral._jacobi(30, a, betas, x)
+        ref = scipy.special.eval_jacobi(k, a, betas[:, None, None], x[:, None])
+        err = np.abs(got - ref).max(axis=1)
+        assert (err <= 1e-13 * np.abs(ref).max(axis=1)).all(), a
 
 
 def test_disk_polys_orthonormal():
     x, w = _gl_nodes(51)  # exact to degree 101 = 2 * 30 + 41
     t, w = 0.5 * (x + 1), 0.5 * w
+    psi = spectral._Radial(51).value(np.arange(42), 31)
     for beta in range(42):
-        psi = spectral._disk_polys(30, beta, t)
-        gram = psi.T @ ((w * t**beta)[:, None] * psi)
+        gram = psi[beta].T @ ((w * t**beta)[:, None] * psi[beta])
         assert np.abs(gram - np.eye(31)).max() < 1e-13
 
 
-def test_disk_polys_derivative():
-    """psi_k(s) - psi_k(0) = int_0^s psi_k', by a Gauss-Legendre rule exact
-    for the degree k - 1 integrand."""
-    x, w = _gl_nodes(16)
-    v, w = 0.5 * (x + 1), 0.5 * w
-    s = np.linspace(0.0, 1.0, 9)
-    for beta in (0, 1, 5, 20):
-        psi = spectral._disk_polys(30, beta, s)
-        dpsi = spectral._disk_polys(30, beta, np.outer(s, v), deriv=True)
-        integral = s[:, None] * np.einsum("j,ijk->ik", w, dpsi)
-        err = np.abs((psi - psi[0]) - integral).max(axis=0) / np.abs(psi).max(axis=0)
-        assert err.max() < 1e-13
+def _psi_grid(kmax, beta, x, deriv=False):
+    """psi_k(t), or with deriv psi_k'(t), at x = 2t - 1 for k = 0..kmax on a
+    new last axis: the alpha = 0 Jacobi recurrence, differentiated term by
+    term for psi'."""
+    P0, P1 = np.ones(x.shape), 1.0 + 0.5 * (beta + 2) * (x - 1.0)
+    dP0, dP1 = np.zeros(x.shape), np.full(x.shape, 0.5 * (beta + 2))
+    out = [dP0, dP1] if deriv else [P0, P1]
+    for n in range(1, kmax):
+        s = 2 * n + beta
+        den = 2 * (n + 1) * (n + beta + 1) * s
+        a, b = s * (s + 1) * (s + 2) / den, -beta * beta * (s + 1) / den
+        c = 2 * n * (n + beta) * (s + 2) / den
+        dP0, dP1 = dP1, a * P1 + (a * x + b) * dP1 - c * dP0
+        P0, P1 = P1, (a * x + b) * P1 - c * P0
+        out.append(dP1 if deriv else P1)
+    scale = np.sqrt(np.arange(1, 2 * kmax + 2, 2) + beta)
+    return np.stack(out[:kmax + 1], axis=-1) * scale * (2.0 if deriv else 1.0)
+
+
+def test_radial_forms_match_quadrature():
+    """The identity forms of _Radial against psi_k and its defining
+    integrals, each summed by the 41-point Gauss-Legendre rule on the node
+    grid, exact for inner integrands of degree at most 71 <= 2 * 41 - 1."""
+    F = spectral._Radial(41)
+    x, t, w = F.x, F.t, F.w
+    betas = np.arange(42)
+    # inner points 2s - 1 for s = t + (1 - t) v and s = t v, v = t
+    x_tail = x[:, None] + np.outer(1 - x, t)
+    x_hardy = np.outer(x + 1, t) - 1
+    ref = {
+        "value": lambda b: _psi_grid(30, b, x),
+        "tail": lambda b: (1 - t)[:, None] * np.einsum("j,ijk->ik", w, _psi_grid(30, b, x_tail)),
+        "hardy": lambda b: np.einsum("j,ijk->ik", w * t**b, _psi_grid(30, b, x_hardy)),
+        "hardy_deriv": lambda b: np.einsum(
+            "j,ijk->ik", w * t**(b + 1), _psi_grid(30, b, x_hardy, deriv=True)),
+    }
+    for name, integral in ref.items():
+        bs = betas[1:] if name == "tail" else betas
+        got = getattr(F, name)(bs, 31)
+        for b, g in zip(bs, got):
+            want = integral(int(b))
+            err = np.abs(g - want).max(axis=0)
+            assert (err <= 1e-13 * np.abs(want).max(axis=0)).all(), (name, b)
 
 
 def test_restricted_pair_carries_norm():
