@@ -9,8 +9,10 @@ Subcommands:
 Exit codes: 0 every check passed, 1 at least one check failed, 2 config or
 parse error (a ValueError from the computational layers counts as one), 3
 any other error during computation, such as an exhausted oracle budget or a
-series that did not converge.  Exits 2 and 3 print one "error:" line to
-stderr and nothing to stdout.
+series that did not converge.  Exits 2 and 3 print nothing to stdout; stderr
+gets one "config error: ..." line for a flag value RunConfig rejects, argparse's
+usage text and a "diskt: error: ..." line for a malformed command line, and
+one "error: ..." line otherwise.
 
 Report rows carry {check_id, reference, expected, computed, abs_err, tol,
 status} with status PASS | FAIL | SKIPPED | CONJECTURE.  Output is
@@ -25,6 +27,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -73,167 +76,91 @@ class RunConfig:
 # polynomial grammar: sum of terms  c * w^m * conj(w)^n
 # coefficients: 3, 1.5, i, 2i, (1+2i), (0.5-0.25i); whitespace-insensitive
 
-
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            toks.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "^*+-()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", len(text)))
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.toks[self.k]
-
-    def next(self):
-        t = self.toks[self.k]
-        self.k += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
-        return t
-
-    def parse_imag_unit_maybe(self) -> bool:
-        if self.peek()[0] == "name" and self.peek()[1] == "i":
-            self.next()
-            return True
-        return False
-
-    def parse_signed_part(self):
-        """[+|-] number ['i']  |  [+|-] 'i'  -> ExactScalar part."""
-        sign = 1
-        while self.peek()[0] in "+-":
-            if self.next()[0] == "-":
-                sign = -sign
-        t = self.peek()
-        if t[0] == "num":
-            self.next()
-            mag = Fraction(t[1])
-            if self.parse_imag_unit_maybe():
-                return ExactScalar(0, sign * mag)
-            return ExactScalar(sign * mag, 0)
-        if t[0] == "name" and t[1] == "i":
-            self.next()
-            return ExactScalar(0, sign)
-        raise PolyParseError(f"expected a number, found {t[1]!r}", t[2])
-
-    def parse_paren_coeff(self) -> ExactScalar:
-        self.expect("(")
-        total = self.parse_signed_part()
-        while self.peek()[0] in "+-":
-            total = total + self.parse_signed_part()
-        self.expect(")")
-        return total
-
-    def parse_exponent(self) -> int:
-        if self.peek()[0] == "^":
-            self.next()
-            t = self.expect("num")
-            if "." in t[1]:
-                raise PolyParseError("exponent must be an integer", t[2])
-            return int(t[1])
-        return 1
-
-    def parse_factor(self):
-        """Returns (coeff: ExactScalar, m, n)."""
-        t = self.peek()
-        if t[0] == "num":
-            self.next()
-            mag = Fraction(t[1])
-            if self.parse_imag_unit_maybe():
-                return ExactScalar(0, mag), 0, 0
-            return ExactScalar(mag), 0, 0
-        if t[0] == "(":
-            return self.parse_paren_coeff(), 0, 0
-        if t[0] == "name":
-            if t[1] == "i":
-                self.next()
-                return ExactScalar(0, 1), 0, 0
-            if t[1] == "w":
-                self.next()
-                return ExactScalar(1), self.parse_exponent(), 0
-            if t[1] == "conj":
-                self.next()
-                self.expect("(")
-                u = self.expect("name")
-                if u[1] != "w":
-                    raise PolyParseError("only conj(w) is supported", u[2])
-                self.expect(")")
-                return ExactScalar(1), 0, self.parse_exponent()
-            raise PolyParseError(f"unknown name {t[1]!r}", t[2])
-        raise PolyParseError(f"expected a term, found {t[1]!r}", t[2])
-
-    def parse_term(self):
-        coeff, m, n = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.next()
-            c2, m2, n2 = self.parse_factor()
-            coeff = coeff * c2
-            m += m2
-            n += n2
-        return coeff, m, n
-
-    def parse(self) -> DiskPolynomial:
-        acc: dict = {}
-        sign = 1
-        if self.peek()[0] in "+-":
-            if self.next()[0] == "-":
-                sign = -1
-        while True:
-            coeff, m, n = self.parse_term()
-            if sign < 0:
-                coeff = -coeff
-            key = (m, n)
-            acc[key] = acc.get(key, ExactScalar(0)) + coeff
-            t = self.next()
-            if t[0] == "end":
-                break
-            if t[0] == "+":
-                sign = 1
-            elif t[0] == "-":
-                sign = -1
-            else:
-                raise PolyParseError(f"expected '+' or '-', found {t[1]!r}", t[2])
-        return DiskPolynomial(acc)
+_TOKEN = re.compile(r"(?P<num>[0-9]+\.?[0-9]*|\.[0-9]+)|(?P<name>[A-Za-z]+)"
+                    r"|(?P<op>[-^*+()])|(?P<bad>\S)")
 
 
 def parse_poly(text: str) -> DiskPolynomial:
+    """Parse the w-grammar (ASCII only); every error, an unexpected
+    character included, is a PolyParseError naming its 1-based column."""
     if not text.strip():
         raise PolyParseError("empty polynomial", 0)
-    return _Parser(text).parse()
+    toks = []  # (kind, text, position); an operator is its own kind
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise PolyParseError(f"unexpected character {m[0]!r}", m.start())
+        toks.append((m[0] if m.lastgroup == "op" else m.lastgroup, m[0], m.start()))
+    toks.append(("end", "", len(text)))
+    k = 0
+
+    def take(*kinds, word=None):
+        """Consume and return the next token if it matches, else None."""
+        nonlocal k
+        t = toks[k]
+        hit = t[0] in kinds and (word is None or t[1] == word)
+        k += hit
+        return t if hit else None
+
+    def expected(what):
+        raise PolyParseError(f"expected {what}, found {toks[k][1]!r}", toks[k][2])
+
+    def scalar():
+        """num [i] | i, or None when neither is next."""
+        t = take("num")
+        if t is None:
+            return ExactScalar(0, 1) if take("name", word="i") else None
+        mag = Fraction(t[1])
+        return ExactScalar(0, mag) if take("name", word="i") else ExactScalar(mag)
+
+    def signed_scalar():
+        negative = False
+        while t := take("+", "-"):
+            negative ^= t[0] == "-"
+        s = scalar()
+        if s is None:
+            expected("a number")
+        return -s if negative else s
+
+    def factor():  # -> (coefficient, m, n)
+        s = scalar()
+        if s is not None:
+            return s, 0, 0
+        if take("("):
+            s = signed_scalar()
+            while toks[k][0] in ("+", "-"):
+                s = s + signed_scalar()
+            take(")") or expected("')'")
+            return s, 0, 0
+        t = take("name") or expected("a term")
+        if t[1] == "conj":
+            take("(") or expected("'('")
+            u = take("name") or expected("'name'")
+            if u[1] != "w":
+                raise PolyParseError("only conj(w) is supported", u[2])
+            take(")") or expected("')'")
+        elif t[1] != "w":
+            raise PolyParseError(f"unknown name {t[1]!r}", t[2])
+        power = 1
+        if take("^"):
+            e = take("num") or expected("'num'")
+            if "." in e[1]:
+                raise PolyParseError("exponent must be an integer", e[2])
+            power = int(e[1])
+        return (ExactScalar(1), 0, power) if t[1] == "conj" else (ExactScalar(1), power, 0)
+
+    acc: dict = {}
+    sign = take("+", "-")  # one optional leading sign, then one between terms
+    while True:
+        coeff, m, n = factor()
+        while take("*"):
+            c, m2, n2 = factor()
+            coeff, m, n = coeff * c, m + m2, n + n2
+        if sign and sign[0] == "-":
+            coeff = -coeff
+        acc[m, n] = acc.get((m, n), ExactScalar(0)) + coeff
+        if take("end"):
+            return DiskPolynomial(acc)
+        sign = take("+", "-") or expected("'+' or '-'")
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +525,16 @@ def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> i
 
 
 def _add_global_flags(ap, suppress: bool):
-    # SUPPRESS on the subcommand copies so an unset flag there never
-    # clobbers a value parsed before the subcommand
+    # the defaults are RunConfig's; SUPPRESS on the subcommand copies so an
+    # unset flag there never clobbers a value parsed before the subcommand
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    ap.add_argument("--max-degree", type=int, default=d(20), dest="max_degree")
-    ap.add_argument("--tol-quad", type=float, default=d(1e-8), dest="tol_quad")
-    ap.add_argument("--tol-eigen", type=float, default=d(1e-10), dest="tol_eigen")
-    ap.add_argument("--seed", type=int, default=d(0))
+    ap.add_argument("--max-degree", type=int, default=d(RunConfig.max_degree), dest="max_degree")
+    ap.add_argument("--tol-quad", type=float, default=d(RunConfig.tol_quad), dest="tol_quad")
+    ap.add_argument("--tol-eigen", type=float, default=d(RunConfig.tol_eigen), dest="tol_eigen")
+    ap.add_argument("--seed", type=int, default=d(RunConfig.seed))
     ap.add_argument("--format", choices=("json", "csv", "table"),
-                    default=d("table"), dest="fmt")
-    ap.add_argument("--budget", type=int, default=d(oracle.DEFAULT_BUDGET))
+                    default=d(RunConfig.fmt), dest="fmt")
+    ap.add_argument("--budget", type=int, default=d(RunConfig.budget))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -651,9 +578,9 @@ def main(argv=None) -> int:
             code = cmd_transform(cfg, ns.operator, ns.poly, out)
         else:
             code = cmd_norm(cfg, ns.kind, ns.p, ns.grid, ns.d_set, out)
-    except (ConfigError, PolyParseError, ValueError) as exc:
-        # parameter validation from the computational layer counts as
-        # config misuse at the CLI boundary
+    except ValueError as exc:
+        # ConfigError, PolyParseError and parameter validation from the
+        # computational layer all count as misuse at the CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -69,21 +69,18 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A Galerkin value, the residual of its singular triple, and whether
-    the top singular value is numerically multiple.  Every realified P or H
-    block is one of a mirror pair (see _blocks), so degenerate is True for
-    every nonzero P or H estimate by construction."""
+    """A Galerkin value and the residual of its singular triple.  Every
+    realified P or H block is one of a mirror pair (see _blocks), so a
+    nonzero value is a double singular value by construction."""
     value: float
-    truncation: TruncationSpec
     residual: float
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.value < 0 or self.residual < 0:
             raise ValueError("value and residual must be >= 0")
 
 
-def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimate:
+def _top_singular(blocks, tol: float) -> NormEstimate:
     """Largest singular value over float blocks, one direct SVD each.
 
     Every block B stands for itself and its mirror R B C, where R and C are
@@ -111,8 +108,7 @@ def _top_singular(blocks, tol: float, truncation: TruncationSpec) -> NormEstimat
         residual = float(np.linalg.norm(best_block @ Vt[0] - S[0] * U[:, 0]))
         if residual > max(tol, 1e-10):
             raise RuntimeError(f"singular value residual {residual:.3e} exceeds tol")
-    return NormEstimate(value=best, truncation=truncation, residual=residual,
-                        degenerate=best > 0)
+    return NormEstimate(value=best, residual=residual)
 
 
 def _jacobi(kmax: int, a: int, beta, x: np.ndarray) -> np.ndarray:
@@ -314,7 +310,7 @@ def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> Nor
     _blocks).  Any other kind raises ValueError, as does a truncation that
     admits no basis monomial.
     """
-    return _top_singular(_blocks(kind, trunc), tol, trunc)
+    return _top_singular(_blocks(kind, trunc), tol)
 
 
 def _bisect(f, a, b, max_iter=200):

@@ -103,4 +103,4 @@ def whitened_blocks(kind: TransformKind, trunc: TruncationSpec):
 
 
 def exact_norm(kind: TransformKind, trunc: TruncationSpec, tol: float = 1e-10):
-    return _top_singular(whitened_blocks(kind, trunc), tol, trunc)
+    return _top_singular(whitened_blocks(kind, trunc), tol)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from disktransform import cli
 from disktransform.cli import (
     PolyParseError,
     RunConfig,
@@ -80,6 +81,49 @@ def test_parse_error_positions():
         parse_poly("conj(v)")
     with pytest.raises(PolyParseError):
         parse_poly("w^1.5")
+    # a non-ASCII digit is an unexpected character, not a number
+    for text, column in (("w^²", 3), ("²", 1)):
+        with pytest.raises(PolyParseError, match="unexpected character") as exc:
+            parse_poly(text)
+        assert exc.value.column == column
+
+
+# one case per grammar rule: the exact message, column included
+@pytest.mark.parametrize("text,message", [
+    ("w^^2", "expected 'num', found '^' (column 3)"),
+    ("w + $", "unexpected character '$' (column 5)"),
+    ("conj(v)", "only conj(w) is supported (column 6)"),
+    ("w^1.5", "exponent must be an integer (column 3)"),
+    ("w^-1", "expected 'num', found '-' (column 3)"),
+    ("(w)", "expected a number, found 'w' (column 2)"),
+    ("(1 2)", "expected ')', found '2' (column 4)"),
+    ("(+)", "expected a number, found ')' (column 3)"),
+    ("2w", "expected '+' or '-', found 'w' (column 2)"),
+    ("--w", "expected a term, found '-' (column 2)"),
+    ("w + -w", "expected a term, found '-' (column 5)"),
+    ("^2", "expected a term, found '^' (column 1)"),
+    ("conj w", "expected '(', found 'w' (column 6)"),
+    ("1..", "unexpected character '.' (column 3)"),
+    ("1.2.3", "expected '+' or '-', found '.3' (column 4)"),
+    ("w*", "expected a term, found '' (column 3)"),
+    ("-", "expected a term, found '' (column 2)"),
+    ("  ", "empty polynomial (column 1)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,coeffs", [
+    ("(--3)", {(0, 0): ExactScalar(3)}),
+    ("+w", {(1, 0): ExactScalar(1)}),
+    (".5", {(0, 0): ExactScalar(Fraction(1, 2))}),
+    ("7.", {(0, 0): ExactScalar(7)}),
+    ("2i*conj(w)^0", {(0, 0): ExactScalar(0, 2)}),
+])
+def test_parse_accepted_edge_cases(text, coeffs):
+    assert parse_poly(text) == DiskPolynomial(coeffs)
 
 
 # --- pretty printing ----------------------------------------------------------
@@ -163,15 +207,24 @@ def test_transform_parse_error_exit2(capsys):
     code, _, err = run(capsys, "transform", "P", "w^^2")
     assert code == 2
     assert "column 3" in err
+    code, out, err = run(capsys, "transform", "P", "w^²")
+    assert code == 2 and out == ""
+    assert "column 3" in err
 
 
 def test_bad_config_exit2(capsys):
-    code, _, err = run(capsys, "--tol-quad", "-1", "verify")
-    assert code == 2
-    assert "config error" in err
-    code, _, err = run(capsys, "verify", "--tol-eigen", "nan")
-    assert code == 2
-    assert "config error" in err
+    for argv in (("--tol-quad", "-1", "verify"), ("verify", "--tol-eigen", "nan")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+
+
+def test_verify_defaults_are_run_config(capsys, monkeypatch):
+    """With no flags the parser builds exactly RunConfig's defaults."""
+    seen = []
+    monkeypatch.setattr(cli, "run_verify", lambda cfg: seen.append(cfg) or [])
+    assert run(capsys, "verify")[0] == 0
+    assert seen == [RunConfig()]
 
 
 def test_exhausted_budget_exit3(capsys):

@@ -143,7 +143,6 @@ def test_assemble_degree0_P():
     assert sorted(abs(v) for col in plus + minus for v in col.values()) == [1, 1, 1, 1]
     est = exact_norm(P, TruncationSpec(0))
     assert abs(est.value - 1.0) < 1e-12
-    assert est.degenerate  # both sign blocks carry the same norm
 
 
 def test_assemble_empty_basis_rejected():
@@ -211,10 +210,6 @@ def test_estimate_P_converges_to_alpha():
         est = estimate_norm(P, TruncationSpec(deg), 1e-10)
         assert abs(est.value - alpha) < bound
         assert est.residual < 1e-10
-        # realified payloads carry mirror blocks, so the top singular value
-        # is genuinely multiple
-        assert est.degenerate
-        assert est.truncation.max_total_degree == deg
 
 
 def test_estimate_monotone_in_degree():
@@ -251,7 +246,6 @@ def test_P_norm_float_route_matches_exact_route(kind, d_set):
         exact = exact_norm(kind, trunc)
         est = estimate_norm(kind, trunc, 1e-10)
         assert abs(est.value - exact.value) < 1e-13
-        assert est.degenerate == exact.degenerate
         # the same input space on both routes: one float block per mirror pair
         assert sum(B.shape[1] for B in spectral._blocks(kind, trunc)) == blocks[0].shape[1]
 
@@ -300,8 +294,7 @@ def test_mirror_blocks_share_singular_values(kind):
 def test_top_singular_skips_only_blocks_that_cannot_win():
     """Skipping a block whose Frobenius norm is no more than the best leaves
     the value of decomposing every block, near ties and zero blocks
-    included; every nonzero estimate counts a mirror pair, so it is
-    degenerate."""
+    included."""
     rng = np.random.default_rng(5)
     rank_one = np.outer([1.0, 2.0, 0.5], [0.3, -1.0])
     cases = [list(spectral._blocks(P, TruncationSpec(20))),
@@ -313,9 +306,8 @@ def test_top_singular_skips_only_blocks_that_cannot_win():
                       for _ in range(rng.integers(1, 8))])
     for blocks in cases:
         every = max(np.linalg.svd(B, compute_uv=False)[0] for B in blocks)
-        est = spectral._top_singular(blocks, 1e-10, TruncationSpec(1))
+        est = spectral._top_singular(blocks, 1e-10)
         assert abs(est.value - every) <= 4 * np.finfo(float).eps * every
-        assert est.degenerate == (every > 0)
 
 
 def test_disk_polys_batch_matches_each_weight():
