@@ -10,9 +10,10 @@ Exit codes: 0 every check passed, 1 at least one check failed, 2 config or
 parse error (a ValueError from the computational layers counts as one), 3
 any other error during computation, such as an exhausted oracle budget or a
 series that did not converge.  Exits 2 and 3 print nothing to stdout; stderr
-gets one "config error: ..." line for a flag value RunConfig rejects, argparse's
-usage text and a "diskt: error: ..." line for a malformed command line, and
-one "error: ..." line otherwise.
+gets one "config error: ..." line for every ConfigError (a flag, operator,
+exponent, grid or d-set value the CLI rejects), argparse's usage text and a
+"diskt: error: ..." line for a malformed command line, and one "error: ..."
+line otherwise.
 
 Report rows carry {check_id, reference, expected, computed, abs_err, tol,
 status} with status PASS | FAIL | SKIPPED | CONJECTURE.  Output is
@@ -54,7 +55,6 @@ class PolyParseError(ValueError):
 class RunConfig:
     max_degree: int = 20
     tol_quad: float = 1e-8
-    tol_eigen: float = 1e-10
     seed: int = 0
     fmt: str = "table"
     budget: int = oracle.DEFAULT_BUDGET
@@ -64,8 +64,6 @@ class RunConfig:
             raise ConfigError(f"--max-degree must be in [0, {spectral.MAX_TOTAL_DEGREE}]")
         if not 0 < self.tol_quad < math.inf:
             raise ConfigError("--tol-quad must be positive and finite")
-        if not 0 < self.tol_eigen < math.inf:
-            raise ConfigError("--tol-eigen must be positive and finite")
         if self.budget <= 0:
             raise ConfigError("--budget must be positive")
         if self.fmt not in ("json", "csv", "table"):
@@ -273,7 +271,7 @@ _TRIALS = 20
 def run_verify(cfg: RunConfig):
     """The ledger rows in order; alpha, delta, the Bessel zeros and the
     Galerkin estimates are each computed once and shared between rows."""
-    alpha = spectral.solve_alpha(cfg.tol_eigen if cfg.tol_eigen < 1e-10 else 1e-12)
+    alpha = spectral.solve_alpha()
     delta = spectral.solve_delta()
     lam0 = alpha * alpha
     j = [bessel_zero(d) for d in range(len(_BESSEL_TABLE))]
@@ -293,10 +291,8 @@ def run_verify(cfg: RunConfig):
 
     if cfg.max_degree >= 10:
         P = TransformKind.CauchyTransformP
-        est = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree),
-                                     cfg.tol_eigen).value
-        rest = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree, {1}),
-                                      cfg.tol_eigen).value
+        est = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree)).value
+        rest = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree, {1})).value
         lo, hi = 2 / j[0], math.sqrt(1.5 + 2 / j[1] ** 2)
         rows += [
             _row("norm2_galerkin", "L2 norm estimate vs equation root", alpha, est, 1e-3),
@@ -311,8 +307,7 @@ def run_verify(cfg: RunConfig):
                      ("norm2_restricted_d1", "single-component bound 2/j0"),
                      ("norm2_bracket", "estimate inside the step-3 interval"))]
     iso = spectral.estimate_norm(TransformKind.BeurlingH,
-                                 spectral.TruncationSpec(min(cfg.max_degree, 8) or 2),
-                                 cfg.tol_eigen)
+                                 spectral.TruncationSpec(min(cfg.max_degree, 8) or 2))
 
     rng = random.Random(cfg.seed)
     samples = [_random_exact_poly(rng, 6, 5) for _ in range(2 * _TRIALS + 1)]
@@ -475,9 +470,8 @@ def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> i
                 trunc_dset = frozenset(int(x) for x in d_set_raw.split(","))
             except ValueError:
                 raise ConfigError(f"invalid --d-set {d_set_raw!r}") from None
-        est = spectral.estimate_norm(
-            TransformKind.CauchyTransformP,
-            spectral.TruncationSpec(cfg.max_degree, trunc_dset), cfg.tol_eigen)
+        est = spectral.estimate_norm(TransformKind.CauchyTransformP,
+                                     spectral.TruncationSpec(cfg.max_degree, trunc_dset))
         if trunc_dset is None:
             rows.append(_row("norm2_estimate", "full-basis reference value",
                              spectral.solve_alpha(), est.value, 1e-3))
@@ -485,7 +479,7 @@ def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> i
             rows.append(_row_report("norm2_estimate", "restricted basis (no reference)", "",
                                     est.value))
         rows.append(_row("norm2_residual", "singular-triple residual",
-                         0, est.residual, cfg.tol_eigen))
+                         0, est.residual, 1e-10))
     elif kind == "pinf":
         p = _parse_p(p_raw if p_raw is not None else "inf")
         value = extremal.norm_p_to_inf(p)
@@ -530,7 +524,6 @@ def _add_global_flags(ap, suppress: bool):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     ap.add_argument("--max-degree", type=int, default=d(RunConfig.max_degree), dest="max_degree")
     ap.add_argument("--tol-quad", type=float, default=d(RunConfig.tol_quad), dest="tol_quad")
-    ap.add_argument("--tol-eigen", type=float, default=d(RunConfig.tol_eigen), dest="tol_eigen")
     ap.add_argument("--seed", type=int, default=d(RunConfig.seed))
     ap.add_argument("--format", choices=("json", "csv", "table"),
                     default=d(RunConfig.fmt), dest="fmt")
@@ -562,14 +555,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
     cfg = RunConfig(max_degree=ns.max_degree, tol_quad=ns.tol_quad,
-                    tol_eigen=ns.tol_eigen, seed=ns.seed, fmt=ns.fmt, budget=ns.budget)
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+                    seed=ns.seed, fmt=ns.fmt, budget=ns.budget)
     out = io.StringIO()
     try:
+        cfg.validate()
         if ns.command == "verify":
             rows = run_verify(cfg)
             emit(rows, cfg.fmt, out)
@@ -578,9 +567,12 @@ def main(argv=None) -> int:
             code = cmd_transform(cfg, ns.operator, ns.poly, out)
         else:
             code = cmd_norm(cfg, ns.kind, ns.p, ns.grid, ns.d_set, out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
-        # ConfigError, PolyParseError and parameter validation from the
-        # computational layer all count as misuse at the CLI boundary
+        # PolyParseError and parameter validation from the computational
+        # layer count as misuse at the CLI boundary too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

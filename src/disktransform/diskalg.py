@@ -15,18 +15,14 @@ coefficient map after construction.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
     "ExactScalar",
     "DiskPolynomial",
-    "AngularComponent",
-    "decompose",
     "inner_product",
     "norm_sq",
-    "angular_norm_sq",
     "evaluate",
     "d_dz",
     "d_dzbar",
@@ -251,41 +247,6 @@ class DiskPolynomial:
         return f"DiskPolynomial({self.coeffs!r})"
 
 
-@dataclass(frozen=True)
-class AngularComponent:
-    """Angular piece g_d(rho e^{i theta}) = f_d(rho) e^{i d theta}.
-
-    b maps the radial index n (with n >= max(0, -d)) to the ExactScalar coefficient of
-    rho^{2n+d}, i.e. the monomial z^{n+d} zbar^n of the ambient polynomial.
-    """
-
-    d: int
-    b: dict
-
-    def __post_init__(self):
-        lo = max(0, -self.d)
-        for n in self.b:
-            if n < lo:
-                raise ValueError(f"radial index {n} below {lo} for d={self.d}")
-
-    def to_polynomial(self) -> DiskPolynomial:
-        return DiskPolynomial({(n + self.d, n): a for n, a in self.b.items()})
-
-
-def _sectors(phi: DiskPolynomial) -> dict[int, dict]:
-    """Coefficients by angular degree: {d: {n: a}} for the monomial
-    z^{n+d} zbar^n with coefficient a."""
-    out: dict[int, dict] = {}
-    for (m, n), a in phi.items():
-        out.setdefault(m - n, {})[n] = a
-    return out
-
-
-def decompose(phi: DiskPolynomial) -> list[AngularComponent]:
-    """Split into angular components, sorted by increasing d."""
-    return [AngularComponent(d, b) for d, b in sorted(_sectors(phi).items())]
-
-
 def _scaled_sectors(coeffs: dict) -> tuple[int, dict[int, list]]:
     """The common denominator q of the coefficients {(m, n): a}, and the
     coefficients by angular degree, {d: [(n, x, y)]} with x + y i = q a for
@@ -302,27 +263,6 @@ def _sum_over_w(by_w: dict) -> tuple[int, int]:
     """sum_w by_w[w] / w as (numerator, denominator)."""
     den = lcm(*by_w)
     return sum(s * (den // w) for w, s in by_w.items()), den
-
-
-def _norm_sq(coeffs: dict) -> Fraction:
-    """sum over d of sum_{n,l} Re(b_n conj(b_l)) / (n+l+d+1), where b_n is
-    the coefficient of z^{n+d} zbar^n.
-
-    Each diagonal term is taken once and each off-diagonal pair once,
-    doubled.  The sums run in integers: every coefficient is scaled to the
-    common denominator q, the terms are gathered by their divisor
-    w = n+l+d+1, and one Fraction is formed at the end."""
-    q, sectors = _scaled_sectors(coeffs)
-    by_w: dict[int, int] = {}
-    for d, terms in sectors.items():
-        for i, (n, x, y) in enumerate(terms):
-            w = 2 * n + d + 1
-            by_w[w] = by_w.get(w, 0) + x * x + y * y
-            for l, u, v in terms[i + 1:]:
-                w = n + l + d + 1
-                by_w[w] = by_w.get(w, 0) + 2 * (x * u + y * v)
-    num, den = _sum_over_w(by_w)
-    return Fraction(num, den * q * q)
 
 
 def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
@@ -348,14 +288,25 @@ def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
 
 
 def norm_sq(phi: DiskPolynomial) -> Fraction:
-    """Squared L2 norm, exact: the sum of the angular_norm_sq of its
-    angular components, which are orthogonal."""
-    return _norm_sq(phi.coeffs)
+    """Squared L2 norm, exact: over the angular degrees d, which are
+    orthogonal, the sum of sum_{n,l} Re(b_n conj(b_l)) / (n+l+d+1), where
+    b_n is the coefficient of z^{n+d} zbar^n.
 
-
-def angular_norm_sq(g: AngularComponent) -> Fraction:
-    """Closed radial form: ||g_d||^2 = sum_{n,l} b_n conj(b_l) / (n+l+d+1)."""
-    return _norm_sq(g.to_polynomial().coeffs)
+    Each diagonal term is taken once and each off-diagonal pair once,
+    doubled.  The sums run in integers: every coefficient is scaled to the
+    common denominator q, the terms are gathered by their divisor
+    w = n+l+d+1, and one Fraction is formed at the end."""
+    q, sectors = _scaled_sectors(phi.coeffs)
+    by_w: dict[int, int] = {}
+    for d, terms in sectors.items():
+        for i, (n, x, y) in enumerate(terms):
+            w = 2 * n + d + 1
+            by_w[w] = by_w.get(w, 0) + x * x + y * y
+            for l, u, v in terms[i + 1:]:
+                w = n + l + d + 1
+                by_w[w] = by_w.get(w, 0) + 2 * (x * u + y * v)
+    num, den = _sum_over_w(by_w)
+    return Fraction(num, den * q * q)
 
 
 def evaluate(phi: DiskPolynomial, z):

@@ -3,15 +3,14 @@ hypergeometric 2F1 on [0, 1], complete elliptic integral E.
 
 Everything here is scalar real arithmetic, with no asymptotic expansions.
 Bessel J sums its defining series.  For large argument that series loses
-accuracy to cancellation in float64, so integer and half-integer orders
-switch to fixed-point integer summation of the same series, with a
-truncation error below (terms + 1) * 2^-128 (see bessel_j).  2F1 sums its
-defining series for x <= X_SWITCH = 0.6 and uses the 1 - x connection
-formula DLMF 15.8.4 above it, falling back to the series where the
-formula's two terms cancel by more than CANCEL_MAX = 8 (c - a - b near an
-integer); on the profile parameter sets the relative error against mpmath
-is below 1e-14 except where a long series runs close to x = 1 (see
-hyp2f1).  E and K come from one
+accuracy to cancellation in float64, so integer orders switch to
+fixed-point integer summation of the same series, with a truncation error
+below (terms + 1) * 2^-128 (see bessel_j).  2F1 sums its defining series
+for x <= X_SWITCH = 0.6 and uses the 1 - x connection formula DLMF 15.8.4
+above it, falling back to the series where the formula's two terms cancel
+by more than CANCEL_MAX = 8 (c - a - b near an integer); on the profile
+parameter sets the relative error against mpmath is below 1e-14 except
+where a long series runs close to x = 1 (see hyp2f1).  E and K come from one
 arithmetic-geometric mean loop (see elliptic_e and _agm), with no
 quadrature.  gamma, bessel_j, hyp2f1 and elliptic_e raise
 DomainError for non-finite input before any iteration.
@@ -76,10 +75,10 @@ def bessel_j(alpha: float, x: float) -> float:
     alpha >= 0.  For x <= 8 the series is summed in float64.  For x > 8 the
     alternating terms near x ~ 25 exceed the result by ~1e7, which float64
     cannot absorb at the 1e-10 accuracy the zero finder needs, so integer
-    and half-integer alpha switch to fixed-point integer summation of the
-    same series (see _bessel_j_fixed; its truncation error is below
-    (terms + 1) * 2^-128).  Any other alpha with x > 8 raises DomainError,
-    and so does a non-finite alpha or x.
+    alpha switches to fixed-point integer summation of the same series (see
+    _bessel_j_fixed; its truncation error is below (terms + 1) * 2^-128).
+    Any other alpha with x > 8 raises DomainError, and so does a non-finite
+    alpha or x.
     """
     if not (math.isfinite(alpha) and math.isfinite(x)):
         raise DomainError(f"bessel_j needs finite alpha and x, got ({alpha}, {x})")
@@ -90,11 +89,10 @@ def bessel_j(alpha: float, x: float) -> float:
     if x == 0:
         return 1.0 if alpha == 0 else 0.0
     if x > 8:
-        if 2 * alpha != int(2 * alpha):
-            raise DomainError(
-                f"bessel_j({alpha}, {x}): for x > 8 only integer and "
-                "half-integer orders are supported")
-        return _bessel_j_fixed(alpha, x)
+        if alpha != int(alpha):
+            raise DomainError(f"bessel_j({alpha}, {x}): for x > 8 only integer orders "
+                              "are supported")
+        return _bessel_j_fixed(int(alpha), x)
     half = 0.5 * x
     term = half**alpha / gamma(alpha + 1.0)
     total = term
@@ -108,52 +106,36 @@ def bessel_j(alpha: float, x: float) -> float:
     raise SeriesError(f"bessel_j({alpha}, {x}) did not converge")
 
 
-def _bessel_j_fixed(alpha: float, x: float) -> float:
-    """J_alpha(x) for integer or half-integer alpha, the series summed in
-    Python integers scaled by 2^P.
+def _bessel_j_fixed(n: int, x: float) -> float:
+    """J_n(x) for integer n, the series summed in Python integers scaled by
+    2^P.
 
     x/2 = num / 2^sh exactly (x is a binary float).  Term k is term k-1
-    times num^2 / 2^(2 sh) / (k (k + alpha)), truncated toward zero.  For
-    alpha = n + 1/2, Gamma(k + alpha + 1) carries a factor sqrt(pi): the
-    sum runs over J_alpha(x) / sqrt(x / (2 pi)) with term ratio
-    -2 (x/2)^2 / (k (2k + 2n + 1)) and is scaled once at the end.
+    times num^2 / 2^(2 sh) / (k (k + n)), truncated toward zero.
 
     Each truncation errs by less than one unit 2^-P, and a unit dropped at
     term j reaches term k multiplied by at most (x/2)^(2m) / (m!)^2,
     m = k - j, a term of I_0(x) <= e^x.  So the summed error is below
     (terms + 1) e^x 2^-P, and P = 128 + ceil(x log2 e) makes it below
-    (terms + 1) 2^-128 (times sqrt(x / (2 pi)) for half-integer alpha).
-    total / 2^P is correctly rounded int division.  The sum stops once
-    k > x/2 and |term| < ABS_TOL/100.
+    (terms + 1) 2^-128.  total / 2^P is correctly rounded int division.
+    The sum stops once k > x/2 and |term| < ABS_TOL/100.
     """
-    n = int(alpha)
-    half_order = alpha != n
     num, den = x.as_integer_ratio()
     sh = den.bit_length()  # den = 2^(sh-1), so x/2 = num / 2^sh
     prec = 128 + math.ceil(x * math.log2(math.e))  # guard bits + bits of e^x
     tn, td = ABS_TOL.as_integer_ratio()
     bound = (tn << prec) // (100 * td)
-    if half_order:
-        # Gamma(n + 3/2) = sqrt(pi) (2n+1)! / (2^(2n+1) n!)
-        lead = (num**n << (prec + 2 * n + 1)) * math.factorial(n)
-        lead_den = math.factorial(2 * n + 1)
-        shift, step, offset = 2 * sh - 1, 2, 2 * n + 1
-        scale = math.sqrt(0.5 * x / math.pi)
-        bound //= math.isqrt(math.ceil(x)) + 1  # > scale: scaled term < ABS_TOL/100
-    else:
-        lead, lead_den = num**n << prec, math.factorial(n)
-        shift, step, offset = 2 * sh, 1, n
-        scale = 1.0
-    a = lead // (lead_den << (n * sh))  # |term_0| 2^P
+    a = (num**n << prec) // (math.factorial(n) << (n * sh))  # |term_0| 2^P
     total = a
     num2 = num * num
     half = 0.5 * x
+    shift = 2 * sh
     for k in range(1, MAX_TERMS):
-        a = a * num2 // (k * (step * k + offset) << shift)
+        a = a * num2 // (k * (k + n) << shift)
         total += -a if k & 1 else a
         if k > half and a < bound:
-            return total / (1 << prec) * scale
-    raise SeriesError(f"bessel_j({alpha}, {x}) fixed-point series did not converge")
+            return total / (1 << prec)
+    raise SeriesError(f"bessel_j({n}, {x}) fixed-point series did not converge")
 
 
 def _bessel_j_prime(d: int, x: float) -> float:

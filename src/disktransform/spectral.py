@@ -52,6 +52,11 @@ __all__ = [
 # weights are verified, and the assembly's memory grows as D^3.
 MAX_TOTAL_DEGREE = 160
 
+# Largest accepted residual ||B v - s u|| of a winning singular triple, and
+# largest accepted |f(root)| of the two norm equations.
+_SVD_RESIDUAL_TOL = 1e-10
+_ROOT_RESIDUAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TruncationSpec:
@@ -80,7 +85,7 @@ class NormEstimate:
             raise ValueError("value and residual must be >= 0")
 
 
-def _top_singular(blocks, tol: float) -> NormEstimate:
+def _top_singular(blocks) -> NormEstimate:
     """Largest singular value over float blocks, one direct SVD each.
 
     Every block B stands for itself and its mirror R B C, where R and C are
@@ -89,10 +94,9 @@ def _top_singular(blocks, tol: float) -> NormEstimate:
     nonzero estimate is degenerate by construction.  A block whose Frobenius
     norm, which bounds its largest singular value, is no more than the best
     so far cannot win and is not decomposed.  The residual ||B v - s u|| of
-    the winning singular triple is reported and must meet tol.
+    the winning singular triple is reported and must not exceed
+    _SVD_RESIDUAL_TOL.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     best = 0.0
     best_block = None
     for B in blocks:
@@ -106,8 +110,9 @@ def _top_singular(blocks, tol: float) -> NormEstimate:
     if best_block is not None:
         U, S, Vt = np.linalg.svd(best_block)
         residual = float(np.linalg.norm(best_block @ Vt[0] - S[0] * U[:, 0]))
-        if residual > max(tol, 1e-10):
-            raise RuntimeError(f"singular value residual {residual:.3e} exceeds tol")
+        if residual > _SVD_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"singular value residual {residual:.3e} exceeds {_SVD_RESIDUAL_TOL}")
     return NormEstimate(value=best, residual=residual)
 
 
@@ -302,7 +307,7 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
         yield B
 
 
-def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> NormEstimate:
+def estimate_norm(kind: TransformKind, trunc: TruncationSpec) -> NormEstimate:
     """Galerkin lower bound for the L2 norm of P (CauchyTransformP) or H
     (BeurlingH) on the truncated basis; nondecreasing in max_total_degree.
 
@@ -310,7 +315,7 @@ def estimate_norm(kind: TransformKind, trunc: TruncationSpec, tol: float) -> Nor
     _blocks).  Any other kind raises ValueError, as does a truncation that
     admits no basis monomial.
     """
-    return _top_singular(_blocks(kind, trunc), tol)
+    return _top_singular(_blocks(kind, trunc))
 
 
 def _bisect(f, a, b, max_iter=200):
@@ -336,20 +341,20 @@ def _bisect(f, a, b, max_iter=200):
     return a if abs(fa) <= abs(fb) else b
 
 
-def solve_alpha(tol: float = 1e-12) -> float:
+def solve_alpha() -> float:
     """Root of 2 J0(2/x) - x J1(2/x) on [1.0, 1.2] (bisection to the last
-    float, then a residual check against tol)."""
+    float, then a residual check against _ROOT_RESIDUAL_TOL)."""
 
     def f(x):
         return 2 * bessel_j(0, 2 / x) - x * bessel_j(1, 2 / x)
 
     root = _bisect(f, 1.0, 1.2)
-    if abs(f(root)) >= tol:
-        raise RuntimeError(f"alpha residual {abs(f(root)):.3e} not below {tol:.1e}")
+    if abs(f(root)) >= _ROOT_RESIDUAL_TOL:
+        raise RuntimeError(f"alpha residual {abs(f(root)):.3e} not below {_ROOT_RESIDUAL_TOL}")
     return root
 
 
-def solve_delta(tol: float = 1e-12) -> float:
+def solve_delta() -> float:
     """Root of J1(x) - x J0(x) on (2/sqrt(3/2 + 2/j1^2), j0); the bracket
     endpoints are checked to straddle a sign change."""
     j0 = bessel_zero(0)
@@ -361,8 +366,8 @@ def solve_delta(tol: float = 1e-12) -> float:
         return bessel_j(1, x) - x * bessel_j(0, x)
 
     root = _bisect(f, lo, hi)
-    if abs(f(root)) >= tol:
-        raise RuntimeError(f"delta residual {abs(f(root)):.3e} not below {tol:.1e}")
+    if abs(f(root)) >= _ROOT_RESIDUAL_TOL:
+        raise RuntimeError(f"delta residual {abs(f(root)):.3e} not below {_ROOT_RESIDUAL_TOL}")
     return root
 
 

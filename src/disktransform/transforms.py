@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .diskalg import AngularComponent, DiskPolynomial
+from .diskalg import DiskPolynomial
 
 __all__ = [
     "TransformKind",
     "apply_transform",
     "cauchy_integral",
     "j0_op",
-    "j0_op_conj",
     "j0_star",
     "cauchy_P",
     "beurling_S",
@@ -72,19 +71,6 @@ def j0_op(phi: DiskPolynomial) -> DiskPolynomial:
     for (m, n), a in phi.items():
         if m >= n:
             _accumulate(out, (m - n + 1, 0), a.scaled(1, m + 1))
-    return DiskPolynomial(out)
-
-
-def j0_op_conj(g: AngularComponent) -> DiskPolynomial:
-    """J0 applied to the conjugate of an angular component.
-
-    Nonzero only for d <= 0: J0[conj(g_d)] = z^{1-d} sum_n conj(b_n)/(n+1).
-    """
-    out: dict = {}
-    for n, b in g.b.items():
-        m = n + g.d
-        if m <= n:
-            _accumulate(out, (1 + n - m, 0), b.conjugate().scaled(1, n + 1))
     return DiskPolynomial(out)
 
 
@@ -161,20 +147,23 @@ def beurling_H(phi: DiskPolynomial) -> DiskPolynomial:
     return DiskPolynomial(out)
 
 
-def radial_P_gd(g: AngularComponent) -> DiskPolynomial:
-    """P of a single angular component through its radial representation.
+def radial_P_gd(phi: DiskPolynomial) -> DiskPolynomial:
+    """P through the radial representation of each angular sector.
+
+    Sector d of phi is g_d(rho e^{i theta}) = f_d(rho) e^{i d theta}, where
+    f_d = sum_n b_n rho^{2n+d} collects the monomials b_n z^{n+d} zbar^n:
 
     d >= 1:  P[g_d](z) = -2 z^{d-1} int_{|z|}^1 rho^{1-d} f_d(rho) d rho
     d <= 0:  P[g_d](z) =  2 z^{d-1} int_0^{|z|} rho^{1-d} f_d d rho
                           - 2 z^{1-d} int_0^1 rho^{1-d} conj(f_d) d rho
 
-    With f_d = sum_n b_n rho^{2n+d} both integrals are monomials in |z|^2,
-    so the result is again a polynomial; this is an independent route to
-    cauchy_P used for cross-assertion.
+    Both integrals are monomials in |z|^2, so the result is again a
+    polynomial; this is an independent route to cauchy_P used for
+    cross-assertion.
     """
     out: dict = {}
-    d = g.d
-    for n, b in g.b.items():
+    for (m, n), b in phi.items():
+        d = m - n
         # int rho^{2n+1} = rho^{2n+2} / (2n+2), and 2 / (2n+2) = 1 / (n+1)
         if d >= 1:
             # -2 z^{d-1} (1 - |z|^{2n+2}) / (2n+2)

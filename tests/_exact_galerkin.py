@@ -102,5 +102,5 @@ def whitened_blocks(kind: TransformKind, trunc: TruncationSpec):
     return blocks
 
 
-def exact_norm(kind: TransformKind, trunc: TruncationSpec, tol: float = 1e-10):
-    return _top_singular(whitened_blocks(kind, trunc), tol)
+def exact_norm(kind: TransformKind, trunc: TruncationSpec):
+    return _top_singular(whitened_blocks(kind, trunc))

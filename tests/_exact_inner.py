@@ -10,7 +10,7 @@ rationals.
 """
 from fractions import Fraction
 
-from disktransform.diskalg import AngularComponent, DiskPolynomial, ExactScalar
+from disktransform.diskalg import DiskPolynomial, ExactScalar
 
 
 def mono_inner(m: int, n: int, p: int, q: int) -> Fraction:
@@ -32,6 +32,3 @@ def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
 def norm_sq(phi: DiskPolynomial) -> Fraction:
     return inner_product(phi, phi).re
 
-
-def angular_norm_sq(g: AngularComponent) -> Fraction:
-    return norm_sq(g.to_polynomial())

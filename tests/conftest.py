@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from disktransform.diskalg import AngularComponent, DiskPolynomial, ExactScalar
+from disktransform.diskalg import DiskPolynomial, ExactScalar
 
 
 def rand_scalar(rng) -> ExactScalar:
@@ -25,8 +25,9 @@ def rand_poly(rng, max_total=6, terms=5) -> DiskPolynomial:
     return DiskPolynomial(acc)
 
 
-def rand_component(rng, d, max_n=6, terms=3) -> AngularComponent:
-    """Random angular component with rotation degree d, never zero."""
+def rand_component(rng, d, max_n=6, terms=3) -> DiskPolynomial:
+    """Random polynomial of the one angular degree d (every monomial
+    z^{n+d} zbar^n), never zero."""
     lo = max(0, -d)
     b = {}
     for _ in range(terms):
@@ -35,7 +36,16 @@ def rand_component(rng, d, max_n=6, terms=3) -> AngularComponent:
     b = {k: v for k, v in b.items() if v != ExactScalar(0)}
     if not b:
         b[lo] = ExactScalar(1)
-    return AngularComponent(d, b)
+    return DiskPolynomial({(n + d, n): a for n, a in b.items()})
+
+
+def sectors(phi: DiskPolynomial) -> list[DiskPolynomial]:
+    """The angular sectors of phi: its monomials grouped by degree m - n,
+    in increasing degree."""
+    out: dict[int, dict] = {}
+    for (m, n), a in phi.items():
+        out.setdefault(m - n, {})[(m, n)] = a
+    return [DiskPolynomial(c) for _, c in sorted(out.items())]
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -152,8 +154,6 @@ def test_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError):
             RunConfig(tol_quad=bad).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(tol_eigen=bad).validate()
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -189,9 +189,9 @@ def test_transform_full_names_and_aliases(capsys):
     c1 = run(capsys, "transform", "BeurlingS", "w^2")
     c2 = run(capsys, "transform", "S", "w^2")
     assert c1 == c2
-    code, _, err = run(capsys, "transform", "Q", "w")
-    assert code == 2
-    assert "unknown operator" in err
+    code, out, err = run(capsys, "transform", "Q", "w")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: unknown operator")
 
 
 def test_transform_json(capsys):
@@ -213,10 +213,19 @@ def test_transform_parse_error_exit2(capsys):
 
 
 def test_bad_config_exit2(capsys):
-    for argv in (("--tol-quad", "-1", "verify"), ("verify", "--tol-eigen", "nan")):
+    for argv in (("--tol-quad", "-1", "verify"), ("verify", "--budget", "0")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("config error: ")
+
+
+def test_global_flags_are_run_config_fields():
+    """Each global flag is one RunConfig field and each field one flag, so a
+    knob cannot be half-removed."""
+    ap = argparse.ArgumentParser()
+    cli._add_global_flags(ap, suppress=False)
+    dests = {a.dest for a in ap._actions if a.dest != "help"}
+    assert dests == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_verify_defaults_are_run_config(capsys, monkeypatch):
@@ -360,9 +369,16 @@ def test_norm_1_output_independent_of_threads(capsys, monkeypatch):
 
 
 def test_norm_bad_inputs(capsys):
-    assert run(capsys, "norm", "1", "--grid", "linear:5")[0] == 2
-    assert run(capsys, "norm", "pinf", "--p", "oops")[0] == 2
-    assert run(capsys, "norm", "rt", "--p", "1.2")[0] == 2
+    """A ConfigError prints "config error: ..." wherever it is raised; any
+    other ValueError prints "error: ...".  Both exit 2 with one stderr line
+    and nothing on stdout."""
+    for argv, prefix in ((("norm", "1", "--grid", "linear:5"), "config error: "),
+                         (("norm", "pinf", "--p", "oops"), "config error: "),
+                         (("norm", "2", "--d-set", "x"), "config error: "),
+                         (("norm", "rt", "--p", "1.2"), "error: ")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith(prefix), (argv, err)
 
 
 def test_norm_rt_small_p_is_config_error(capsys):

@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 
 from disktransform.diskalg import (
-    AngularComponent,
     DiskPolynomial,
     ExactScalar,
-    angular_norm_sq,
     conjugate,
     d_dz,
     d_dzbar,
-    decompose,
     evaluate,
     inner_product,
     norm_sq,
     to_tuples,
 )
-from conftest import rand_poly
+from conftest import rand_poly, sectors
 import _exact_inner as ref
 
 
@@ -144,30 +141,11 @@ def test_norm_sq_known_value():
     assert norm_sq(p) == Fraction(1)
 
 
-def test_decompose_recompose(rng):
-    for _ in range(20):
-        phi = rand_poly(rng)
-        parts = decompose(phi)
-        ds = [g.d for g in parts]
-        assert ds == sorted(set(ds))
-        total = DiskPolynomial({})
-        for g in parts:
-            total = total + g.to_polynomial()
-        assert total == phi
-
-
-def test_angular_component_validation():
-    with pytest.raises(ValueError):
-        AngularComponent(-2, {0: ExactScalar(1)})  # needs n >= 2
-    g = AngularComponent(-2, {2: ExactScalar(1)})
-    assert g.to_polynomial() == DiskPolynomial({(0, 2): ExactScalar(1)})
-
-
 def test_angular_norms_sum_to_norm(rng):
     """Rotation-degree components are orthogonal, norms are additive."""
     for _ in range(20):
         phi = rand_poly(rng)
-        total = sum(angular_norm_sq(g) for g in decompose(phi))
+        total = sum(norm_sq(g) for g in sectors(phi))
         assert total == norm_sq(phi)
 
 
@@ -372,12 +350,13 @@ def _inner_cases(rng) -> list[DiskPolynomial]:
 
 
 def test_inner_products_match_all_pairs_reference(rng):
-    """Bucketed by angular degree, inner_product, norm_sq and
-    angular_norm_sq give the rationals of the all-pairs loop."""
+    """Bucketed by angular degree, inner_product and norm_sq give the
+    rationals of the all-pairs loop, on whole polynomials and on each
+    angular sector."""
     polys = _inner_cases(rng)
     assert len(polys) >= 300
     assert sum(len(p) == 0 for p in polys) >= 2  # cancellation leaves zero too
-    assert sum(len(decompose(p)) >= 3 for p in polys) >= 60
+    assert sum(len(sectors(p)) >= 3 for p in polys) >= 60
     for phi, psi in zip(polys, polys[1:] + polys[:1]):
         for a, b in ((phi, psi), (phi, phi), (phi, polys[0])):
             got = inner_product(a, b)
@@ -386,9 +365,9 @@ def test_inner_products_match_all_pairs_reference(rng):
             assert type(got.re) is Fraction and type(got.im) is Fraction
         n2 = norm_sq(phi)
         assert type(n2) is Fraction and n2 == ref.norm_sq(phi)
-        for g in decompose(phi):
-            a2 = angular_norm_sq(g)
-            assert type(a2) is Fraction and a2 == ref.angular_norm_sq(g)
+        for g in sectors(phi):
+            a2 = norm_sq(g)
+            assert type(a2) is Fraction and a2 == ref.norm_sq(g)
 
 
 def test_tuples_round_trip(rng):

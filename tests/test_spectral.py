@@ -149,7 +149,7 @@ def test_assemble_empty_basis_rejected():
     trunc = TruncationSpec(3, frozenset({7}))
     for kind in (P, H):
         with pytest.raises(ValueError):
-            estimate_norm(kind, trunc, 1e-10)
+            estimate_norm(kind, trunc)
     with pytest.raises(ValueError):
         realified_columns(P, trunc)
 
@@ -158,7 +158,7 @@ def test_assemble_empty_basis_rejected():
                                   TransformKind.HengartnerSchoberT])
 def test_estimate_norm_rejects_kinds_without_radial_forms(kind):
     with pytest.raises(ValueError):
-        estimate_norm(kind, TruncationSpec(4), 1e-10)
+        estimate_norm(kind, TruncationSpec(4))
 
 
 def test_truncation_spec_validation():
@@ -200,20 +200,20 @@ def test_bergman_matrix_idempotent_norm():
 
 
 def test_estimate_P_degree0():
-    est = estimate_norm(P, TruncationSpec(0), 1e-10)
+    est = estimate_norm(P, TruncationSpec(0))
     assert abs(est.value - 1.0) < 1e-12
 
 
 def test_estimate_P_converges_to_alpha():
     alpha = solve_alpha()
     for deg, bound in ((12, 1e-6), (20, 1e-13), (40, 1e-13), (80, 1e-13), (160, 1e-13)):
-        est = estimate_norm(P, TruncationSpec(deg), 1e-10)
+        est = estimate_norm(P, TruncationSpec(deg))
         assert abs(est.value - alpha) < bound
         assert est.residual < 1e-10
 
 
 def test_estimate_monotone_in_degree():
-    vals = [estimate_norm(P, TruncationSpec(d), 1e-10).value for d in (2, 4, 6, 8, 10)]
+    vals = [estimate_norm(P, TruncationSpec(d)).value for d in (2, 4, 6, 8, 10)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
     # the Galerkin gap closes super-exponentially: 2.8e-4, 1.8e-7, 3.4e-11, ~1e-15
@@ -241,10 +241,10 @@ def test_P_norm_float_route_matches_exact_route(kind, d_set):
             blocks = whitened_blocks(kind, trunc)
         except ValueError:
             with pytest.raises(ValueError):
-                estimate_norm(kind, trunc, 1e-10)
+                estimate_norm(kind, trunc)
             continue
         exact = exact_norm(kind, trunc)
-        est = estimate_norm(kind, trunc, 1e-10)
+        est = estimate_norm(kind, trunc)
         assert abs(est.value - exact.value) < 1e-13
         # the same input space on both routes: one float block per mirror pair
         assert sum(B.shape[1] for B in spectral._blocks(kind, trunc)) == blocks[0].shape[1]
@@ -306,7 +306,7 @@ def test_top_singular_skips_only_blocks_that_cannot_win():
                       for _ in range(rng.integers(1, 8))])
     for blocks in cases:
         every = max(np.linalg.svd(B, compute_uv=False)[0] for B in blocks)
-        est = spectral._top_singular(blocks, 1e-10)
+        est = spectral._top_singular(blocks)
         assert abs(est.value - every) <= 4 * np.finfo(float).eps * every
 
 
@@ -390,18 +390,18 @@ def test_radial_forms_match_quadrature():
 
 def test_restricted_pair_carries_norm():
     """The d in {0, 2} pair alone reproduces the full-basis value."""
-    full = estimate_norm(P, TruncationSpec(10), 1e-10).value
-    pair = estimate_norm(P, TruncationSpec(10, frozenset({0, 2})), 1e-10).value
+    full = estimate_norm(P, TruncationSpec(10)).value
+    pair = estimate_norm(P, TruncationSpec(10, frozenset({0, 2}))).value
     assert abs(full - pair) < 1e-9
 
 
 def test_restricted_d1_reaches_hardy_constant():
-    est = estimate_norm(P, TruncationSpec(12, frozenset({1})), 1e-10)
+    est = estimate_norm(P, TruncationSpec(12, frozenset({1})))
     assert abs(est.value - 2 / J0) < 1e-3
 
 
 def test_norm_estimate_interval():
-    est = estimate_norm(P, TruncationSpec(12), 1e-10)
+    est = estimate_norm(P, TruncationSpec(12))
     assert 2 / J0 < est.value < math.sqrt(1.5 + 2 / J1 ** 2)
 
 

@@ -11,12 +11,10 @@ from fractions import Fraction
 import pytest
 
 from disktransform.diskalg import (
-    AngularComponent,
     DiskPolynomial,
     ExactScalar,
     conjugate,
     d_dz,
-    decompose,
     evaluate,
     inner_product,
     norm_sq,
@@ -31,7 +29,6 @@ from disktransform.transforms import (
     cauchy_P,
     cauchy_integral,
     j0_op,
-    j0_op_conj,
     j0_star,
     radial_P_gd,
     t_hs,
@@ -58,12 +55,11 @@ def test_cauchy_integral_examples():
 
 
 def test_j0_conj_component_examples():
-    g0 = AngularComponent(0, {0: E1})
-    assert j0_op_conj(g0) == mono(1, 0)
-    g1 = AngularComponent(1, {0: E1, 2: ExactScalar(3)})
-    assert j0_op_conj(g1) == P({})
-    gm1 = AngularComponent(-1, {1: E1})
-    assert j0_op_conj(gm1) == P({(2, 0): ExactScalar(Fraction(1, 2))})
+    # J0[conj(g_d)] = z^{1-d} sum_n conj(b_n)/(n+1), nonzero only for d <= 0
+    assert j0_op(conjugate(mono(0, 0))) == mono(1, 0)
+    g1 = P({(1, 0): E1, (3, 2): ExactScalar(3)})
+    assert j0_op(conjugate(g1)) == P({})
+    assert j0_op(conjugate(mono(0, 1))) == P({(2, 0): ExactScalar(Fraction(1, 2))})
 
 
 def test_j0_star_examples():
@@ -100,10 +96,24 @@ def test_beurling_H_examples():
 
 
 def test_radial_examples():
-    assert radial_P_gd(AngularComponent(1, {0: E1})) == cauchy_P(mono(1, 0))
-    assert radial_P_gd(AngularComponent(0, {0: E1})) == cauchy_P(mono(0, 0))
+    assert radial_P_gd(mono(1, 0)) == cauchy_P(mono(1, 0))
+    assert radial_P_gd(mono(0, 0)) == cauchy_P(mono(0, 0))
     # d=2, f = rho^2: -2z int_r^1 rho drho = z^2 zbar - z
-    assert radial_P_gd(AngularComponent(2, {0: E1})) == P({(2, 1): E1, (1, 0): -E1})
+    assert radial_P_gd(mono(2, 0)) == P({(2, 1): E1, (1, 0): -E1})
+
+
+def test_radial_matches_P_on_every_monomial():
+    """The radial route and the monomial rule agree on the real basis
+    a z^m zbar^n, a in {1, i}, m + n <= 10, so on every polynomial of
+    degree <= 10 by real-linearity."""
+    count = 0
+    for m in range(11):
+        for n in range(11 - m):
+            for a in (E1, ExactScalar(0, 1)):
+                phi = P({(m, n): a})
+                assert radial_P_gd(phi) == cauchy_P(phi), (m, n, a)
+                count += 1
+    assert count == 132
 
 
 def test_t_examples():
@@ -157,7 +167,7 @@ def test_P_equals_minus_C_on_analytic_components():
     rng = random.Random(3)
     for d in (1, 2, 3, 5):
         for _ in range(25):
-            g = rand_component(rng, d).to_polynomial()
+            g = rand_component(rng, d)
             assert cauchy_P(g) == -cauchy_integral(g)
 
 
@@ -195,8 +205,8 @@ def test_P_image_orthogonality():
         for d2 in range(-3, 5):
             if d1 >= d2:
                 continue
-            g1 = cauchy_P(rand_component(rng, d1).to_polynomial())
-            g2 = cauchy_P(rand_component(rng, d2).to_polynomial())
+            g1 = cauchy_P(rand_component(rng, d1))
+            g2 = cauchy_P(rand_component(rng, d2))
             ip = inner_product(g1, g2)
             if d1 + d2 != 2:
                 assert ip == zero, (d1, d2)
@@ -216,8 +226,8 @@ def test_H_image_orthogonality():
     zero = ExactScalar(0)
     for d1 in range(-3, 5):
         for d2 in range(d1 + 1, 5):
-            h1 = beurling_H(rand_component(rng, d1).to_polynomial())
-            h2 = beurling_H(rand_component(rng, d2).to_polynomial())
+            h1 = beurling_H(rand_component(rng, d1))
+            h2 = beurling_H(rand_component(rng, d2))
             assert inner_product(h1, h2) == zero, (d1, d2)
 
 
@@ -227,8 +237,8 @@ def test_j0_conj_norm_bound():
     for d in (-1, -2, -3):
         for _ in range(50):
             g = rand_component(rng, d)
-            lhs = norm_sq(j0_op_conj(g))
-            rhs = norm_sq(g.to_polynomial())
+            lhs = norm_sq(j0_op(conjugate(g)))
+            rhs = norm_sq(g)
             assert lhs * 3 <= rhs
 
 
@@ -245,8 +255,7 @@ def test_radial_matches_P_on_every_component():
     rng = random.Random(11)
     for _ in range(100):
         phi = rand_poly(rng)
-        for g in decompose(phi):
-            assert radial_P_gd(g) == cauchy_P(g.to_polynomial())
+        assert radial_P_gd(phi) == cauchy_P(phi)
 
 
 def test_t_boundary_real_part_vanishes():
@@ -275,7 +284,7 @@ def test_cross_term_bound_step2():
     rng = random.Random(14)
     for d in (-2, -1, 0, 1, 2, 3):
         for _ in range(25):
-            a = cauchy_integral(rand_component(rng, d).to_polynomial())
-            b = cauchy_P(rand_component(rng, 2 - d).to_polynomial())
+            a = cauchy_integral(rand_component(rng, d))
+            b = cauchy_P(rand_component(rng, 2 - d))
             re2 = 2 * inner_product(a, b).re
             assert abs(re2) <= norm_sq(a) + norm_sq(b)
