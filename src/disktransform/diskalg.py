@@ -315,8 +315,8 @@ def evaluate(phi: DiskPolynomial, z):
     On an array, each coefficient is converted to complex once and the
     powers z^k and conj(z)^k are tabulated by repeated multiplication up to
     the largest exponents.  The oracle makes one such call per refinement
-    step: on both rules of the initial panel, then on both rules of all
-    four children of each split."""
+    step: on the node grid of the initial panel, then on the grids of both
+    halves of each bisection."""
     if not hasattr(z, "shape"):
         total = 0j
         zb = complex(z).conjugate()

@@ -6,16 +6,24 @@ transforms is cross-checked against this module, so nothing here may import
 from transforms.
 
 Machinery: one greedy refinement loop (_adaptive) for intervals and boxes
-splits the panel with the largest error indicator.  A box panel is tensor
-Gauss-Legendre with 8 and 16 nodes per axis, and each 2-D refinement step
-makes one integrand call for both rules of all four children of a split.  An
-interval panel is 12- against 24-point Gauss-Legendre, one integrand call
-per rule.  Panel bookkeeping uses an insertion counter as the heap
+bisects the panel with the largest error indicator and measures both
+children in one integrand call.  A box panel is evaluated once on the 24 x 24
+tensor grid whose nodes, per axis, are the 8- and the 16-point
+Gauss-Legendre nodes (576 evaluations): the 16 x 16 rule gives the value,
+and dropping to 8 nodes in one axis gives that axis's error indicator.  The
+indicator of the panel is their sum, and the panel is bisected across the
+axis with the larger one, so an integrand already resolved in one coordinate
+is refined in the other alone.  An interval panel is 12- against 24-point
+Gauss-Legendre.  Panel bookkeeping uses an insertion counter as the heap
 tie-break, and accumulation order is fixed, so a run is reproducible bit for
 bit for a given configuration.
 
 Integrands are either a DiskPolynomial or a callable w -> value that accepts
-complex numpy arrays elementwise.
+complex numpy arrays elementwise; w always has the full shape of the grid.
+The internal 2-D integrands F(X, Y) instead receive node arrays of shapes
+(p, 24, 1) and (p, 1, 24) that broadcast to the grids of p boxes, so a
+factor of one coordinate is computed on 24 values per box; F's result must
+broadcast to (p, 24, 24).
 """
 from __future__ import annotations
 
@@ -42,7 +50,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 2_000_000
 _NODES = 8  # per axis of a 2-D panel's coarse rule; the fine rule doubles it
-_PANEL_EVALS = 5 * _NODES * _NODES
+_GRID = 3 * _NODES  # nodes per axis of a 2-D panel: both rules' nodes
 _NODES_1D = 12  # coarse rule of a 1-D segment; the fine rule doubles it
 
 
@@ -71,83 +79,92 @@ def _as_fn(phi):
     raise TypeError("integrand must be a DiskPolynomial or a callable")
 
 
+def _rules(n):
+    """The n- and the 2n-point Gauss-Legendre rules on [-1, 1]: all their
+    nodes in one array, the n-point ones first, then both weight vectors."""
+    (xc, wc), (xf, wf) = _gl_nodes(n), _gl_nodes(2 * n)
+    return np.concatenate((xc, xf)), wc, wf
+
+
 def _panels_2d(F, boxes):
-    """Panels for a list of boxes (ax, bx, ay, by), all in one call of F:
-    n x n vs 2n x 2n tensor Gauss-Legendre per box, n = _NODES.  Returns one
-    (refined value, error indicator) pair per box, each bit for bit what
-    the box would give alone."""
+    """Panels for a list of boxes (ax, bx, ay, by), all in one call of F.
+
+    Per axis, a box's nodes are the n- and then the 2n-point Gauss-Legendre
+    nodes, n = _NODES; F gets them as arrays of shapes (p, 3n, 1) and
+    (p, 1, 3n), which broadcast to the (p, 3n, 3n) tensor grid, so a factor
+    of one coordinate costs 3n values per box.  Each box returns its value
+    by the 2n x 2n rule, its error indicator e_x + e_y, where e_x (e_y)
+    compares the n-point rule in x (y) against it, and the axis of the
+    larger indicator, x on a tie."""
+    x, wc, wf = _rules(_NODES)
     ax, bx, ay, by = np.array(boxes).T[:, :, None]
-    X = np.empty(len(boxes) * _PANEL_EVALS)
-    Y = np.empty_like(X)
-    rules = []
-    start = 0
-    for k in (_NODES, 2 * _NODES):
-        x, w = _gl_nodes(k)
-        xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * x
-        ys = 0.5 * (ay + by) + 0.5 * (by - ay) * x
-        stop = start + len(boxes) * k * k
-        # the k x k grid of each box, box after box, x along the rows
-        X[start:stop].reshape(-1, k, k)[...] = xs[:, :, None]
-        Y[start:stop].reshape(-1, k, k)[...] = ys[:, None, :]
-        rules.append((start, stop, k, w))
-        start = stop
-    vals = F(X, Y)
-    coarse, fine = (np.einsum("i,j,pij->p", w, w, vals[lo:hi].reshape(-1, k, k))
-                    for lo, hi, k, w in rules)
+    X = (0.5 * (ax + bx) + 0.5 * (bx - ax) * x)[:, :, None]
+    Y = (0.5 * (ay + by) + 0.5 * (by - ay) * x)[:, None, :]
+    vals = np.broadcast_to(F(X, Y), (len(boxes), _GRID, _GRID))
+    lo, hi = slice(None, _NODES), slice(_NODES, None)
+    fine, coarse_x, coarse_y = (np.einsum("i,j,pij->p", wx, wy, vals[:, sx, sy])
+                                for wx, wy, sx, sy in ((wf, wf, hi, hi),
+                                                       (wc, wf, lo, hi),
+                                                       (wf, wc, hi, lo)))
     out = []
-    for (a, b, c, d), vc, vf in zip(boxes, coarse, fine):
+    for (a, b, c, d), vf, vx, vy in zip(boxes, fine, coarse_x, coarse_y):
         scale = 0.25 * (b - a) * (d - c)
         v = scale * vf
-        out.append((v, abs(v - scale * vc)))
+        ex, ey = abs(v - scale * vx), abs(v - scale * vy)
+        out.append((v, ex + ey, int(ey > ex)))
     return out
 
 
 def _panels_1d(f, segments):
-    """Panels for a list of segments (a, b): n- vs 2n-point Gauss-Legendre,
-    n = _NODES_1D, one call of f per rule and segment."""
+    """Panels for a list of segments (a, b), all in one call of f on a 1-D
+    array: per segment its n- and then its 2n-point Gauss-Legendre nodes,
+    n = _NODES_1D, summed by np.dot.  Each segment returns its value by the
+    2n-point rule, the difference from the n-point rule, and axis 0."""
+    x, wc, wf = _rules(_NODES_1D)
+    lo, hi = np.array(segments).T[:, :, None]
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    vals = f(xs.ravel()).reshape(len(segments), -1)
     out = []
-    for a, b in segments:
-        coarse, fine = (0.5 * (b - a) * np.dot(w, f(0.5 * (a + b) + 0.5 * (b - a) * x))
-                        for x, w in (_gl_nodes(_NODES_1D), _gl_nodes(2 * _NODES_1D)))
-        out.append((fine, abs(fine - coarse)))
+    for (a, b), row in zip(segments, vals):
+        coarse = 0.5 * (b - a) * np.dot(wc, row[:_NODES_1D])
+        fine = 0.5 * (b - a) * np.dot(wf, row[_NODES_1D:])
+        out.append((fine, abs(fine - coarse), 0))
     return out
 
 
-def _halves(a, b):
-    m = 0.5 * (a + b)
-    return (a, m), (m, b)
+def _bisect(box, axis):
+    """The two halves of an interval (a, b) or a box (ax, bx, ay, by), cut
+    at the midpoint of one axis (0 for x, 1 for y)."""
+    i = 2 * axis
+    mid = 0.5 * (box[i] + box[i + 1])
+    return box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:]
 
 
-def _quarters(a, b, c, d):
-    mx, my = 0.5 * (a + b), 0.5 * (c + d)
-    return (a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)
-
-
-# panel size -> (split, panels, evaluations per panel)
-_RULES = {2: (_halves, _panels_1d, 3 * _NODES_1D),
-          4: (_quarters, _panels_2d, _PANEL_EVALS)}
+# panel size -> (panels, evaluations per panel)
+_RULES = {2: (_panels_1d, 3 * _NODES_1D), 4: (_panels_2d, _GRID * _GRID)}
 
 
 def _adaptive(F, box, tol, budget):
     """Greedy panel refinement until the summed error indicator is <= tol.
 
     box is an interval (a, b), with F(x) on a 1-D array, or a box
-    (ax, bx, ay, by), with F(X, Y) on two equal-shape arrays.  Returns
-    (value, err, evals).  The worst panel splits into halves or quarters,
-    and its children are measured together (see _panels_1d, _panels_2d); the
-    heap tie-break counter makes pop order, and hence the accumulated float
-    sums, reproducible.  A non-finite integrand value makes the summed
-    indicator non-finite, which raises ValueError.
+    (ax, bx, ay, by), with F(X, Y) on two arrays that broadcast to one grid
+    (see _panels_2d).  Returns (value, err, evals).  The worst panel is
+    bisected along the axis its panel function names, and both children are
+    measured in one call of F; the heap tie-break counter makes pop order,
+    and hence the accumulated float sums, reproducible.  A non-finite
+    integrand value makes the summed indicator non-finite, which raises
+    ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    split, panels, cost = _RULES[len(box)]
+    panels, cost = _RULES[len(box)]
     evals = cost
-    [(v, e)] = panels(F, [box])
+    [(v, e, axis)] = panels(F, [box])
     if evals > budget:
         raise OracleBudgetError(
             f"initial panel alone needs {evals} evaluations, budget is {budget}")
-    heap = [(-e, 0, box, v, e)]
+    heap = [(-e, 0, box, v, e, axis)]
     counter = 1
     total_v, total_e = v, e
     while not total_e <= tol:
@@ -157,15 +174,15 @@ def _adaptive(F, box, tol, budget):
             raise OracleBudgetError(
                 f"needed more than {budget} evaluations (err {total_e:.3e} > tol {tol:.3e})"
             )
-        _, _, box, pv, pe = heapq.heappop(heap)
+        _, _, box, pv, pe, axis = heapq.heappop(heap)
         total_v -= pv
         total_e -= pe
-        children = split(*box)
-        for child, (v2, e2) in zip(children, panels(F, children)):
+        children = _bisect(box, axis)
+        for child, (v2, e2, axis2) in zip(children, panels(F, children)):
             evals += cost
             total_v += v2
             total_e += e2
-            heapq.heappush(heap, (-e2, counter, child, v2, e2))
+            heapq.heappush(heap, (-e2, counter, child, v2, e2, axis2))
             counter += 1
     return total_v, total_e, evals
 

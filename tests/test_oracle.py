@@ -59,6 +59,12 @@ def test_quad_accepts_plain_callable():
     assert abs(r.value - 0.5) < 1e-10
 
 
+def test_quad_accepts_constant_callable():
+    # a callable may return a scalar; the panel grid still takes its shape
+    r = quad_disk(lambda w: 2.0, 1e-10)
+    assert abs(r.value - 2.0) < 1e-12 and r.evaluations == 576
+
+
 def test_quad_rejects_junk():
     with pytest.raises(TypeError):
         quad_disk("not integrable", 1e-8)
@@ -232,45 +238,54 @@ def test_non_finite_integrand_rejected():
                          1e-8, 10**6)
 
 
-# --- batched panels ---------------------------------------------------------
+# --- broadcast panels -------------------------------------------------------
 
-def _reference_adaptive_2d(F, box, tol, budget, evals_used=0):
-    """The per-panel refinement loop: one meshgrid and one integrand call per
-    rule and panel, with the oracle's Gauss-Legendre rules.  The batched
-    oracle must reproduce it bit for bit."""
+def _reference_adaptive_2d(F, box, tol, budget):
+    """The per-panel anisotropic refinement loop on full np.meshgrid arrays:
+    per axis the 8- and then the 16-point Gauss-Legendre nodes, one
+    integrand call per panel, the 16 x 16 value, the indicators e_x and e_y
+    of the 8-point rule in x and in y, and the worst panel bisected along
+    the axis of the larger one (x on a tie).  The broadcast oracle must
+    reproduce it bit for bit."""
+    (x8, w8), (x16, w16) = _gl_nodes(8), _gl_nodes(16)
+    nodes = np.concatenate((x8, x16))
 
-    def panel(ax, bx, ay, by, n=8):
+    def panel(ax, bx, ay, by):
+        xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * nodes
+        ys = 0.5 * (ay + by) + 0.5 * (by - ay) * nodes
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        V = F(X, Y)
         scale = 0.25 * (bx - ax) * (by - ay)
-        vals = []
-        for k in (n, 2 * n):
-            x, w = _gl_nodes(k)
-            xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * x
-            ys = 0.5 * (ay + by) + 0.5 * (by - ay) * x
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            vals.append(scale * np.einsum("i,j,ij->", w, w, F(X, Y)))
-        return vals[1], abs(vals[1] - vals[0]), 5 * n * n
+        v = scale * np.einsum("i,j,ij->", w16, w16, V[8:, 8:])
+        ex = abs(v - scale * np.einsum("i,j,ij->", w8, w16, V[:8, 8:]))
+        ey = abs(v - scale * np.einsum("i,j,ij->", w16, w8, V[8:, :8]))
+        return v, ex + ey, ey > ex
 
-    evals = evals_used
-    v, e, ne = panel(*box)
-    evals += ne
+    evals = 576
+    v, e, cut_y = panel(*box)
     if evals > budget:
         raise OracleBudgetError("initial panel")
-    heap = [(-e, 0, tuple(box) + (v, e))]
+    heap = [(-e, 0, tuple(box) + (v, e, cut_y))]
     counter = 1
     total_v, total_e = v, e
     while total_e > tol:
         if evals > budget:
             raise OracleBudgetError("budget")
-        _, _, (a, b, c, d, pv, pe) = heapq.heappop(heap)
+        _, _, (a, b, c, d, pv, pe, cut_y) = heapq.heappop(heap)
         total_v -= pv
         total_e -= pe
-        mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        for box2 in ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)):
-            v2, e2, ne = panel(*box2)
-            evals += ne
+        if cut_y:
+            my = 0.5 * (c + d)
+            children = (a, b, c, my), (a, b, my, d)
+        else:
+            mx = 0.5 * (a + b)
+            children = (a, mx, c, d), (mx, b, c, d)
+        for box2 in children:
+            v2, e2, cut2 = panel(*box2)
+            evals += 576
             total_v += v2
             total_e += e2
-            heapq.heappush(heap, (-e2, counter, box2 + (v2, e2)))
+            heapq.heappush(heap, (-e2, counter, box2 + (v2, e2, cut2)))
             counter += 1
     return total_v, total_e, evals
 
@@ -302,17 +317,68 @@ def test_one_integrand_call_per_refinement_step(monkeypatch):
     pops = []
     real_pop = heapq.heappop
     monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or real_pop(h))
-    sizes = []
+    shapes = []
 
     def F(X, Y):
-        sizes.append(X.size)
+        shapes.append((X.shape, Y.shape))
         return np.abs(X * np.exp(1j * Y) - 0.3)  # cone: many splits
 
     _, _, evals = oracle._adaptive(F, (0.0, 1.0, 0.0, 2 * math.pi), 1e-9, 10**7)
     splits = len(pops)
     assert splits > 10
-    assert sizes == [320] + [4 * 320] * splits
-    assert evals == 320 * (1 + 4 * splits)
+    assert shapes == ([((1, 24, 1), (1, 1, 24))]
+                      + [((2, 24, 1), (2, 1, 24))] * splits)
+    assert evals == 576 * (1 + 2 * splits)
+
+
+def test_one_integrand_call_per_1d_refinement_step(monkeypatch):
+    pops = []
+    real_pop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or real_pop(h))
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.abs(x - 0.3) ** 0.5  # cusp: many splits
+
+    _, _, evals = oracle._adaptive(f, (0.0, 1.0), 1e-9, 10**6)
+    splits = len(pops)
+    assert splits > 10
+    assert shapes == [(36,)] + [(72,)] * splits
+    assert evals == 36 * (1 + 2 * splits)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
+def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
+    # in the centred-polar maps the integrand of a degree <= 8 polynomial is
+    # a polynomial of degree <= 15 in U, which the 8-point rule integrates
+    # exactly, so all the error, and every cut, is in beta
+    axes = []
+    real = oracle._bisect
+    monkeypatch.setattr(oracle, "_bisect",
+                        lambda box, axis: axes.append(axis) or real(box, axis))
+    rng = random.Random(f"bisect-axis/{radius}")
+    for _ in range(6):
+        phi = rand_poly(rng, max_total=8, terms=6)
+        z = radius * cmath.exp(2j * math.pi * rng.random())
+        cauchy_eval(phi, z, 1e-8)
+        pv_beurling_eval(phi, z, 1e-8)
+    assert axes and set(axes) == {0}
+
+
+def test_near_boundary_agreement():
+    rng = random.Random("near-boundary")
+    for _ in range(12):
+        phi = rand_poly(rng, max_total=8, terms=6)
+        z = 0.99 * cmath.exp(2j * math.pi * rng.random())
+
+        def bergman(w):
+            return evaluate(phi, w) / (1 - z * np.conj(w)) ** 2
+
+        for closed, got, tol in ((cauchy_integral, cauchy_eval(phi, z, 1e-8), 1e-8),
+                                 (beurling_S, pv_beurling_eval(phi, z, 1e-8), 1e-8),
+                                 (bergman_B, quad_disk(bergman, 1e-9), 1e-9)):
+            assert abs(got.value - complex(evaluate(closed(phi), z))) <= tol, (phi, z)
 
 
 def _reference_adaptive_1d(f, a, b, tol, budget, n=12):
