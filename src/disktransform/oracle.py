@@ -7,23 +7,23 @@ from transforms.
 
 Machinery: one greedy refinement loop (_adaptive) for intervals and boxes
 bisects the panel with the largest error indicator and measures both
-children in one integrand call.  A box panel is evaluated once on the 24 x 24
-tensor grid whose nodes, per axis, are the 8- and the 16-point
-Gauss-Legendre nodes (576 evaluations): the 16 x 16 rule gives the value,
-and dropping to 8 nodes in one axis gives that axis's error indicator.  The
-indicator of the panel is their sum, and the panel is bisected across the
-axis with the larger one, so an integrand already resolved in one coordinate
-is refined in the other alone.  An interval panel is 12- against 24-point
-Gauss-Legendre.  Panel bookkeeping uses an insertion counter as the heap
-tie-break, and accumulation order is fixed, so a run is reproducible bit for
-bit for a given configuration.
+children in one integrand call.  A box panel is evaluated once on the
+21 x 21 tensor grid of the 21-point Gauss-Kronrod rule (441 evaluations),
+whose nodes include those of the 10-point Gauss rule: K21 x K21 gives the
+value, and dropping to G10 in one axis gives that axis's error indicator,
+so every point is read.  The indicator of the panel is their sum, and the
+panel is bisected across the axis with the larger one, so an integrand
+already resolved in one coordinate is refined in the other alone.  An
+interval panel is 12- against 24-point Gauss-Legendre.  Panel bookkeeping
+uses an insertion counter as the heap tie-break, and accumulation order is
+fixed, so a run is reproducible bit for bit for a given configuration.
 
 Integrands are either a DiskPolynomial or a callable w -> value that accepts
 complex numpy arrays elementwise; w always has the full shape of the grid.
 The internal 2-D integrands F(X, Y) instead receive node arrays of shapes
-(p, 24, 1) and (p, 1, 24) that broadcast to the grids of p boxes, so a
-factor of one coordinate is computed on 24 values per box; F's result must
-broadcast to (p, 24, 24).
+(p, 21, 1) and (p, 1, 21) that broadcast to the grids of p boxes, so a
+factor of one coordinate is computed on 21 values per box; F's result must
+broadcast to (p, 21, 21).
 """
 from __future__ import annotations
 
@@ -44,14 +44,42 @@ __all__ = [
     "quad_disk",
     "cauchy_eval",
     "pv_beurling_eval",
-    "lp_norm_numeric",
     "angular_parseval_check",
 ]
 
 DEFAULT_BUDGET = 2_000_000
-_NODES = 8  # per axis of a 2-D panel's coarse rule; the fine rule doubles it
-_GRID = 3 * _NODES  # nodes per axis of a 2-D panel: both rules' nodes
 _NODES_1D = 12  # coarse rule of a 1-D segment; the fine rule doubles it
+
+# The (G10, K21) Gauss-Kronrod pair on [-1, 1] (Kronrod 1965; QUADPACK qk21):
+# (node, K21 weight, G10 weight) for the 10 Gauss nodes, then (node, K21
+# weight) for the 11 Kronrod nodes interleaved with them, which are the
+# roots of the Stieltjes polynomial E_11.  K21 is exact to degree 31, G10 to
+# degree 19.  Values to 17 significant digits, from 40-digit mpmath.
+_GK21 = (
+    (-0.97390652851717174, 0.032558162307964725, 0.066671344308688138),
+    (-0.86506336668898454, 0.075039674810919957, 0.14945134915058059),
+    (-0.67940956829902444, 0.10938715880229764, 0.21908636251598204),
+    (-0.43339539412924721, 0.13470921731147334, 0.26926671930999635),
+    (-0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+    (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+    (0.43339539412924721, 0.13470921731147334, 0.26926671930999635),
+    (0.67940956829902444, 0.10938715880229764, 0.21908636251598204),
+    (0.86506336668898454, 0.075039674810919957, 0.14945134915058059),
+    (0.97390652851717174, 0.032558162307964725, 0.066671344308688138),
+    (-0.99565716302580809, 0.011694638867371874),
+    (-0.93015749135570824, 0.054755896574351995),
+    (-0.7808177265864169, 0.093125454583697601),
+    (-0.56275713466860466, 0.12349197626206584),
+    (-0.2943928627014602, 0.14277593857706009),
+    (0.0, 0.1494455540029169),
+    (0.2943928627014602, 0.14277593857706009),
+    (0.56275713466860466, 0.12349197626206584),
+    (0.7808177265864169, 0.093125454583697601),
+    (0.93015749135570824, 0.054755896574351995),
+    (0.99565716302580809, 0.011694638867371874),
+)
+_X21, _W21 = np.array([row[:2] for row in _GK21]).T
+_W10 = np.array([row[2] for row in _GK21 if len(row) == 3])
 
 
 class OracleBudgetError(RuntimeError):
@@ -89,23 +117,22 @@ def _rules(n):
 def _panels_2d(F, boxes):
     """Panels for a list of boxes (ax, bx, ay, by), all in one call of F.
 
-    Per axis, a box's nodes are the n- and then the 2n-point Gauss-Legendre
-    nodes, n = _NODES; F gets them as arrays of shapes (p, 3n, 1) and
-    (p, 1, 3n), which broadcast to the (p, 3n, 3n) tensor grid, so a factor
-    of one coordinate costs 3n values per box.  Each box returns its value
-    by the 2n x 2n rule, its error indicator e_x + e_y, where e_x (e_y)
-    compares the n-point rule in x (y) against it, and the axis of the
-    larger indicator, x on a tie."""
-    x, wc, wf = _rules(_NODES)
+    Per axis, a box's nodes are the 21 Kronrod nodes of _GK21, the 10 Gauss
+    nodes first; F gets them as arrays of shapes (p, 21, 1) and (p, 1, 21),
+    which broadcast to the (p, 21, 21) tensor grid, so a factor of one
+    coordinate costs 21 values per box.  Each box returns its value by the
+    K21 x K21 rule over all 441 points, its error indicator e_x + e_y, where
+    e_x (e_y) compares G10 in x (y) times K21 in the other axis against it,
+    and the axis of the larger indicator, x on a tie."""
     ax, bx, ay, by = np.array(boxes).T[:, :, None]
-    X = (0.5 * (ax + bx) + 0.5 * (bx - ax) * x)[:, :, None]
-    Y = (0.5 * (ay + by) + 0.5 * (by - ay) * x)[:, None, :]
-    vals = np.broadcast_to(F(X, Y), (len(boxes), _GRID, _GRID))
-    lo, hi = slice(None, _NODES), slice(_NODES, None)
-    fine, coarse_x, coarse_y = (np.einsum("i,j,pij->p", wx, wy, vals[:, sx, sy])
-                                for wx, wy, sx, sy in ((wf, wf, hi, hi),
-                                                       (wc, wf, lo, hi),
-                                                       (wf, wc, hi, lo)))
+    X = (0.5 * (ax + bx) + 0.5 * (bx - ax) * _X21)[:, :, None]
+    Y = (0.5 * (ay + by) + 0.5 * (by - ay) * _X21)[:, None, :]
+    vals = np.broadcast_to(F(X, Y), (len(boxes), _X21.size, _X21.size))
+    g = slice(None, _W10.size)
+    fine, coarse_x, coarse_y = (np.einsum("i,j,pij->p", wx, wy, v)
+                                for wx, wy, v in ((_W21, _W21, vals),
+                                                  (_W10, _W21, vals[:, g, :]),
+                                                  (_W21, _W10, vals[:, :, g])))
     out = []
     for (a, b, c, d), vf, vx, vy in zip(boxes, fine, coarse_x, coarse_y):
         scale = 0.25 * (b - a) * (d - c)
@@ -141,7 +168,7 @@ def _bisect(box, axis):
 
 
 # panel size -> (panels, evaluations per panel)
-_RULES = {2: (_panels_1d, 3 * _NODES_1D), 4: (_panels_2d, _GRID * _GRID)}
+_RULES = {2: (_panels_1d, 3 * _NODES_1D), 4: (_panels_2d, _X21.size ** 2)}
 
 
 def _adaptive(F, box, tol, budget):
@@ -192,6 +219,13 @@ def quad_disk(f, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
 
     Polar panels (r, theta) on [0,1] x [0,2pi]; the r Jacobian divided by pi
     is folded into the integrand.
+
+    Observed floor: the Bergman integrand phi(w) / (1 - z conj(w))^2 of a
+    degree <= 8 polynomial at |z| = 0.999 reads an error near 1e-12 at any
+    tol from 1e-8 down (3 of 24 seeded cases at tol 1e-12 read 1.2-1.8e-12),
+    because 1 - z conj(w) cancels down to about 1e-3 and so amplifies the
+    rounding of the float64 nodes and integrand.  It is roundoff, not
+    truncation: the same panels in extended precision read about 1e-14.
     """
     fn = _as_fn(f)
 
@@ -266,15 +300,6 @@ def pv_beurling_eval(phi, z: complex, tol: float, budget: int = 4 * DEFAULT_BUDG
         return (fz() - fn(w)) * np.exp(-2j * B) * (2 / math.pi) / U
 
     return _about(z, F, tol, budget)
-
-
-def lp_norm_numeric(f, p: float, tol: float, budget: int = DEFAULT_BUDGET) -> float:
-    """(int |f|^p dA)^{1/p} over the disk, p >= 1 finite."""
-    if not (p >= 1 and math.isfinite(p)):
-        raise ValueError("p must be a finite real >= 1")
-    fn = _as_fn(f)
-    res = quad_disk(lambda w: np.abs(fn(w)) ** p, tol, budget)
-    return res.value.real ** (1.0 / p)
 
 
 def angular_parseval_check(beta: float, r: float, tol: float = 1e-10,

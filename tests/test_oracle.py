@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,6 @@ from disktransform.oracle import (
     QuadResult,
     angular_parseval_check,
     cauchy_eval,
-    lp_norm_numeric,
     pv_beurling_eval,
     quad_disk,
 )
@@ -27,6 +27,7 @@ from disktransform.transforms import (
     j0_op,
 )
 from conftest import rand_poly
+from _lp_norm import lp_norm_numeric
 
 
 def test_quadresult_contract():
@@ -62,7 +63,7 @@ def test_quad_accepts_plain_callable():
 def test_quad_accepts_constant_callable():
     # a callable may return a scalar; the panel grid still takes its shape
     r = quad_disk(lambda w: 2.0, 1e-10)
-    assert abs(r.value - 2.0) < 1e-12 and r.evaluations == 576
+    assert abs(r.value - 2.0) < 1e-12 and r.evaluations == 441
 
 
 def test_quad_rejects_junk():
@@ -242,13 +243,12 @@ def test_non_finite_integrand_rejected():
 
 def _reference_adaptive_2d(F, box, tol, budget):
     """The per-panel anisotropic refinement loop on full np.meshgrid arrays:
-    per axis the 8- and then the 16-point Gauss-Legendre nodes, one
-    integrand call per panel, the 16 x 16 value, the indicators e_x and e_y
-    of the 8-point rule in x and in y, and the worst panel bisected along
-    the axis of the larger one (x on a tie).  The broadcast oracle must
-    reproduce it bit for bit."""
-    (x8, w8), (x16, w16) = _gl_nodes(8), _gl_nodes(16)
-    nodes = np.concatenate((x8, x16))
+    per axis the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, one
+    integrand call per panel, the K21 x K21 value, the indicators e_x and
+    e_y of G10 in x and in y (times K21 in the other axis), and the worst
+    panel bisected along the axis of the larger one (x on a tie).  The
+    broadcast oracle must reproduce it bit for bit."""
+    nodes, wk, wg = oracle._X21, oracle._W21, oracle._W10
 
     def panel(ax, bx, ay, by):
         xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * nodes
@@ -256,12 +256,12 @@ def _reference_adaptive_2d(F, box, tol, budget):
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         V = F(X, Y)
         scale = 0.25 * (bx - ax) * (by - ay)
-        v = scale * np.einsum("i,j,ij->", w16, w16, V[8:, 8:])
-        ex = abs(v - scale * np.einsum("i,j,ij->", w8, w16, V[:8, 8:]))
-        ey = abs(v - scale * np.einsum("i,j,ij->", w16, w8, V[8:, :8]))
+        v = scale * np.einsum("i,j,ij->", wk, wk, V)
+        ex = abs(v - scale * np.einsum("i,j,ij->", wg, wk, V[:10, :]))
+        ey = abs(v - scale * np.einsum("i,j,ij->", wk, wg, V[:, :10]))
         return v, ex + ey, ey > ex
 
-    evals = 576
+    evals = 441
     v, e, cut_y = panel(*box)
     if evals > budget:
         raise OracleBudgetError("initial panel")
@@ -282,7 +282,7 @@ def _reference_adaptive_2d(F, box, tol, budget):
             children = (a, mx, c, d), (mx, b, c, d)
         for box2 in children:
             v2, e2, cut2 = panel(*box2)
-            evals += 576
+            evals += 441
             total_v += v2
             total_e += e2
             heapq.heappush(heap, (-e2, counter, box2 + (v2, e2, cut2)))
@@ -326,9 +326,9 @@ def test_one_integrand_call_per_refinement_step(monkeypatch):
     _, _, evals = oracle._adaptive(F, (0.0, 1.0, 0.0, 2 * math.pi), 1e-9, 10**7)
     splits = len(pops)
     assert splits > 10
-    assert shapes == ([((1, 24, 1), (1, 1, 24))]
-                      + [((2, 24, 1), (2, 1, 24))] * splits)
-    assert evals == 576 * (1 + 2 * splits)
+    assert shapes == ([((1, 21, 1), (1, 1, 21))]
+                      + [((2, 21, 1), (2, 1, 21))] * splits)
+    assert evals == 441 * (1 + 2 * splits)
 
 
 def test_one_integrand_call_per_1d_refinement_step(monkeypatch):
@@ -351,8 +351,8 @@ def test_one_integrand_call_per_1d_refinement_step(monkeypatch):
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
 def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
     # in the centred-polar maps the integrand of a degree <= 8 polynomial is
-    # a polynomial of degree <= 15 in U, which the 8-point rule integrates
-    # exactly, so all the error, and every cut, is in beta
+    # a polynomial of degree <= 15 in U, which G10 integrates exactly, so
+    # all the error, and every cut, is in beta
     axes = []
     real = oracle._bisect
     monkeypatch.setattr(oracle, "_bisect",
@@ -461,3 +461,124 @@ def test_evaluate_power_table_matches_monomials(shape):
         assert np.all(np.abs(got - ref) <= 1e-14 * scale)
     empty = evaluate(DiskPolynomial({}), z)
     assert empty.shape == shape and not np.any(empty)
+
+
+# --- the Gauss-Kronrod rule ---------------------------------------------------
+
+def _even_roots(coeffs):
+    """Roots of sum_k c_k x^(2k), c_k exact Fractions and c_0 != 0, at
+    mpmath's working precision: each root t of the polynomial in t = x^2
+    gives the two roots +-sqrt(t)."""
+    ts = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                           for c in reversed(coeffs)],
+                          maxsteps=200, extraprec=200)
+    roots = [s * mpmath.sqrt(mpmath.re(t)) for t in ts for s in (-1, 1)]
+    return sorted(roots)
+
+
+def _moment_weights(nodes):
+    """Weights of the interpolatory rule on [-1, 1] with the given nodes:
+    the rule integrates x^k exactly for k < len(nodes)."""
+    n = len(nodes)
+    V = mpmath.matrix([[x**k for x in nodes] for k in range(n)])
+    m = mpmath.matrix([mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                       for k in range(n)])
+    return list(mpmath.lu_solve(V, m))
+
+
+def _kronrod_reference():
+    """The (G10, K21) pair at 40 digits, in the layout of oracle._GK21."""
+    # P_10 in exact rationals, by Bonnet's recurrence
+    p_prev, p = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, 10):
+        nxt = [Fraction(0)] + [(2 * k + 1) * c / (k + 1) for c in p]
+        for i, c in enumerate(p_prev):
+            nxt[i] -= k * c / (k + 1)
+        p_prev, p = p, nxt
+
+    def moment(j):  # int_{-1}^{1} P_10(x) x^j dx
+        return sum(c * Fraction(2, i + j + 1) for i, c in enumerate(p)
+                   if (i + j) % 2 == 0)
+
+    # monic Stieltjes E_11 = x^11 + sum_{j<=10} c_j x^j, orthogonal to x^k
+    # (k <= 10) against P_10, solved exactly by Gauss-Jordan elimination
+    A = [[moment(j + k) for j in range(11)] + [-moment(11 + k)] for k in range(11)]
+    for col in range(11):
+        piv = next(r for r in range(col, 11) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [a / A[col][col] for a in A[col]]
+        for r in range(11):
+            if r != col and A[r][col] != 0:
+                A[r] = [a - A[r][col] * b for a, b in zip(A[r], A[col])]
+    e11 = [row[-1] for row in A] + [Fraction(1)]
+    assert not any(e11[0::2])  # odd, so E_11 / x has even powers only
+    with mpmath.workdps(40):
+        gauss = _even_roots(p[0::2])
+        extra = sorted(_even_roots(e11[1::2]) + [mpmath.mpf(0)])
+        nodes = gauss + extra
+        wk, wg = _moment_weights(nodes), _moment_weights(gauss)
+        return [(x, a, b) for x, a, b in zip(gauss, wk, wg)] + \
+               [(x, a) for x, a in zip(extra, wk[10:])]
+
+
+def test_kronrod_table_matches_40_digit_reference():
+    ref = _kronrod_reference()
+    assert len(oracle._GK21) == len(ref) == 21
+    for row, want in zip(oracle._GK21, ref):
+        assert len(row) == len(want)
+        for c, r in zip(row, want):
+            assert abs(mpmath.mpf(c) - r) <= math.ulp(c) if c else r == 0, (row, r)
+
+
+@pytest.mark.parametrize("name,x,w,degree", [
+    ("K21", oracle._X21, oracle._W21, 31),
+    ("G10", oracle._X21[:10], oracle._W10, 19),
+])
+def test_kronrod_degree_of_exactness(name, x, w, degree):
+    for k in range(degree + 1):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x**k) - exact) <= 1e-15, (name, k)
+
+
+def test_gauss_nodes_match_gl10():
+    xg, wg = _gl_nodes(10)
+    assert np.all(np.abs(oracle._X21[:10] - xg) <= 1e-15)
+    assert np.all(np.abs(oracle._W10 - wg) <= 1e-15)
+
+
+# --- accuracy ladder and work pin ---------------------------------------------
+
+_LADDER_RADII = (0.0, 0.5, 0.9, 0.99)
+_LADDER_TOLS = (1e-6, 1e-10)
+_LADDER_POLYS = 6  # per radius
+
+
+def _ladder():
+    """C, S and B by the oracle against their closed forms, for seeded
+    polynomials of degree <= 8 at points of each radius of the ladder, at
+    each of its tolerances.
+    Returns the worst |oracle - closed| / tol and the total evaluations."""
+    rng = random.Random("accuracy-ladder")
+    worst, evals = 0.0, 0
+    for radius in _LADDER_RADII * _LADDER_POLYS:
+        phi = rand_poly(rng, max_total=8, terms=6)
+        z = radius * cmath.exp(2j * math.pi * rng.random())
+
+        def bergman(w):
+            return evaluate(phi, w) / (1 - z * np.conj(w)) ** 2
+
+        for tol in _LADDER_TOLS:
+            for closed, got in ((cauchy_integral, cauchy_eval(phi, z, tol)),
+                                (beurling_S, pv_beurling_eval(phi, z, tol)),
+                                (bergman_B, quad_disk(bergman, tol))):
+                err = abs(got.value - complex(evaluate(closed(phi), z)))
+                worst = max(worst, err / tol)
+                evals += got.evaluations
+    return worst, evals
+
+
+def test_accuracy_ladder_and_work():
+    worst, evals = _ladder()
+    assert worst <= 1.0
+    # the exact work of the set, so a change that inflates it fails here
+    assert evals == 1_241_856
