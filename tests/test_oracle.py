@@ -291,10 +291,14 @@ def _reference_adaptive_2d(F, box, tol, budget):
 
 
 def _oracle_calls(phi, z):
+    # C and S get a callable, so that they take the box panels too
+    def f(w):
+        return evaluate(phi, w)
+
     def bergman(w):
         return evaluate(phi, w) / (1 - z * np.conj(w)) ** 2
 
-    return [cauchy_eval(phi, z, 1e-8), pv_beurling_eval(phi, z, 1e-7),
+    return [cauchy_eval(f, z, 1e-8), pv_beurling_eval(f, z, 1e-7),
             quad_disk(bergman, 1e-9)]
 
 
@@ -351,19 +355,30 @@ def test_one_integrand_call_per_1d_refinement_step(monkeypatch):
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
 def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
     # in the centred-polar maps the integrand of a degree <= 8 polynomial is
-    # a polynomial of degree <= 15 in U, which G10 integrates exactly, so
-    # all the error, and every cut, is in beta
-    axes = []
+    # a polynomial of degree <= 15 in U, which G10 integrates exactly, so on
+    # the box panels of a callable all the error, and every cut, is in beta;
+    # the polynomial itself never reaches a box panel
+    axes, boxes = [], []
     real = oracle._bisect
     monkeypatch.setattr(oracle, "_bisect",
                         lambda box, axis: axes.append(axis) or real(box, axis))
+    panels_2d, cost = oracle._RULES[4]
+    monkeypatch.setitem(oracle._RULES, 4,
+                        (lambda F, bs: boxes.extend(bs) or panels_2d(F, bs), cost))
     rng = random.Random(f"bisect-axis/{radius}")
     for _ in range(6):
         phi = rand_poly(rng, max_total=8, terms=6)
         z = radius * cmath.exp(2j * math.pi * rng.random())
         cauchy_eval(phi, z, 1e-8)
         pv_beurling_eval(phi, z, 1e-8)
-    assert axes and set(axes) == {0}
+    assert not boxes
+    axes.clear()
+    for _ in range(6):
+        phi = rand_poly(rng, max_total=8, terms=6)
+        z = radius * cmath.exp(2j * math.pi * rng.random())
+        cauchy_eval(lambda w: evaluate(phi, w), z, 1e-8)
+        pv_beurling_eval(lambda w: evaluate(phi, w), z, 1e-8)
+    assert boxes and axes and set(axes) == {0}
 
 
 def test_near_boundary_agreement():
@@ -381,11 +396,12 @@ def test_near_boundary_agreement():
             assert abs(got.value - complex(evaluate(closed(phi), z))) <= tol, (phi, z)
 
 
-def _reference_adaptive_1d(f, a, b, tol, budget, n=12):
+def _reference_adaptive_1d(f, a, b, tol, budget, n=12, points=1):
     """A stand-alone 1-D refinement loop: per segment an n- and a 2n-point
     Gauss-Legendre sum by np.dot (the oracle's rules), one integrand call
-    each, and the two halves of a split measured one after the other.  The
-    shared loop must reproduce it bit for bit."""
+    each, and the two halves of a split measured one after the other; each
+    node counts `points` evaluations.  The shared loop must reproduce it bit
+    for bit."""
 
     def measure(lo, hi):
         out = []
@@ -393,7 +409,7 @@ def _reference_adaptive_1d(f, a, b, tol, budget, n=12):
             x, w = _gl_nodes(k)
             xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
             out.append(0.5 * (hi - lo) * np.dot(w, f(xs)))
-        return out[1], abs(out[1] - out[0]), 3 * n
+        return out[1], abs(out[1] - out[0]), 3 * n * points
 
     v, e, evals = measure(a, b)
     if evals > budget:
@@ -436,6 +452,86 @@ def test_shared_loop_matches_1d_reference(monkeypatch):
     assert [len(box) for _, box, _, _, _ in calls] == [2] * 14
     for F, (a, b), tol, budget, got in calls:
         assert got == _reference_adaptive_1d(F, a, b, tol, budget), (a, b, tol)
+
+
+def _reference_about_1d(z, F, tol, budget, u_degree):
+    """_about's polynomial path, stand-alone: the n-point Gauss-Legendre rule
+    in U (n = u_degree//2 + 1) summed at each beta node, and beta refined by
+    the 1-D reference loop, each beta node counting n evaluations."""
+    x, w = _gl_nodes(u_degree // 2 + 1)
+    U, wu = 0.5 + 0.5 * x, 0.5 * w
+
+    def f(B):
+        B = B[:, None]
+        c = (np.exp(1j * B) * complex(z).conjugate()).real
+        S = -c + np.sqrt(c * c + 1.0 - abs(z) ** 2)
+        return np.einsum("pj,j->p", F(B, U, S), wu)
+
+    return _reference_adaptive_1d(f, 0.0, 2 * math.pi, tol, budget, points=U.size)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 0.95])
+def test_polynomial_path_matches_1d_reference(monkeypatch, radius):
+    real = oracle._about
+    calls = []
+
+    def recording(z, F, tol, budget, u_degree=None):
+        out = real(z, F, tol, budget, u_degree)
+        calls.append((z, F, tol, budget, u_degree, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_about", recording)
+    rng = random.Random(f"poly-path/{radius}")
+    for _ in range(3):
+        phi = rand_poly(rng, max_total=8, terms=6)
+        z = radius * cmath.exp(2j * math.pi * rng.random())
+        cauchy_eval(phi, z, 1e-9)
+        pv_beurling_eval(phi, z, 1e-9)
+    assert len(calls) == 6
+    for z, F, tol, budget, u_degree, got in calls:
+        assert u_degree is not None
+        want = _reference_about_1d(z, F, tol, budget, u_degree)
+        assert (got.value, got.err_estimate, got.evaluations) == want, (z, u_degree)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_polynomial_path_matches_box_panels(radius, tol):
+    # two routes to the same integral: the exact U rule with beta refined,
+    # and the box panels of the same polynomial behind a callable
+    rng = random.Random(f"two-routes/{radius}/{tol}")
+    for _ in range(4):
+        phi = rand_poly(rng, max_total=8, terms=6)
+        z = radius * cmath.exp(2j * math.pi * rng.random())
+        for fn in (cauchy_eval, pv_beurling_eval):
+            exact_u = fn(phi, z, tol)
+            boxes = fn(lambda w: evaluate(phi, w), z, tol)
+            assert abs(exact_u.value - boxes.value) <= tol, (fn.__name__, phi, z)
+
+
+def test_polynomial_path_budget():
+    # every beta node counts n_U evaluations: degree 8 takes 5 U nodes for
+    # C and 8 for S, so 180 and 288 per beta panel
+    phi = DiskPolynomial({(8, 0): ExactScalar(1), (3, 5): ExactScalar(2)})
+    z = 0.99 * cmath.exp(0.7j)
+    assert cauchy_eval(phi, z, 1.0, budget=180).evaluations == 180
+    for fn, per_panel in ((cauchy_eval, 180), (pv_beurling_eval, 288)):
+        with pytest.raises(OracleBudgetError, match="initial panel"):
+            fn(phi, z, 1e-12, budget=per_panel - 1)
+        with pytest.raises(OracleBudgetError, match="needed more than"):
+            fn(phi, z, 1e-12, budget=10 * per_panel)
+        full = fn(phi, z, 1e-12)
+        assert full.evaluations > 10 * per_panel and full.evaluations % per_panel == 0
+
+
+@pytest.mark.parametrize("phi", [DiskPolynomial({}), DiskPolynomial({(0, 0): ExactScalar(3)})])
+def test_polynomial_path_degree_zero(phi):
+    # degree 0 takes one U node for C and for S, whose integrand is then 0
+    z = 0.6 - 0.3j
+    c = cauchy_eval(phi, z, 1e-12)
+    assert abs(c.value - complex(evaluate(cauchy_integral(phi), z))) <= 1e-12
+    s = pv_beurling_eval(phi, z, 1e-12)
+    assert (s.value, s.evaluations) == (0, 36)
 
 
 def _monomial_sum(phi, z):
@@ -581,4 +677,4 @@ def test_accuracy_ladder_and_work():
     worst, evals = _ladder()
     assert worst <= 1.0
     # the exact work of the set, so a change that inflates it fails here
-    assert evals == 1_241_856
+    assert evals == 890_226

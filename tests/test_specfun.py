@@ -166,6 +166,14 @@ def test_bessel_zero_table(d, ref):
     assert abs(bessel_j(d, root)) < 1e-11
 
 
+def test_bessel_zero_correctly_rounded():
+    # the Newton polish reads J from the fixed-point series, so the root is
+    # the float64 nearest the true zero, also below x = 8 (d <= 4)
+    with mpmath.workdps(40):
+        for d in range(21):
+            assert bessel_zero(d) == float(mpmath.besseljzero(d, 1)), d
+
+
 def test_bessel_zero_high_order():
     root = bessel_zero(20)
     assert abs(bessel_j(20, root)) < 1e-10
