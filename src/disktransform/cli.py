@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import random
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diskalg, extremal, oracle, spectral, transforms
@@ -252,13 +253,30 @@ def _row_report(check_id, reference, expected, computed="", abs_err="",
 
 
 def _random_exact_poly(rng: random.Random, max_total: int, terms: int) -> DiskPolynomial:
+    """terms monomials z^m zbar^n with m + n <= max_total, each with the
+    coefficient p/q + (r/s) i, p and r in [-9, 9], q and s in [1, 9].
+
+    Every value is drawn as rng.randint draws it: an integer below n is
+    rng.getrandbits(n.bit_length()), drawn again while it is n or more.  So
+    the samples, and the state of rng afterwards, are those of randint,
+    without its argument checks or any Fraction."""
+    bits = rng.getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     acc: dict = {}
     for _ in range(terms):
-        m = rng.randint(0, max_total)
-        n = rng.randint(0, max_total - m)
-        c = ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        acc[(m, n)] = acc.get((m, n), ExactScalar(0)) + c
+        m = below(max_total + 1)
+        n = below(max_total - m + 1)
+        p, q = below(19) - 9, below(9) + 1
+        r, s = below(19) - 9, below(9) + 1
+        c = ExactScalar(p * s, r * q).scaled(1, q * s)
+        acc[m, n] = acc[m, n] + c if (m, n) in acc else c
     if not acc:
         acc[(0, 0)] = ExactScalar(1)
     return DiskPolynomial(acc)
@@ -270,11 +288,12 @@ _TRIALS = 20
 
 def run_verify(cfg: RunConfig):
     """The ledger rows in order; alpha, delta, the Bessel zeros and the
-    Galerkin estimates are each computed once and shared between rows."""
-    alpha = spectral.solve_alpha()
-    delta = spectral.solve_delta()
-    lam0 = alpha * alpha
+    Galerkin estimates are each computed once and shared between rows, the
+    zeros j0 and j1 with solve_delta as well."""
     j = [bessel_zero(d) for d in range(len(_BESSEL_TABLE))]
+    alpha = spectral.solve_alpha()
+    delta = spectral.solve_delta(j0=j[0], j1=j[1])
+    lam0 = alpha * alpha
     rows = [
         _row("alpha_root", "norm equation root, 3-decimal value 1.086", 1.086, alpha, 5e-4),
         _row("alpha_residual", "root-finder postcondition", 0.0,
@@ -367,7 +386,7 @@ def run_verify(cfg: RunConfig):
 def emit(rows, fmt: str, stream) -> None:
     fields = ["check_id", "reference", "expected", "computed", "abs_err", "tol", "status"]
     if fmt == "json":
-        json.dump([asdict(r) for r in rows], stream, indent=2)
+        json.dump([{f: getattr(r, f) for f in fields} for r in rows], stream, indent=2)
         stream.write("\n")
     elif fmt == "csv":
         writer = csv.writer(stream, lineterminator="\r\n")
@@ -530,7 +549,10 @@ def _add_global_flags(ap, suppress: bool):
     ap.add_argument("--budget", type=int, default=d(RunConfig.budget))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The diskt parser, built once per process; parse_args leaves no state
+    in it."""
     ap = argparse.ArgumentParser(
         prog="diskt",
         description="Closed-form disk transforms with quadrature and spectral verification.")

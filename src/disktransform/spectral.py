@@ -318,56 +318,82 @@ def estimate_norm(kind: TransformKind, trunc: TruncationSpec) -> NormEstimate:
     return _top_singular(_blocks(kind, trunc))
 
 
-def _bisect(f, a, b, max_iter=200):
-    fa = f(a)
-    fb = f(b)
+def _newton_root(fdf, a, b):
+    """The float next to the sign change of f on [a, b] where |f| is least.
+
+    fdf(x) returns (f(x), f'(x)).  Newton steps run inside the bracket of
+    the sign change, which each evaluation tightens; a step that leaves it
+    is replaced by the midpoint, and a step that rounds back onto its
+    starting point is replaced by the adjacent float towards the other end.
+    The walk ends at two adjacent floats across the sign change, and the
+    one with the smaller |f| is returned (a on a tie), as bisection to the
+    last float would return it.  A point where f is exactly 0 is returned
+    as it is.  ValueError when f(a) and f(b) have the same sign.
+    """
+    fa, fb = fdf(a)[0], fdf(b)[0]
     if fa == 0:
         return a
     if fb == 0:
         return b
     if (fa > 0) == (fb > 0):
         raise ValueError(f"no sign change on [{a}, {b}]")
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = f(m)
-        if fm == 0:
-            return m
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
+    x = 0.5 * (a + b)
+    for _ in range(200):  # a bound only: each step drops at least one float
+        fx, dfx = fdf(x)
+        if fx == 0:
+            return x
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
         else:
-            b, fb = m, fm
+            b, fb = x, fx
+        if math.nextafter(a, b) == b:
+            break
+        step = x - fx / dfx if dfx else math.nan
+        if step == x:
+            step = math.nextafter(x, b if x == a else a)
+        elif not a < step < b:
+            step = 0.5 * (a + b)
+        x = step
     return a if abs(fa) <= abs(fb) else b
 
 
+def _check_residual(name: str, f: float) -> None:
+    if abs(f) >= _ROOT_RESIDUAL_TOL:
+        raise RuntimeError(f"{name} residual {abs(f):.3e} not below {_ROOT_RESIDUAL_TOL}")
+
+
 def solve_alpha() -> float:
-    """Root of 2 J0(2/x) - x J1(2/x) on [1.0, 1.2] (bisection to the last
-    float, then a residual check against _ROOT_RESIDUAL_TOL)."""
+    """Root of 2 J0(2/x) - x J1(2/x) on [1.0, 1.2]: of the two floats
+    across the sign change, the one with the smaller residual (bracketed
+    Newton, see _newton_root), checked against _ROOT_RESIDUAL_TOL."""
 
-    def f(x):
-        return 2 * bessel_j(0, 2 / x) - x * bessel_j(1, 2 / x)
+    def fdf(x):
+        y = 2 / x
+        j0, j1 = bessel_j(0, y), bessel_j(1, y)
+        # J0' = -J1 and J1' = J0 - J1/y (DLMF 10.6), with dy/dx = -2/x^2
+        return 2 * j0 - x * j1, 4 * j1 / (x * x) + 2 * j0 / x - 2 * j1
 
-    root = _bisect(f, 1.0, 1.2)
-    if abs(f(root)) >= _ROOT_RESIDUAL_TOL:
-        raise RuntimeError(f"alpha residual {abs(f(root)):.3e} not below {_ROOT_RESIDUAL_TOL}")
+    root = _newton_root(fdf, 1.0, 1.2)
+    _check_residual("alpha", fdf(root)[0])
     return root
 
 
-def solve_delta() -> float:
-    """Root of J1(x) - x J0(x) on (2/sqrt(3/2 + 2/j1^2), j0); the bracket
-    endpoints are checked to straddle a sign change."""
-    j0 = bessel_zero(0)
-    j1 = bessel_zero(1)
-    lo = 2 / math.sqrt(1.5 + 2 / j1**2)
-    hi = j0
+def solve_delta(*, j0: Optional[float] = None, j1: Optional[float] = None) -> float:
+    """Root of J1(x) - x J0(x) on (2/sqrt(3/2 + 2/j1^2), j0): of the two
+    floats across the sign change, the one with the smaller residual
+    (bracketed Newton, see _newton_root), checked against
+    _ROOT_RESIDUAL_TOL; the bracket endpoints are checked to straddle a sign
+    change.  j0 and j1, the first zeros of J0 and J1, are computed here
+    unless the caller passes them in."""
+    j0 = bessel_zero(0) if j0 is None else j0
+    j1 = bessel_zero(1) if j1 is None else j1
 
-    def f(x):
-        return bessel_j(1, x) - x * bessel_j(0, x)
+    def fdf(x):
+        b0, b1 = bessel_j(0, x), bessel_j(1, x)
+        return b1 - x * b0, b1 * (x - 1 / x)
 
-    root = _bisect(f, lo, hi)
-    if abs(f(root)) >= _ROOT_RESIDUAL_TOL:
-        raise RuntimeError(f"delta residual {abs(f(root)):.3e} not below {_ROOT_RESIDUAL_TOL}")
+    root = _newton_root(fdf, 2 / math.sqrt(1.5 + 2 / j1**2), j0)
+    _check_residual("delta", fdf(root)[0])
     return root
 
 

@@ -4,11 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from disktransform import cli
+from disktransform import cli, spectral
 from disktransform.cli import (
     PolyParseError,
     RunConfig,
@@ -308,6 +309,87 @@ def test_verify_deterministic(capsys):
     a = run(capsys, "verify", "--max-degree", "4", "--format", "csv")
     b = run(capsys, "verify", "--max-degree", "4", "--format", "csv")
     assert a == b
+
+
+def _randint_exact_poly(rng, max_total, terms):
+    """cli._random_exact_poly as it drew with rng.randint and built each
+    coefficient from two Fractions: the reference for its draws."""
+    acc = {}
+    for _ in range(terms):
+        m = rng.randint(0, max_total)
+        n = rng.randint(0, max_total - m)
+        c = ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        acc[(m, n)] = acc.get((m, n), ExactScalar(0)) + c
+    if not acc:
+        acc[(0, 0)] = ExactScalar(1)
+    return DiskPolynomial(acc)
+
+
+def test_sampler_draws_as_randint():
+    """The 41 polynomials of a verify pass, and the rng state after them,
+    are those of the randint sampler; a Python whose randint drew
+    differently would fail here."""
+    for seed in range(201):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2 * cli._TRIALS + 1):
+            assert cli._random_exact_poly(ours, 6, 5) == _randint_exact_poly(ref, 6, 5), seed
+        assert ours.random() == ref.random(), seed
+
+
+def test_verify_solves_each_bessel_zero_once(capsys, monkeypatch):
+    """j0 and j1 are shared between the bessel_zero rows and solve_delta."""
+    calls = []
+    for module in (cli, spectral):
+        real = module.bessel_zero
+        monkeypatch.setattr(module, "bessel_zero",
+                            lambda d, *a, real=real, **k: calls.append(d) or real(d, *a, **k))
+    assert run(capsys, "verify")[0] == 0
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+
+
+def test_cached_parser_leaks_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "verify", "--max-degree", "8")[0] == 0
+    code, default, _ = run(capsys, "verify")
+    assert code == 0
+    assert "SKIPPED" not in default  # the D = 20 Galerkin rows ran
+    assert run(capsys, "verify", "--seed", "3")[0] == 0
+    assert run(capsys, "verify")[1] == default
+
+
+def _render_by_asdict(rows, fmt):
+    """emit's three formats, written from dataclasses.asdict of each row."""
+    dicts = [dataclasses.asdict(r) for r in rows]
+    fields = list(dicts[0])
+    out = io.StringIO()
+    if fmt == "json":
+        json.dump(dicts, out, indent=2)
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(fields)
+        writer.writerows([d[f] for f in fields] for d in dicts)
+    else:
+        widths = [max(len(f), *(len(d[f]) for d in dicts)) for f in fields]
+        lines = [[f.ljust(w) for f, w in zip(fields, widths)]]
+        lines += [[d[f].ljust(w) for f, w in zip(fields, widths)] for d in dicts]
+        lines = ["  ".join(cells).rstrip() for cells in lines]
+        lines.insert(1, "-" * len(lines[0]))
+        out.write("\n".join(lines) + "\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_emit_matches_asdict_rendering(fmt):
+    rows = [cli.CheckRow("alpha_root", "a, \"quoted\" reference", "1.086",
+                         "1.0862576676314728", "0.0002576676314728", "0.0005", "PASS"),
+            cli.CheckRow("norm2_galerkin", "L2 norm", "requires --max-degree >= 10",
+                         "", "", "", "SKIPPED"),
+            cli.CheckRow("z", "ü", "True", "False", "0", "0", "FAIL")]
+    out = io.StringIO()
+    cli.emit(rows, fmt, out)
+    assert out.getvalue() == _render_by_asdict(rows, fmt)
 
 
 def test_norm_2_restricted(capsys):

@@ -145,8 +145,9 @@ def test_riesz_thorin_at_infinity_solves_no_alpha(monkeypatch):
     # alpha**0 * (8/pi)**1 of the general formula, bit for bit
     expected = solve_alpha() ** 0.0 * EIGHT_OVER_PI ** 1.0
     calls = []
-    bisect = spectral._bisect
-    monkeypatch.setattr(spectral, "_bisect", lambda *a, **k: calls.append(a) or bisect(*a, **k))
+    root = spectral._newton_root
+    monkeypatch.setattr(spectral, "_newton_root",
+                        lambda *a, **k: calls.append(a) or root(*a, **k))
     assert riesz_thorin_bound(math.inf) == expected
     assert calls == []
     riesz_thorin_bound(4.0)

@@ -18,6 +18,7 @@ from disktransform.spectral import (
     solve_delta,
 )
 from disktransform.transforms import TransformKind
+from _bisect_ref import bisect
 from _exact_galerkin import exact_norm, realified_columns, whitened_blocks
 
 ALPHA_REF = 1.086  # 3-decimal published value
@@ -44,6 +45,58 @@ def test_consistency_triangle():
     a, d = solve_alpha(), solve_delta()
     assert abs(a - 2 / d) < 1e-10
     assert abs(a * a - 1.180) < 5e-4  # lambda0 to 3 decimals
+
+
+def _alpha_f(x):
+    return 2 * bessel_j(0, 2 / x) - x * bessel_j(1, 2 / x)
+
+
+def _delta_f(x):
+    return bessel_j(1, x) - x * bessel_j(0, x)
+
+
+@pytest.mark.parametrize("solve,f,bracket,expected", [
+    (solve_alpha, _alpha_f, (1.0, 1.2), 1.0862576676314728),
+    (solve_delta, _delta_f, (2 / math.sqrt(1.5 + 2 / J1**2), J0), 1.841183781340659),
+], ids=["alpha", "delta"])
+def test_root_is_the_bisection_float(monkeypatch, solve, f, bracket, expected):
+    """Bracketed Newton returns the float that bisection to the last float
+    returns, at a sign change of f, in at most 24 Bessel evaluations."""
+    calls = []
+    monkeypatch.setattr(spectral, "bessel_j", lambda *a: calls.append(a) or bessel_j(*a))
+    root = solve()
+    monkeypatch.undo()
+    assert root == bisect(f, *bracket) == expected
+    assert any((f(root) > 0) != (f(x) > 0) for x in (math.nextafter(root, 0),
+                                                      math.nextafter(root, 2)))
+    assert len(calls) <= 24
+
+
+@pytest.mark.parametrize("c", [0.1 * k for k in range(1, 40)])
+def test_newton_root_matches_bisection_on_a_monotone_cubic(c):
+    def fdf(x):
+        return x * x * x - c, 3 * x * x
+
+    assert spectral._newton_root(fdf, 0.0, 2.0) == bisect(lambda x: fdf(x)[0], 0.0, 2.0)
+
+
+def test_newton_root_edge_cases():
+    def fdf(x):
+        return x - 0.375, 1.0
+
+    assert spectral._newton_root(fdf, 0.0, 1.0) == 0.375  # an exact zero, as it is
+    assert spectral._newton_root(fdf, 0.375, 1.0) == 0.375
+    assert spectral._newton_root(fdf, 0.0, 0.375) == 0.375
+    with pytest.raises(ValueError) as ours:
+        spectral._newton_root(fdf, 0.5, 1.0)
+    with pytest.raises(ValueError) as ref:
+        bisect(lambda x: fdf(x)[0], 0.5, 1.0)
+    assert str(ours.value) == str(ref.value) == "no sign change on [0.5, 1.0]"
+
+
+def test_solve_delta_takes_the_zeros_it_is_given(monkeypatch):
+    monkeypatch.setattr(spectral, "bessel_zero", lambda *a: pytest.fail("zero recomputed"))
+    assert solve_delta(j0=J0, j1=J1) == 1.841183781340659
 
 
 def test_restricted_Z_fixed_point():
