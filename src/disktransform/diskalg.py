@@ -8,9 +8,9 @@ dA = (1/pi) dx dy, under which
 
 Coefficients are ExactScalar (rational real and imaginary parts); int and
 Fraction coefficients are promoted, and any other (float and complex
-included) is rejected with TypeError.  So inner products and norms carry no
-rounding error.  Instances are treated as immutable: no method mutates the
-coefficient map after construction.
+included) is rejected with TypeError.  So norms carry no rounding error.
+Instances are treated as immutable: no method mutates the coefficient map
+after construction.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from math import gcd, lcm
 __all__ = [
     "ExactScalar",
     "DiskPolynomial",
-    "inner_product",
     "norm_sq",
     "evaluate",
     "d_dz",
@@ -247,46 +246,6 @@ class DiskPolynomial:
         return f"DiskPolynomial({self.coeffs!r})"
 
 
-def _scaled_sectors(coeffs: dict) -> tuple[int, dict[int, list]]:
-    """The common denominator q of the coefficients {(m, n): a}, and the
-    coefficients by angular degree, {d: [(n, x, y)]} with x + y i = q a for
-    the monomial z^{n+d} zbar^n."""
-    q = lcm(*(a._d for a in coeffs.values()))
-    out: dict[int, list] = {}
-    for (m, n), a in coeffs.items():
-        k = q // a._d
-        out.setdefault(m - n, []).append((n, a._a * k, a._b * k))
-    return q, out
-
-
-def _sum_over_w(by_w: dict) -> tuple[int, int]:
-    """sum_w by_w[w] / w as (numerator, denominator)."""
-    den = lcm(*by_w)
-    return sum(s * (den // w) for w, s in by_w.items()), den
-
-
-def inner_product(phi: DiskPolynomial, psi: DiskPolynomial) -> ExactScalar:
-    """<phi, psi> = integral of phi * conj(psi) over the disk (normalized).
-
-    Only monomials of equal angular degree d = m - n meet, since
-    <z^{n+d} zbar^n, z^{l+d} zbar^l> = 1/(n+l+d+1) and distinct degrees are
-    orthogonal; so the sum runs over the pairs within each degree, in
-    integers over the common denominators of phi and psi."""
-    q, ours = _scaled_sectors(phi.coeffs)
-    r, theirs = _scaled_sectors(psi.coeffs)
-    re_w: dict[int, int] = {}
-    im_w: dict[int, int] = {}
-    for d, terms in ours.items():
-        for n, x, y in terms:
-            for l, u, v in theirs.get(d, ()):
-                w = n + l + d + 1
-                re_w[w] = re_w.get(w, 0) + x * u + y * v
-                im_w[w] = im_w.get(w, 0) + y * u - x * v
-    re, den = _sum_over_w(re_w)
-    im, _ = _sum_over_w(im_w)
-    return _reduced(re, im, den * q * r)
-
-
 def norm_sq(phi: DiskPolynomial) -> Fraction:
     """Squared L2 norm, exact: over the angular degrees d, which are
     orthogonal, the sum of sum_{n,l} Re(b_n conj(b_l)) / (n+l+d+1), where
@@ -296,7 +255,11 @@ def norm_sq(phi: DiskPolynomial) -> Fraction:
     doubled.  The sums run in integers: every coefficient is scaled to the
     common denominator q, the terms are gathered by their divisor
     w = n+l+d+1, and one Fraction is formed at the end."""
-    q, sectors = _scaled_sectors(phi.coeffs)
+    q = lcm(*(a._d for a in phi.coeffs.values()))
+    sectors: dict[int, list] = {}  # d -> [(n, x, y)] with x + y i = q b_n
+    for (m, n), a in phi.coeffs.items():
+        k = q // a._d
+        sectors.setdefault(m - n, []).append((n, a._a * k, a._b * k))
     by_w: dict[int, int] = {}
     for d, terms in sectors.items():
         for i, (n, x, y) in enumerate(terms):
@@ -305,7 +268,8 @@ def norm_sq(phi: DiskPolynomial) -> Fraction:
             for l, u, v in terms[i + 1:]:
                 w = n + l + d + 1
                 by_w[w] = by_w.get(w, 0) + 2 * (x * u + y * v)
-    num, den = _sum_over_w(by_w)
+    den = lcm(*by_w)
+    num = sum(s * (den // w) for w, s in by_w.items())
     return Fraction(num, den * q * q)
 
 

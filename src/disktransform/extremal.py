@@ -3,9 +3,9 @@
 Covers the closed form for the Lp -> Linf norm (p > 2) and its extremal
 density, the monotone auxiliary function built from Gauss hypergeometric
 values, the interpolation upper bound on Lp -> Lp, the L1 -> L1 integrals
-(an elliptic-integral radial form plus direct 2-D quadrature, with the
-argmax of the scan reported but never asserted), and the density showing the
-operator does not map L2 into bounded functions.
+(an elliptic-integral radial form at the origin and a 2-D quadrature scan
+over points, whose argmax is reported but never asserted), and the density
+showing the operator does not map L2 into bounded functions.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ __all__ = [
     "extremal_ratio_pinf",
     "riesz_thorin_bound",
     "l1_at_zero",
-    "l1_at_zero_direct",
     "l1_integrand_scan",
     "counterexample_p2",
 ]
@@ -166,14 +165,6 @@ def l1_at_zero(tol: float, budget: int = DEFAULT_BUDGET) -> float:
 
     v, _, _ = _adaptive(f, (0.0, 1.0), tol, budget)
     return (2.0 / math.pi) * float(v)
-
-
-def l1_at_zero_direct(tol: float, budget: int = DEFAULT_BUDGET) -> float:
-    """Independent 2-D route: the kernel modulus at the origin is
-    |z - 1/z|, integrated directly (the polar Jacobian absorbs the 1/|z|
-    blow-up at the origin)."""
-    res = quad_disk(lambda z: np.abs(z - 1.0 / z), tol, budget)
-    return res.value.real
 
 
 def _l1_point(w: complex, tol: float, budget: int):

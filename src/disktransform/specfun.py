@@ -13,7 +13,9 @@ parameter sets the relative error against mpmath is below 1e-14 except
 where a long series runs close to x = 1 (see hyp2f1).  E and K come from one
 arithmetic-geometric mean loop (see elliptic_e and _agm), with no
 quadrature.  gamma, bessel_j, hyp2f1 and elliptic_e raise
-DomainError for non-finite input before any iteration.
+DomainError for non-finite input before any iteration.  Every root of the
+package, the Bessel zeros here and alpha and delta in spectral, is found to
+the last float by one bracketed Newton walk, _newton_root.
 """
 from __future__ import annotations
 
@@ -138,50 +140,75 @@ def _bessel_j_fixed(n: int, x: float) -> float:
     raise SeriesError(f"bessel_j({n}, {x}) fixed-point series did not converge")
 
 
-def _bessel_j_prime(d: int, x: float) -> float:
-    """J_d'(x) for integer d >= 0, from the fixed-point series."""
-    if d == 0:
-        return -_bessel_j_fixed(1, x)
-    return 0.5 * (_bessel_j_fixed(d - 1, x) - _bessel_j_fixed(d + 1, x))
+def _newton_root(fdf, a, b):
+    """The float next to the sign change of f on [a, b] where |f| is least.
+
+    fdf(x) returns (f(x), f'(x)).  Newton steps run inside the bracket of
+    the sign change, which each evaluation tightens; a step that leaves it
+    is replaced by the midpoint, and a step that rounds back onto its
+    starting point is replaced by the adjacent float towards the other end.
+    The walk ends at two adjacent floats across the sign change, and the
+    one with the smaller |f| is returned (a on a tie), as bisection to the
+    last float would return it.  A point where f is exactly 0 is returned
+    as it is.  ValueError when f(a) and f(b) have the same sign.
+    """
+    fa, fb = fdf(a)[0], fdf(b)[0]
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise ValueError(f"no sign change on [{a}, {b}]")
+    x = 0.5 * (a + b)
+    for _ in range(200):  # a bound only: each step drops at least one float
+        fx, dfx = fdf(x)
+        if fx == 0:
+            return x
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        if math.nextafter(a, b) == b:
+            break
+        step = x - fx / dfx if dfx else math.nan
+        if step == x:
+            step = math.nextafter(x, b if x == a else a)
+        elif not a < step < b:
+            step = 0.5 * (a + b)
+        x = step
+    return a if abs(fa) <= abs(fb) else b
 
 
-def bessel_zero(d: int, tol: float = 1e-12) -> float:
+def bessel_zero(d: int) -> float:
     """Smallest positive root of J_d, for integer 0 <= d <= 20.
 
-    Sign-change bracket scan (first zero sits above x = d), bisection to a
-    safe interval, then Newton polish with J_d' = (J_{d-1} - J_{d+1}) / 2.
-    The polish evaluates J by the fixed-point series at every x: below
-    x = 8 the float64 series errs by about 1e-15 near the root, enough to
-    move the zero of J_4 by 15 ulp.  With it the result equals the
-    correctly rounded zero (40-digit mpmath) for every d.
+    A sign-change scan in steps of 0.5 from x = d + 0.1 (the first zero
+    sits above x = d) brackets the root, and the bracketed Newton walk of
+    _newton_root, the one that also finds alpha and delta, takes it to the
+    last float, with J_d' = J_{d-1} - (d/x) J_d and J_0' = -J_1
+    (DLMF 10.6.2).  The walk evaluates J_d and J_d' by the fixed-point
+    series at every x: below x = 8 the float64 series errs by about 1e-15
+    near the root, enough to move the zero of J_4 by 15 ulp.  With it the
+    result equals the correctly rounded zero (40-digit mpmath) for every d.
     """
     if not (isinstance(d, numbers.Integral) and 0 <= d <= 20):
         raise DomainError(f"bessel_zero supports integer 0 <= d <= 20, got {d!r}")
-    if not (0 < tol < math.inf):
-        raise DomainError(f"bessel_zero needs a positive finite tol, got {tol}")
     a = d + 0.1
     fa = bessel_j(d, a)
-    step = 0.5
     while True:
-        b = a + step
+        b = a + 0.5
         fb = bessel_j(d, b)
         if fa * fb <= 0:
             break
         a, fa = b, fb
-    for _ in range(40):
-        m = 0.5 * (a + b)
-        fm = bessel_j(d, m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    x = 0.5 * (a + b)
-    for _ in range(60):
-        dx = _bessel_j_fixed(d, x) / _bessel_j_prime(d, x)
-        x -= dx
-        if abs(dx) < tol:
-            break
-    return x
+
+    def fdf(x):
+        jd = _bessel_j_fixed(d, x)
+        if d == 0:
+            return jd, -_bessel_j_fixed(1, x)
+        return jd, _bessel_j_fixed(d - 1, x) - d / x * jd
+
+    return _newton_root(fdf, a, b)
 
 
 def hyp2f1(a: float, b: float, c: float, x: float) -> float:
@@ -369,21 +396,3 @@ def _agm(m: float, mc: float) -> tuple[float, float]:
     k = 0.5 * math.pi / a
     return k * rest, k
 
-
-def elliptic_e_series(m: float) -> float:
-    """Series form E(m) = (pi/2) sum_k [ ((1/2)_k / k!)^2 m^k / (1 - 2k) ].
-
-    Converges for |m| < 1; kept as an independent cross-check of the AGM
-    route.
-    """
-    if not (-1.0 < m < 1.0):
-        raise DomainError(f"elliptic_e_series needs |m| < 1, got {m}")
-    total = 1.0
-    coef = 1.0  # ((1/2)_k / k!)^2 at k = 0
-    for k in range(1, MAX_TERMS):
-        coef *= ((k - 0.5) / k) ** 2
-        term = coef * m**k / (1 - 2 * k)
-        total += term
-        if abs(term) < ABS_TOL * (1.0 - abs(m)):
-            return 0.5 * math.pi * total
-    raise SeriesError(f"elliptic_e_series({m}) did not converge")

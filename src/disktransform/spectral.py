@@ -19,8 +19,9 @@ arithmetic.  The real and imaginary blocks of a coupled sector pair are
 mirrors with the same singular values, so one block per pair is decomposed.
 The Galerkin value is the largest singular value over the blocks.
 
-Root-finders for the two transcendental norm equations and the exact
-weighted Hardy-type ratio checks live here as well.
+The two transcendental norm equations (solved by specfun's bracketed Newton
+walk, which also finds the Bessel zeros) and the exact weighted Hardy-type
+ratio checks live here as well.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diskalg import DiskPolynomial, norm_sq
-from .specfun import _gl_nodes, bessel_j, bessel_zero
+from .specfun import _gl_nodes, _newton_root, bessel_j, bessel_zero
 from .transforms import TransformKind, cauchy_P
 
 __all__ = [
@@ -223,7 +224,7 @@ def _H_upper(F: _Radial, d: np.ndarray, k: int):
 
 
 # The monomial rules of transforms.cauchy_P and transforms.beurling_H,
-# rewritten on profiles in t = |z|^2 (cf. transforms.radial_P_gd).
+# rewritten on profiles in t = |z|^2.
 _FORMS = {
     TransformKind.CauchyTransformP: _Forms(
         shift=1,
@@ -316,45 +317,6 @@ def estimate_norm(kind: TransformKind, trunc: TruncationSpec) -> NormEstimate:
     admits no basis monomial.
     """
     return _top_singular(_blocks(kind, trunc))
-
-
-def _newton_root(fdf, a, b):
-    """The float next to the sign change of f on [a, b] where |f| is least.
-
-    fdf(x) returns (f(x), f'(x)).  Newton steps run inside the bracket of
-    the sign change, which each evaluation tightens; a step that leaves it
-    is replaced by the midpoint, and a step that rounds back onto its
-    starting point is replaced by the adjacent float towards the other end.
-    The walk ends at two adjacent floats across the sign change, and the
-    one with the smaller |f| is returned (a on a tie), as bisection to the
-    last float would return it.  A point where f is exactly 0 is returned
-    as it is.  ValueError when f(a) and f(b) have the same sign.
-    """
-    fa, fb = fdf(a)[0], fdf(b)[0]
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise ValueError(f"no sign change on [{a}, {b}]")
-    x = 0.5 * (a + b)
-    for _ in range(200):  # a bound only: each step drops at least one float
-        fx, dfx = fdf(x)
-        if fx == 0:
-            return x
-        if (fx > 0) == (fa > 0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        if math.nextafter(a, b) == b:
-            break
-        step = x - fx / dfx if dfx else math.nan
-        if step == x:
-            step = math.nextafter(x, b if x == a else a)
-        elif not a < step < b:
-            step = 0.5 * (a + b)
-        x = step
-    return a if abs(fa) <= abs(fb) else b
 
 
 def _check_residual(name: str, f: float) -> None:

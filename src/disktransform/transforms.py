@@ -31,7 +31,6 @@ __all__ = [
     "beurling_S",
     "bergman_B",
     "beurling_H",
-    "radial_P_gd",
     "t_hs",
 ]
 
@@ -144,34 +143,6 @@ def beurling_H(phi: DiskPolynomial) -> DiskPolynomial:
             _accumulate(out, (m - n - 2, 0), a.scaled(n + 1 - m, n + 1))
         elif 1 - m + n > 0:
             _accumulate(out, (n - m, 0), a.conjugate().scaled(m - n - 1, n + 1))
-    return DiskPolynomial(out)
-
-
-def radial_P_gd(phi: DiskPolynomial) -> DiskPolynomial:
-    """P through the radial representation of each angular sector.
-
-    Sector d of phi is g_d(rho e^{i theta}) = f_d(rho) e^{i d theta}, where
-    f_d = sum_n b_n rho^{2n+d} collects the monomials b_n z^{n+d} zbar^n:
-
-    d >= 1:  P[g_d](z) = -2 z^{d-1} int_{|z|}^1 rho^{1-d} f_d(rho) d rho
-    d <= 0:  P[g_d](z) =  2 z^{d-1} int_0^{|z|} rho^{1-d} f_d d rho
-                          - 2 z^{1-d} int_0^1 rho^{1-d} conj(f_d) d rho
-
-    Both integrals are monomials in |z|^2, so the result is again a
-    polynomial; this is an independent route to cauchy_P used for
-    cross-assertion.
-    """
-    out: dict = {}
-    for (m, n), b in phi.items():
-        d = m - n
-        # int rho^{2n+1} = rho^{2n+2} / (2n+2), and 2 / (2n+2) = 1 / (n+1)
-        if d >= 1:
-            # -2 z^{d-1} (1 - |z|^{2n+2}) / (2n+2)
-            _accumulate(out, (d - 1, 0), b.scaled(-1, n + 1))
-            _accumulate(out, (n + d, n + 1), b.scaled(1, n + 1))
-        else:
-            _accumulate(out, (n + d, n + 1), b.scaled(1, n + 1))
-            _accumulate(out, (1 - d, 0), b.conjugate().scaled(-1, n + 1))
     return DiskPolynomial(out)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from disktransform import spectral
+from disktransform import specfun, spectral
 from disktransform.specfun import _gl_nodes, bessel_j, bessel_zero
 from disktransform.spectral import (
     TruncationSpec,
@@ -72,23 +72,25 @@ def test_root_is_the_bisection_float(monkeypatch, solve, f, bracket, expected):
     assert len(calls) <= 24
 
 
+# The walk is specfun._newton_root, shared with bessel_zero; spectral
+# imports it for solve_alpha and solve_delta.
 @pytest.mark.parametrize("c", [0.1 * k for k in range(1, 40)])
 def test_newton_root_matches_bisection_on_a_monotone_cubic(c):
     def fdf(x):
         return x * x * x - c, 3 * x * x
 
-    assert spectral._newton_root(fdf, 0.0, 2.0) == bisect(lambda x: fdf(x)[0], 0.0, 2.0)
+    assert specfun._newton_root(fdf, 0.0, 2.0) == bisect(lambda x: fdf(x)[0], 0.0, 2.0)
 
 
 def test_newton_root_edge_cases():
     def fdf(x):
         return x - 0.375, 1.0
 
-    assert spectral._newton_root(fdf, 0.0, 1.0) == 0.375  # an exact zero, as it is
-    assert spectral._newton_root(fdf, 0.375, 1.0) == 0.375
-    assert spectral._newton_root(fdf, 0.0, 0.375) == 0.375
+    assert specfun._newton_root(fdf, 0.0, 1.0) == 0.375  # an exact zero, as it is
+    assert specfun._newton_root(fdf, 0.375, 1.0) == 0.375
+    assert specfun._newton_root(fdf, 0.0, 0.375) == 0.375
     with pytest.raises(ValueError) as ours:
-        spectral._newton_root(fdf, 0.5, 1.0)
+        specfun._newton_root(fdf, 0.5, 1.0)
     with pytest.raises(ValueError) as ref:
         bisect(lambda x: fdf(x)[0], 0.5, 1.0)
     assert str(ours.value) == str(ref.value) == "no sign change on [0.5, 1.0]"

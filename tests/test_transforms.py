@@ -16,7 +16,6 @@ from disktransform.diskalg import (
     conjugate,
     d_dz,
     evaluate,
-    inner_product,
     norm_sq,
 )
 from disktransform.oracle import quad_disk
@@ -30,10 +29,10 @@ from disktransform.transforms import (
     cauchy_integral,
     j0_op,
     j0_star,
-    radial_P_gd,
     t_hs,
 )
 from conftest import rand_component, rand_poly
+from _exact_inner import inner_product
 
 E1 = ExactScalar(1)
 
@@ -75,6 +74,18 @@ def test_cauchy_P_examples():
     assert cauchy_P(mono(0, 1)) == P({(0, 2): half, (2, 0): -half})
 
 
+def test_radial_examples():
+    """P on the sector z^d f(|z|^2), d >= 1, is -z^{d-1} int_{|z|^2}^1 f(t) dt;
+    the values below are that integral worked by hand."""
+    # d = 1, f = 1: -(1 - z zbar)
+    assert cauchy_P(mono(1, 0)) == P({(1, 1): E1, (0, 0): -E1})
+    # d = 2, f = 1: -z (1 - z zbar) = z^2 zbar - z
+    assert cauchy_P(mono(2, 0)) == P({(2, 1): E1, (1, 0): -E1})
+    # d = 2, f = t: -z (1 - |z|^4) / 2
+    half = ExactScalar(Fraction(1, 2))
+    assert cauchy_P(mono(3, 1)) == P({(3, 2): half, (1, 0): -half})
+
+
 def test_beurling_S_examples():
     assert beurling_S(mono(0, 0)) == P({})
     assert beurling_S(mono(2, 0)) == P({(1, 1): ExactScalar(2), (0, 0): -E1})
@@ -93,27 +104,6 @@ def test_beurling_H_examples():
     half = ExactScalar(Fraction(1, 2))
     assert beurling_H(mono(1, 1)) == P({(0, 2): half, (0, 0): -half})
     assert beurling_H(mono(2, 0)) == P({(1, 1): ExactScalar(2), (0, 0): -E1})
-
-
-def test_radial_examples():
-    assert radial_P_gd(mono(1, 0)) == cauchy_P(mono(1, 0))
-    assert radial_P_gd(mono(0, 0)) == cauchy_P(mono(0, 0))
-    # d=2, f = rho^2: -2z int_r^1 rho drho = z^2 zbar - z
-    assert radial_P_gd(mono(2, 0)) == P({(2, 1): E1, (1, 0): -E1})
-
-
-def test_radial_matches_P_on_every_monomial():
-    """The radial route and the monomial rule agree on the real basis
-    a z^m zbar^n, a in {1, i}, m + n <= 10, so on every polynomial of
-    degree <= 10 by real-linearity."""
-    count = 0
-    for m in range(11):
-        for n in range(11 - m):
-            for a in (E1, ExactScalar(0, 1)):
-                phi = P({(m, n): a})
-                assert radial_P_gd(phi) == cauchy_P(phi), (m, n, a)
-                count += 1
-    assert count == 132
 
 
 def test_t_examples():
@@ -249,13 +239,6 @@ def test_bergman_idempotent_fixes_analytic():
         proj = bergman_B(phi)
         assert bergman_B(proj) == proj
         assert all(n == 0 for (_, n) in proj.coeffs)
-
-
-def test_radial_matches_P_on_every_component():
-    rng = random.Random(11)
-    for _ in range(100):
-        phi = rand_poly(rng)
-        assert radial_P_gd(phi) == cauchy_P(phi)
 
 
 def test_t_boundary_real_part_vanishes():
