@@ -370,7 +370,7 @@ def run_verify(cfg: RunConfig):
         _row("riesz_thorin_endpoint", "interpolation bound at p = inf",
              8 / math.pi, extremal.riesz_thorin_bound(math.inf), 1e-12),
         _row("l1_at_zero_elliptic", "radial elliptic form, reference 2.10441",
-             2.10441, extremal.l1_at_zero(5e-6, cfg.budget), 5e-4),
+             2.10441, extremal.l1_at_zero(5e-6, cfg.budget), 5e-6),
         _row("counterexample_norm", "squared L2 norm equals 2/log 2",
              cx["norm_sq_reference"], cx["norm_sq"], 1e-6),
         _row_bool("counterexample_divergence",

@@ -160,9 +160,7 @@ def l1_at_zero(tol: float, budget: int = DEFAULT_BUDGET) -> float:
     """The L1 -> L1 kernel integral at the origin via the radial
     elliptic-integral form: (2/pi) times the integral over r in [0, 1]."""
 
-    def f(arr):
-        return np.array([_l1_radial_integrand(float(x)) for x in arr])
-
+    f = np.vectorize(_l1_radial_integrand, otypes=[float])
     v, _, _ = _adaptive(f, (0.0, 1.0), tol, budget)
     return (2.0 / math.pi) * float(v)
 

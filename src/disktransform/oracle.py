@@ -7,31 +7,32 @@ from transforms.
 
 Machinery: one greedy refinement loop (_adaptive) for intervals and boxes
 bisects the panel with the largest error indicator and measures both
-children in one integrand call.  A box panel is evaluated once on the
-21 x 21 tensor grid of the 21-point Gauss-Kronrod rule (441 evaluations),
-whose nodes include those of the 10-point Gauss rule: K21 x K21 gives the
-value, and dropping to G10 in one axis gives that axis's error indicator,
-so every point is read.  The indicator of the panel is their sum, and the
-panel is bisected across the axis with the larger one, so an integrand
-already resolved in one coordinate is refined in the other alone.  An
-interval panel is 12- against 24-point Gauss-Legendre.  Panel bookkeeping
-uses an insertion counter as the heap tie-break, and accumulation order is
-fixed, so a run is reproducible bit for bit for a given configuration.
+children in one integrand call.  One rule serves both: a panel is evaluated
+once on the tensor grid of the 21-point Gauss-Kronrod rule in each axis (21
+evaluations per interval, 441 per box), whose nodes include those of the
+10-point Gauss rule.  K21 in every axis gives the value, and dropping to
+G10 in one axis gives that axis's error indicator, so every point is read.
+The indicator of the panel is their sum, and the panel is bisected across
+the axis with the largest one, so an integrand already resolved in one
+coordinate is refined in the other alone.  Panel bookkeeping uses an
+insertion counter as the heap tie-break, and accumulation order is fixed,
+so a run is reproducible bit for bit for a given configuration.
 
 In the polar maps centred at z (cauchy_eval, pv_beurling_eval), the
 integrand of a DiskPolynomial phi of degree D is a polynomial in the radial
 variable U, of degree D for C and 2D - 1 for S.  There U is integrated by
 the fixed Gauss-Legendre rule that is exact at that degree, D//2 + 1 or
-max(D, 1) points, and only beta is refined, by the interval loop: 36 n_U
+max(D, 1) points, and only beta is refined, by the interval loop: 21 n_U
 evaluations per beta panel.  Every other integrand, a callable that wraps
 a polynomial included, takes the box panels above, 441 evaluations per box.
 
 Integrands are either a DiskPolynomial or a callable w -> value that accepts
 complex numpy arrays elementwise; w always has the full shape of the grid.
-The internal 2-D integrands F(X, Y) instead receive node arrays of shapes
-(p, 21, 1) and (p, 1, 21) that broadcast to the grids of p boxes, so a
-factor of one coordinate is computed on 21 values per box; F's result must
-broadcast to (p, 21, 21).
+The internal integrands instead receive one node array per axis: f(x) of
+shape (p, 21) for p intervals, and F(X, Y) of shapes (p, 21, 1) and
+(p, 1, 21), which broadcast to the grids of p boxes, so a factor of one
+coordinate is computed on 21 values per box; the result must broadcast to
+(p, 21) or (p, 21, 21).
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000
-_NODES_1D = 12  # coarse rule of a 1-D segment; the fine rule doubles it
 
 # The (G10, K21) Gauss-Kronrod pair on [-1, 1] (Kronrod 1965; QUADPACK qk21):
 # (node, K21 weight, G10 weight) for the 10 Gauss nodes, then (node, K21
@@ -115,55 +115,41 @@ def _as_fn(phi):
     raise TypeError("integrand must be a DiskPolynomial or a callable")
 
 
-def _rules(n):
-    """The n- and the 2n-point Gauss-Legendre rules on [-1, 1]: all their
-    nodes in one array, the n-point ones first, then both weight vectors."""
-    (xc, wc), (xf, wf) = _gl_nodes(n), _gl_nodes(2 * n)
-    return np.concatenate((xc, xf)), wc, wf
+def _panels(F, boxes):
+    """Panels for a list of intervals (a, b) or boxes (ax, bx, ay, by), all
+    in one call of F.
 
-
-def _panels_2d(F, boxes):
-    """Panels for a list of boxes (ax, bx, ay, by), all in one call of F.
-
-    Per axis, a box's nodes are the 21 Kronrod nodes of _GK21, the 10 Gauss
-    nodes first; F gets them as arrays of shapes (p, 21, 1) and (p, 1, 21),
-    which broadcast to the (p, 21, 21) tensor grid, so a factor of one
-    coordinate costs 21 values per box.  Each box returns its value by the
-    K21 x K21 rule over all 441 points, its error indicator e_x + e_y, where
-    e_x (e_y) compares G10 in x (y) times K21 in the other axis against it,
-    and the axis of the larger indicator, x on a tie."""
-    ax, bx, ay, by = np.array(boxes).T[:, :, None]
-    X = (0.5 * (ax + bx) + 0.5 * (bx - ax) * _X21)[:, :, None]
-    Y = (0.5 * (ay + by) + 0.5 * (by - ay) * _X21)[:, None, :]
-    vals = np.broadcast_to(F(X, Y), (len(boxes), _X21.size, _X21.size))
+    Per axis, a panel's nodes are the 21 Kronrod nodes of _GK21, the 10
+    Gauss nodes first.  F gets one node array per axis, of shape (p, 21) for
+    intervals and (p, 21, 1), (p, 1, 21) for boxes, which broadcast to the
+    (p, 21, ..., 21) tensor grid, so a factor of one coordinate costs 21
+    values per panel.  Each panel returns its value by K21 in every axis,
+    its error indicator, the sum over axes of the distance to G10 in that
+    axis (times K21 in the others), and the axis of the largest term, the
+    first one on a tie."""
+    p, k, n = len(boxes), len(boxes[0]) // 2, _X21.size
+    # per panel and axis: (midpoint, half-width)
+    mh = np.array([[(0.5 * (b[j] + b[j + 1]), 0.5 * (b[j + 1] - b[j]))
+                    for j in range(0, 2 * k, 2)] for b in boxes])
+    x = mh[:, :, :1] + mh[:, :, 1:] * _X21  # (p, k, 21): the nodes of each axis
+    grid = (p,) + (n,) * k
+    vals = F(*[x[:, i].reshape((p,) + (1,) * i + (n,) + (1,) * (k - 1 - i))
+               for i in range(k)])
+    if vals.shape != grid:  # F constant along an axis may return fewer values
+        vals = np.broadcast_to(vals, grid)
+    axes = "ij"[:k]
+    spec = ",".join(axes) + ",p" + axes + "->p"
     g = slice(None, _W10.size)
-    fine, coarse_x, coarse_y = (np.einsum("i,j,pij->p", wx, wy, v)
-                                for wx, wy, v in ((_W21, _W21, vals),
-                                                  (_W10, _W21, vals[:, g, :]),
-                                                  (_W21, _W10, vals[:, :, g])))
+    fine = np.einsum(spec, *[_W21] * k, vals).tolist()
+    coarse = [np.einsum(spec, *[_W10 if j == i else _W21 for j in range(k)],
+                        vals[(slice(None),) * (i + 1) + (g,)]).tolist()
+              for i in range(k)]
     out = []
-    for (a, b, c, d), vf, vx, vy in zip(boxes, fine, coarse_x, coarse_y):
-        scale = 0.25 * (b - a) * (d - c)
+    for halves, vf, *vc in zip(mh[:, :, 1].tolist(), fine, *coarse):
+        scale = math.prod(halves)
         v = scale * vf
-        ex, ey = abs(v - scale * vx), abs(v - scale * vy)
-        out.append((v, ex + ey, int(ey > ex)))
-    return out
-
-
-def _panels_1d(f, segments):
-    """Panels for a list of segments (a, b), all in one call of f on a 1-D
-    array: per segment its n- and then its 2n-point Gauss-Legendre nodes,
-    n = _NODES_1D, summed by np.dot.  Each segment returns its value by the
-    2n-point rule, the difference from the n-point rule, and axis 0."""
-    x, wc, wf = _rules(_NODES_1D)
-    lo, hi = np.array(segments).T[:, :, None]
-    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    vals = f(xs.ravel()).reshape(len(segments), -1)
-    out = []
-    for (a, b), row in zip(segments, vals):
-        coarse = 0.5 * (b - a) * np.dot(wc, row[:_NODES_1D])
-        fine = 0.5 * (b - a) * np.dot(wf, row[_NODES_1D:])
-        out.append((fine, abs(fine - coarse), 0))
+        errs = [abs(v - scale * c) for c in vc]
+        out.append((v, sum(errs), errs.index(max(errs))))
     return out
 
 
@@ -175,31 +161,25 @@ def _bisect(box, axis):
     return box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:]
 
 
-# panel size -> (panels, evaluations per panel)
-_RULES = {2: (_panels_1d, 3 * _NODES_1D), 4: (_panels_2d, _X21.size ** 2)}
-
-
 def _adaptive(F, box, tol, budget, points=1):
     """Greedy panel refinement until the summed error indicator is <= tol.
 
-    box is an interval (a, b), with F(x) on a 1-D array, or a box
-    (ax, bx, ay, by), with F(X, Y) on two arrays that broadcast to one grid
-    (see _panels_2d).  Each node of an interval stands for `points`
-    integrand evaluations (the U rule of _about's polynomial path), and all
-    of them count in evals and against the budget.  Returns
-    (value, err, evals).  The worst panel is
-    bisected along the axis its panel function names, and both children are
-    measured in one call of F; the heap tie-break counter makes pop order,
-    and hence the accumulated float sums, reproducible.  A non-finite
-    integrand value makes the summed indicator non-finite, which raises
-    ValueError.
+    box is an interval (a, b) or a box (ax, bx, ay, by), and F takes one
+    node array per axis (see _panels).  A panel costs 21 evaluations per
+    axis, 21 ** (len(box) // 2) in all, times `points`: each node of an
+    interval may stand for several integrand evaluations (the U rule of
+    _about's polynomial path), and all of them count in evals and against
+    the budget.  Returns (value, err, evals).  The worst panel is bisected
+    across the axis _panels names, and both children are measured in one
+    call of F; the heap tie-break counter makes pop order, and hence the
+    accumulated float sums, reproducible.  A non-finite integrand value
+    makes the summed indicator non-finite, which raises ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    panels, cost = _RULES[len(box)]
-    cost *= points
+    cost = _X21.size ** (len(box) // 2) * points
     evals = cost
-    [(v, e, axis)] = panels(F, [box])
+    [(v, e, axis)] = _panels(F, [box])
     if evals > budget:
         raise OracleBudgetError(
             f"initial panel alone needs {evals} evaluations, budget is {budget}")
@@ -217,7 +197,7 @@ def _adaptive(F, box, tol, budget, points=1):
         total_v -= pv
         total_e -= pe
         children = _bisect(box, axis)
-        for child, (v2, e2, axis2) in zip(children, panels(F, children)):
+        for child, (v2, e2, axis2) in zip(children, _panels(F, children)):
             evals += cost
             total_v += v2
             total_e += e2
@@ -264,7 +244,7 @@ def _about(z: complex, F, tol: float, budget: int, u_degree=None) -> QuadResult:
     Without u_degree the region is refined in box panels.  With it, F must
     be a polynomial of that degree in U: U is then integrated by the
     (u_degree//2 + 1)-point Gauss-Legendre rule, exact at that degree, with
-    F on beta nodes of shape (p, 1) against U nodes of shape (1, n_U), and
+    F on beta nodes of shape (p, 21, 1) against U nodes of shape (n_U,), and
     beta alone is refined in interval panels."""
     if not abs(z) < 1:
         raise ValueError(f"z must be interior, got {z}")
@@ -279,8 +259,8 @@ def _about(z: complex, F, tol: float, budget: int, u_degree=None) -> QuadResult:
         U, wu = 0.5 + 0.5 * x, 0.5 * w
 
         def g(B):
-            B = B[:, None]
-            return np.einsum("pj,j->p", F(B, U, _exit_radius(z, B)), wu)
+            B = B[..., None]
+            return np.einsum("...j,j->...", F(B, U, _exit_radius(z, B)), wu)
 
         v, e, ev = _adaptive(g, (0.0, 2 * math.pi), tol, budget, U.size)
     return QuadResult(complex(v), float(e), ev)

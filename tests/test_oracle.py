@@ -317,39 +317,43 @@ def test_batched_panels_match_per_panel_loop(monkeypatch, radius):
                    (w.value, w.err_estimate, w.evaluations), (phi, z)
 
 
-def test_one_integrand_call_per_refinement_step(monkeypatch):
+def _cusp(x):
+    return np.abs(x - 0.3) ** 0.5
+
+
+def _cone(X, Y):
+    return np.abs(X * np.exp(1j * Y) - 0.3)
+
+
+@pytest.mark.parametrize("F,box", [(_cusp, (0.0, 1.0)),
+                                   (_cone, (0.0, 1.0, 0.0, 2 * math.pi))],
+                         ids=["interval", "box"])
+def test_one_integrand_call_per_refinement_step(monkeypatch, F, box):
     pops = []
     real_pop = heapq.heappop
     monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or real_pop(h))
     shapes = []
 
-    def F(X, Y):
-        shapes.append((X.shape, Y.shape))
-        return np.abs(X * np.exp(1j * Y) - 0.3)  # cone: many splits
+    def recording(*nodes):
+        shapes.append(tuple(x.shape for x in nodes))
+        return F(*nodes)
 
-    _, _, evals = oracle._adaptive(F, (0.0, 1.0, 0.0, 2 * math.pi), 1e-9, 10**7)
+    k = len(box) // 2
+    _, _, evals = oracle._adaptive(recording, box, 1e-9, 10**7)
     splits = len(pops)
-    assert splits > 10
-    assert shapes == ([((1, 21, 1), (1, 1, 21))]
-                      + [((2, 21, 1), (2, 1, 21))] * splits)
-    assert evals == 441 * (1 + 2 * splits)
+    assert splits > 10  # a cusp or a cone: many splits
+
+    def grid(p):  # per axis (p, 21) with the 21 in that axis
+        return tuple((p,) + tuple(21 if j == i else 1 for j in range(k))
+                     for i in range(k))
+
+    assert shapes == [grid(1)] + [grid(2)] * splits
+    assert evals == 21**k * (1 + 2 * splits)
 
 
-def test_one_integrand_call_per_1d_refinement_step(monkeypatch):
-    pops = []
-    real_pop = heapq.heappop
-    monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or real_pop(h))
-    shapes = []
-
-    def f(x):
-        shapes.append(x.shape)
-        return np.abs(x - 0.3) ** 0.5  # cusp: many splits
-
-    _, _, evals = oracle._adaptive(f, (0.0, 1.0), 1e-9, 10**6)
-    splits = len(pops)
-    assert splits > 10
-    assert shapes == [(36,)] + [(72,)] * splits
-    assert evals == 36 * (1 + 2 * splits)
+def test_tie_cuts_first_axis():
+    # a zero integrand has equal (zero) indicators in x and y
+    assert oracle._panels(lambda X, Y: 0.0 * X * Y, [(0.0, 1.0, 0.0, 1.0)]) == [(0.0, 0.0, 0)]
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
@@ -362,9 +366,9 @@ def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
     real = oracle._bisect
     monkeypatch.setattr(oracle, "_bisect",
                         lambda box, axis: axes.append(axis) or real(box, axis))
-    panels_2d, cost = oracle._RULES[4]
-    monkeypatch.setitem(oracle._RULES, 4,
-                        (lambda F, bs: boxes.extend(bs) or panels_2d(F, bs), cost))
+    real_panels = oracle._panels
+    monkeypatch.setattr(oracle, "_panels", lambda F, bs: boxes.extend(
+        b for b in bs if len(b) == 4) or real_panels(F, bs))
     rng = random.Random(f"bisect-axis/{radius}")
     for _ in range(6):
         phi = rand_poly(rng, max_total=8, terms=6)
@@ -396,20 +400,19 @@ def test_near_boundary_agreement():
             assert abs(got.value - complex(evaluate(closed(phi), z))) <= tol, (phi, z)
 
 
-def _reference_adaptive_1d(f, a, b, tol, budget, n=12, points=1):
-    """A stand-alone 1-D refinement loop: per segment an n- and a 2n-point
-    Gauss-Legendre sum by np.dot (the oracle's rules), one integrand call
-    each, and the two halves of a split measured one after the other; each
-    node counts `points` evaluations.  The shared loop must reproduce it bit
-    for bit."""
+def _reference_adaptive_1d(f, a, b, tol, budget, points=1):
+    """A stand-alone 1-D refinement loop: per segment one integrand call on
+    the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, the K21 value, its
+    distance to G10 as the indicator, and the two halves of a split measured
+    one after the other; each node counts `points` evaluations.  The shared
+    loop must reproduce it bit for bit."""
+    nodes, wk, wg = oracle._X21, oracle._W21, oracle._W10
 
     def measure(lo, hi):
-        out = []
-        for k in (n, 2 * n):
-            x, w = _gl_nodes(k)
-            xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-            out.append(0.5 * (hi - lo) * np.dot(w, f(xs)))
-        return out[1], abs(out[1] - out[0]), 3 * n * points
+        y = f(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
+        scale = 0.5 * (hi - lo)
+        v = scale * np.einsum("i,i->", wk, y)
+        return v, abs(v - scale * np.einsum("i,i->", wg, y[:10])), 21 * points
 
     v, e, evals = measure(a, b)
     if evals > budget:
@@ -452,6 +455,40 @@ def test_shared_loop_matches_1d_reference(monkeypatch):
     assert [len(box) for _, box, _, _, _ in calls] == [2] * 14
     for F, (a, b), tol, budget, got in calls:
         assert got == _reference_adaptive_1d(F, a, b, tol, budget), (a, b, tol)
+
+
+# (2/pi) int_0^1 of l1_at_zero's integrand, clamped at r = 1 - 1e-8 as there
+_L1_AT_ZERO_CLAMPED = 2.1044083131985785
+
+
+def test_l1_at_zero_constant_by_mpmath():
+    with mpmath.workdps(30):
+        R = mpmath.mpf(extremal._R_CLAMP)
+
+        def g(r):
+            um, up = 1 - r * r, 1 + r * r
+            return (um * mpmath.ellipe(-4 * r * r / um**2)
+                    + up * mpmath.ellipe(4 * r * r / up**2))
+
+        value = 2 / mpmath.pi * (mpmath.quad(g, [0, R]) + (1 - R) * g(R))
+        assert float(value) == _L1_AT_ZERO_CLAMPED
+
+
+def test_ledger_1d_integrals_meet_their_tol():
+    # each 1-D integral of the ledger, at the tol it asks for, against an
+    # independent reference: a closed form, a series or the mpmath constant
+    tol = 1e-10  # counterexample_p2's and angular_parseval_check's
+    log2, t_hi = math.log(2.0), math.log(2e8)
+    cx = extremal.counterexample_p2()
+    integral = cx["norm_sq"] - 2 / t_hi  # norm_sq adds the exact tail 2/t_hi
+    assert abs(integral - (2 / log2 - 2 / t_hi)) <= tol
+    assert [eps for eps, _ in cx["annulus_integrals"]] == [10.0**-k for k in range(1, 9)]
+    for eps, got in cx["annulus_integrals"]:
+        assert abs(got - 2 * math.log(math.log(2 / eps) / log2)) <= tol, eps
+    for beta, r in _PARSEVAL_CASES:
+        lhs, rhs = angular_parseval_check(beta, r)
+        assert abs(lhs - rhs) <= tol, (beta, r)
+    assert abs(extremal.l1_at_zero(5e-6) - _L1_AT_ZERO_CLAMPED) <= 5e-6
 
 
 def _reference_about_1d(z, F, tol, budget, u_degree):
@@ -511,11 +548,11 @@ def test_polynomial_path_matches_box_panels(radius, tol):
 
 def test_polynomial_path_budget():
     # every beta node counts n_U evaluations: degree 8 takes 5 U nodes for
-    # C and 8 for S, so 180 and 288 per beta panel
+    # C and 8 for S, so 21 n_U = 105 and 168 per beta panel
     phi = DiskPolynomial({(8, 0): ExactScalar(1), (3, 5): ExactScalar(2)})
     z = 0.99 * cmath.exp(0.7j)
-    assert cauchy_eval(phi, z, 1.0, budget=180).evaluations == 180
-    for fn, per_panel in ((cauchy_eval, 180), (pv_beurling_eval, 288)):
+    assert cauchy_eval(phi, z, 1.0, budget=105).evaluations == 105
+    for fn, per_panel in ((cauchy_eval, 105), (pv_beurling_eval, 168)):
         with pytest.raises(OracleBudgetError, match="initial panel"):
             fn(phi, z, 1e-12, budget=per_panel - 1)
         with pytest.raises(OracleBudgetError, match="needed more than"):
@@ -531,7 +568,7 @@ def test_polynomial_path_degree_zero(phi):
     c = cauchy_eval(phi, z, 1e-12)
     assert abs(c.value - complex(evaluate(cauchy_integral(phi), z))) <= 1e-12
     s = pv_beurling_eval(phi, z, 1e-12)
-    assert (s.value, s.evaluations) == (0, 36)
+    assert (s.value, s.evaluations) == (0, 21)
 
 
 def _monomial_sum(phi, z):
@@ -677,4 +714,4 @@ def test_accuracy_ladder_and_work():
     worst, evals = _ladder()
     assert worst <= 1.0
     # the exact work of the set, so a change that inflates it fails here
-    assert evals == 890_226
+    assert evals == 842_898
