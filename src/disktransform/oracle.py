@@ -5,18 +5,20 @@ analytic-projection kernels, principal-value Beurling kernel).  Everything in
 transforms is cross-checked against this module, so nothing here may import
 from transforms.
 
-Machinery: one greedy refinement loop (_adaptive) for intervals and boxes
-bisects the panel with the largest error indicator and measures both
-children in one integrand call.  One rule serves both: a panel is evaluated
-once on the tensor grid of the 21-point Gauss-Kronrod rule in each axis (21
-evaluations per interval, 441 per box), whose nodes include those of the
-10-point Gauss rule.  K21 in every axis gives the value, and dropping to
-G10 in one axis gives that axis's error indicator, so every point is read.
-The indicator of the panel is their sum, and the panel is bisected across
-the axis with the largest one, so an integrand already resolved in one
-coordinate is refined in the other alone.  Panel bookkeeping uses an
-insertion counter as the heap tie-break, and accumulation order is fixed,
-so a run is reproducible bit for bit for a given configuration.
+Machinery: one greedy refinement loop (_adaptive) for intervals and boxes.
+Each step bisects the worst panels, as many as it takes to leave at most
+tol in the rest and as the budget still pays for, and measures all their
+children in one integrand call; the budget is a hard cap.  One rule serves
+both shapes: a panel is evaluated once on the tensor grid of the 21-point
+Gauss-Kronrod rule in each axis (21 evaluations per interval, 441 per box),
+whose nodes include those of the 10-point Gauss rule.  K21 in every axis
+gives the value, and dropping to G10 in one axis gives that axis's error
+indicator, so every point is read.  The indicator of the panel is their
+sum, and the panel is bisected across the axis with the largest one, so an
+integrand already resolved in one coordinate is refined in the other alone.
+Panel bookkeeping uses an insertion counter as the heap tie-break, and
+accumulation order is fixed, so a run is reproducible bit for bit for a
+given configuration.
 
 In the polar maps centred at z (cauchy_eval, pv_beurling_eval), the
 integrand of a DiskPolynomial phi of degree D is a polynomial in the radial
@@ -169,36 +171,41 @@ def _adaptive(F, box, tol, budget, points=1):
     axis, 21 ** (len(box) // 2) in all, times `points`: each node of an
     interval may stand for several integrand evaluations (the U rule of
     _about's polynomial path), and all of them count in evals and against
-    the budget.  Returns (value, err, evals).  The worst panel is bisected
-    across the axis _panels names, and both children are measured in one
-    call of F; the heap tie-break counter makes pop order, and hence the
-    accumulated float sums, reproducible.  A non-finite integrand value
-    makes the summed indicator non-finite, which raises ValueError.
+    the budget.  Returns (value, err, evals).  Each step pops the worst
+    panels until the error left in the heap is <= tol or the budget cannot
+    pay for another bisection, bisects each across the axis _panels names,
+    and measures all the children in one call of F; a step that pops none
+    raises OracleBudgetError, so evals never exceeds the budget.  The heap
+    tie-break counter makes pop order, and hence the accumulated float
+    sums, reproducible.  A non-finite integrand value makes the summed
+    indicator non-finite, which raises ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     cost = _X21.size ** (len(box) // 2) * points
+    if cost > budget:
+        raise OracleBudgetError(
+            f"initial panel alone needs {cost} evaluations, budget is {budget}")
     evals = cost
     [(v, e, axis)] = _panels(F, [box])
-    if evals > budget:
-        raise OracleBudgetError(
-            f"initial panel alone needs {evals} evaluations, budget is {budget}")
     heap = [(-e, 0, box, v, e, axis)]
     counter = 1
     total_v, total_e = v, e
     while not total_e <= tol:
         if not math.isfinite(total_e):
             raise ValueError("integrand is not finite on the integration region")
-        if evals > budget:
+        children = []
+        while heap and not total_e <= tol and evals + 2 * cost <= budget:
+            _, _, box, pv, pe, axis = heapq.heappop(heap)
+            total_v -= pv
+            total_e -= pe
+            evals += 2 * cost
+            children.extend(_bisect(box, axis))
+        if not children:
             raise OracleBudgetError(
                 f"needed more than {budget} evaluations (err {total_e:.3e} > tol {tol:.3e})"
             )
-        _, _, box, pv, pe, axis = heapq.heappop(heap)
-        total_v -= pv
-        total_e -= pe
-        children = _bisect(box, axis)
         for child, (v2, e2, axis2) in zip(children, _panels(F, children)):
-            evals += cost
             total_v += v2
             total_e += e2
             heapq.heappush(heap, (-e2, counter, child, v2, e2, axis2))

@@ -245,9 +245,10 @@ def _reference_adaptive_2d(F, box, tol, budget):
     """The per-panel anisotropic refinement loop on full np.meshgrid arrays:
     per axis the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, one
     integrand call per panel, the K21 x K21 value, the indicators e_x and
-    e_y of G10 in x and in y (times K21 in the other axis), and the worst
-    panel bisected along the axis of the larger one (x on a tie).  The
-    broadcast oracle must reproduce it bit for bit."""
+    e_y of G10 in x and in y (times K21 in the other axis), and each step
+    bisects the worst panels, each along the axis of its larger indicator
+    (x on a tie), until the error left is <= tol or the budget is spent.
+    The broadcast oracle must reproduce it bit for bit."""
     nodes, wk, wg = oracle._X21, oracle._W21, oracle._W10
 
     def panel(ax, bx, ay, by):
@@ -261,31 +262,42 @@ def _reference_adaptive_2d(F, box, tol, budget):
         ey = abs(v - scale * np.einsum("i,j,ij->", wk, wg, V[:, :10]))
         return v, ex + ey, ey > ex
 
-    evals = 441
-    v, e, cut_y = panel(*box)
-    if evals > budget:
+    def halves(a, b, c, d, cut_y):
+        if cut_y:
+            my = 0.5 * (c + d)
+            return (a, b, c, my), (a, b, my, d)
+        mx = 0.5 * (a + b)
+        return (a, mx, c, d), (mx, b, c, d)
+
+    return _reference_loop(panel, halves, tuple(box), 441, tol, budget)
+
+
+def _reference_loop(measure, halves, box, cost, tol, budget):
+    """The batched pop of both reference loops: per step, pop the worst
+    panels while the error left exceeds tol and the budget pays for two more
+    panels, then measure the children one after the other."""
+    if cost > budget:
         raise OracleBudgetError("initial panel")
-    heap = [(-e, 0, tuple(box) + (v, e, cut_y))]
+    v, e, cut = measure(*box)
+    evals = cost
+    heap = [(-e, 0, box + (v, e, cut))]
     counter = 1
     total_v, total_e = v, e
     while total_e > tol:
-        if evals > budget:
+        if evals + 2 * cost > budget:
             raise OracleBudgetError("budget")
-        _, _, (a, b, c, d, pv, pe, cut_y) = heapq.heappop(heap)
-        total_v -= pv
-        total_e -= pe
-        if cut_y:
-            my = 0.5 * (c + d)
-            children = (a, b, c, my), (a, b, my, d)
-        else:
-            mx = 0.5 * (a + b)
-            children = (a, mx, c, d), (mx, b, c, d)
-        for box2 in children:
-            v2, e2, cut2 = panel(*box2)
-            evals += 441
+        children = []
+        while heap and total_e > tol and evals + 2 * cost <= budget:
+            _, _, (*panel, pv, pe, cut) = heapq.heappop(heap)
+            total_v -= pv
+            total_e -= pe
+            evals += 2 * cost
+            children.extend(halves(*panel, cut))
+        for child in children:
+            v2, e2, cut2 = measure(*child)
             total_v += v2
             total_e += e2
-            heapq.heappush(heap, (-e2, counter, box2 + (v2, e2, cut2)))
+            heapq.heappush(heap, (-e2, counter, child + (v2, e2, cut2)))
             counter += 1
     return total_v, total_e, evals
 
@@ -329,26 +341,89 @@ def _cone(X, Y):
                                    (_cone, (0.0, 1.0, 0.0, 2 * math.pi))],
                          ids=["interval", "box"])
 def test_one_integrand_call_per_refinement_step(monkeypatch, F, box):
-    pops = []
+    # a step pops a batch of panels and measures all their children in one
+    # call: the pops since the previous call are half of its panels
+    events = []
     real_pop = heapq.heappop
-    monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or real_pop(h))
+    monkeypatch.setattr(heapq, "heappop", lambda h: events.append(0) or real_pop(h))
     shapes = []
 
     def recording(*nodes):
         shapes.append(tuple(x.shape for x in nodes))
+        events.append(nodes[0].shape[0])
         return F(*nodes)
 
     k = len(box) // 2
     _, _, evals = oracle._adaptive(recording, box, 1e-9, 10**7)
-    splits = len(pops)
+    splits = events.count(0)
     assert splits > 10  # a cusp or a cone: many splits
 
     def grid(p):  # per axis (p, 21) with the 21 in that axis
         return tuple((p,) + tuple(21 if j == i else 1 for j in range(k))
                      for i in range(k))
 
-    assert shapes == [grid(1)] + [grid(2)] * splits
+    calls = [e for e in events if e]
+    assert events[0] == 1 and shapes == [grid(p) for p in calls]
+    pops = 0
+    for e in events[1:]:
+        if e:
+            assert e == 2 * pops
+            pops = 0
+        else:
+            pops += 1
+    assert pops == 0
     assert evals == 21**k * (1 + 2 * splits)
+    if k == 2:
+        assert len(calls) < splits  # the cone's steps bisect several panels
+
+
+def test_budget_is_a_hard_cap():
+    # the cone at 1e-7 takes 8,379 evaluations (19 panels); each budget over
+    # its last 8 panels, on and off the 441-evaluation grid, either returns
+    # the full result within the budget or raises
+    f = lambda w: np.abs(w - 0.3)
+    full = quad_disk(f, 1e-7)
+    assert full.evaluations == 8379
+    for budget in range(full.evaluations - 8 * 441, full.evaluations + 441, 147):
+        try:
+            got = quad_disk(f, 1e-7, budget=budget)
+        except OracleBudgetError as exc:
+            assert "needed more than" in str(exc) and budget < full.evaluations
+        else:
+            assert got == full and got.evaluations <= budget
+    # a budget below one panel raises before the integrand is called
+    seen = []
+    with pytest.raises(OracleBudgetError, match="initial panel"):
+        quad_disk(lambda w: seen.append(w) or f(w), 1e-7, budget=440)
+    assert not seen
+
+
+def test_integrand_calls_pinned():
+    # the exact integrand calls and evaluations of C, S and B on one seeded
+    # set, so a change to the batching shows here
+    calls = {"C": 0, "S": 0, "B": 0}
+    evals = dict.fromkeys(calls, 0)
+    real = oracle._panels
+    rng = random.Random("integrand-calls")
+    for radius in (0.0, 0.5, 0.9, 0.99) * 2:
+        phi = rand_poly(rng, max_total=8, terms=6)
+        z = radius * cmath.exp(2j * math.pi * rng.random())
+
+        def bergman(w):
+            return evaluate(phi, w) / (1 - z * np.conj(w)) ** 2
+
+        for name, run in (("C", lambda: cauchy_eval(phi, z, 1e-8)),
+                          ("S", lambda: pv_beurling_eval(phi, z, 1e-8)),
+                          ("B", lambda: quad_disk(bergman, 1e-9))):
+            def counting(F, boxes, name=name):
+                calls[name] += 1
+                return real(F, boxes)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(oracle, "_panels", counting)
+                evals[name] += run().evaluations
+    assert calls == {"C": 32, "S": 33, "B": 65}
+    assert evals == {"C": 9933, "S": 17115, "B": 128772}
 
 
 def test_tie_cuts_first_axis():
@@ -402,9 +477,9 @@ def test_near_boundary_agreement():
 
 def _reference_adaptive_1d(f, a, b, tol, budget, points=1):
     """A stand-alone 1-D refinement loop: per segment one integrand call on
-    the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, the K21 value, its
-    distance to G10 as the indicator, and the two halves of a split measured
-    one after the other; each node counts `points` evaluations.  The shared
+    the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, the K21 value and
+    its distance to G10 as the indicator, and the batched pop of
+    _reference_loop; each node counts `points` evaluations.  The shared
     loop must reproduce it bit for bit."""
     nodes, wk, wg = oracle._X21, oracle._W21, oracle._W10
 
@@ -412,29 +487,13 @@ def _reference_adaptive_1d(f, a, b, tol, budget, points=1):
         y = f(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
         scale = 0.5 * (hi - lo)
         v = scale * np.einsum("i,i->", wk, y)
-        return v, abs(v - scale * np.einsum("i,i->", wg, y[:10])), 21 * points
+        return v, abs(v - scale * np.einsum("i,i->", wg, y[:10])), None
 
-    v, e, evals = measure(a, b)
-    if evals > budget:
-        raise OracleBudgetError("initial panel")
-    heap = [(-e, 0, (a, b, v, e))]
-    counter = 1
-    total_v, total_e = v, e
-    while total_e > tol:
-        if evals > budget:
-            raise OracleBudgetError("budget")
-        _, _, (lo, hi, pv, pe) = heapq.heappop(heap)
-        total_v -= pv
-        total_e -= pe
+    def halves(lo, hi, _):
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            v2, e2, ne = measure(*seg)
-            evals += ne
-            total_v += v2
-            total_e += e2
-            heapq.heappush(heap, (-e2, counter, seg + (v2, e2)))
-            counter += 1
-    return total_v, total_e, evals
+        return (lo, mid), (mid, hi)
+
+    return _reference_loop(measure, halves, (a, b), 21 * points, tol, budget)
 
 
 def test_shared_loop_matches_1d_reference(monkeypatch):
