@@ -288,11 +288,10 @@ _TRIALS = 20
 
 def run_verify(cfg: RunConfig):
     """The ledger rows in order; alpha, delta, the Bessel zeros and the
-    Galerkin estimates are each computed once and shared between rows, the
-    zeros j0 and j1 with solve_delta as well."""
+    Galerkin estimates are each computed once and shared between rows."""
     j = [bessel_zero(d) for d in range(len(_BESSEL_TABLE))]
     alpha = spectral.solve_alpha()
-    delta = spectral.solve_delta(j0=j[0], j1=j[1])
+    delta = spectral.solve_delta()
     lam0 = alpha * alpha
     rows = [
         _row("alpha_root", "norm equation root, 3-decimal value 1.086", 1.086, alpha, 5e-4),
@@ -344,7 +343,7 @@ def run_verify(cfg: RunConfig):
     closed = complex(diskalg.evaluate(transforms.cauchy_integral(w2), z))
     got = oracle.cauchy_eval(w2, z, cfg.tol_quad, cfg.budget)
     area = oracle.quad_disk(parse_poly("w*conj(w)"), cfg.tol_quad, cfg.budget)
-    mean, series = oracle.angular_parseval_check(0.75, 0.6)
+    mean, series = oracle.angular_parseval_check(0.75, 0.6, budget=cfg.budget)
     cx = extremal.counterexample_p2(cfg.budget)
     return rows + [
         _row("beurling_isometry_matrix", "matrix norm of the isometry", 1.0, iso.value, 1e-10),

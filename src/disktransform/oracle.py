@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diskalg import DiskPolynomial, evaluate
-from .specfun import _gl_nodes
+from .specfun import _gl_nodes, hyp2f1
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -332,9 +332,10 @@ def angular_parseval_check(beta: float, r: float, tol: float = 1e-10,
                            budget: int = DEFAULT_BUDGET) -> tuple:
     """Mean of |1 - r e^{i theta}|^{-2 beta} over the circle, two ways.
 
-    Left: 1-D adaptive quadrature in theta.  Right: the series
-    sum_n (c_n r^n)^2 with c_n = Gamma(n+beta)/(n! Gamma(beta)), built by the
-    ratio recurrence c_{n+1} = c_n (n+beta)/(n+1).  Returns (lhs, rhs).
+    Left: 1-D adaptive quadrature in theta.  Right: the Parseval sum
+    sum_n (c_n r^n)^2 with c_n = (beta)_n / n!, which is
+    2F1(beta, beta; 1; r^2) (specfun.hyp2f1, whose SeriesError a series
+    that does not converge raises).  Returns (lhs, rhs).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -345,17 +346,4 @@ def angular_parseval_check(beta: float, r: float, tol: float = 1e-10,
         return 1.0 / np.abs(1.0 - r * np.exp(1j * T)) ** (2 * beta) / (2 * math.pi)
 
     lhs, _, _ = _adaptive(f, (0.0, 2 * math.pi), tol, budget)
-
-    s = 0.0
-    c = 1.0
-    n = 0
-    while True:
-        term = (c * r**n) ** 2
-        s += term
-        if n > 8 and term < 1e-18 * max(1.0, s):
-            break
-        if n > 10_000_000:
-            raise OracleBudgetError("series for the angular mean did not converge")
-        c *= (n + beta) / (n + 1)
-        n += 1
-    return float(lhs), float(s)
+    return float(lhs), hyp2f1(beta, beta, 1.0, r * r)

@@ -15,7 +15,8 @@ arithmetic-geometric mean loop (see elliptic_e and _agm), with no
 quadrature.  gamma, bessel_j, hyp2f1 and elliptic_e raise
 DomainError for non-finite input before any iteration.  Every root of the
 package, the Bessel zeros here and alpha and delta in spectral, is found to
-the last float by one bracketed Newton walk, _newton_root.
+the last float by one bracketed Newton walk, _newton_root, started from a
+bracket written in closed form; none is searched for.
 """
 from __future__ import annotations
 
@@ -179,36 +180,39 @@ def _newton_root(fdf, a, b):
     return a if abs(fa) <= abs(fb) else b
 
 
+# Qu & Wong (Trans. AMS 351, 1999): nu + C nu^(1/3) < j_{nu,1} < nu + C nu^(1/3)
+# + E nu^(-1/3) for nu > 0, C = -a1 / 2^(1/3) and E = (3/20) a1^2 2^(1/3), where
+# a1 = -2.338107410459767 is the first zero of Airy Ai
+_QW_C = 1.8557570814892383
+_QW_E = 1.0331503036492367
+
+
 def bessel_zero(d: int) -> float:
     """Smallest positive root of J_d, for integer 0 <= d <= 20.
 
-    A sign-change scan in steps of 0.5 from x = d + 0.1 (the first zero
-    sits above x = d) brackets the root, and the bracketed Newton walk of
-    _newton_root, the one that also finds alpha and delta, takes it to the
-    last float, with J_d' = J_{d-1} - (d/x) J_d and J_0' = -J_1
-    (DLMF 10.6.2).  The walk evaluates J_d and J_d' by the fixed-point
-    series at every x: below x = 8 the float64 series errs by about 1e-15
-    near the root, enough to move the zero of J_4 by 15 ulp.  With it the
-    result equals the correctly rounded zero (40-digit mpmath) for every d.
+    The root starts from a closed-form bracket: the bounds of Qu & Wong
+    (see _QW_C) for d >= 1, and (2, 3) for d = 0 (j_{0,1} = 2.4048...).
+    The bracketed Newton walk of _newton_root, the one that also finds
+    alpha and delta, takes it to the last float, with
+    J_d' = (d/x) J_d - J_{d+1} (DLMF 10.6.2).  The walk evaluates J_d and
+    J_d' by the fixed-point series at every x: below x = 8 the float64
+    series errs by about 1e-15 near the root, enough to move the zero of J_4
+    by 15 ulp.  With it the result equals the correctly rounded zero
+    (40-digit mpmath) for every d.
     """
     if not (isinstance(d, numbers.Integral) and 0 <= d <= 20):
         raise DomainError(f"bessel_zero supports integer 0 <= d <= 20, got {d!r}")
-    a = d + 0.1
-    fa = bessel_j(d, a)
-    while True:
-        b = a + 0.5
-        fb = bessel_j(d, b)
-        if fa * fb <= 0:
-            break
-        a, fa = b, fb
+    if d == 0:
+        lo, hi = 2.0, 3.0
+    else:
+        lo = d + _QW_C * d ** (1 / 3)
+        hi = lo + _QW_E * d ** (-1 / 3)
 
     def fdf(x):
         jd = _bessel_j_fixed(d, x)
-        if d == 0:
-            return jd, -_bessel_j_fixed(1, x)
-        return jd, _bessel_j_fixed(d - 1, x) - d / x * jd
+        return jd, d / x * jd - _bessel_j_fixed(d + 1, x)
 
-    return _newton_root(fdf, a, b)
+    return _newton_root(fdf, lo, hi)
 
 
 def hyp2f1(a: float, b: float, c: float, x: float) -> float:

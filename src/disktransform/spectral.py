@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diskalg import DiskPolynomial, norm_sq
-from .specfun import _gl_nodes, _newton_root, bessel_j, bessel_zero
+from .specfun import _gl_nodes, _newton_root, bessel_j
 from .transforms import TransformKind, cauchy_P
 
 __all__ = [
@@ -340,21 +340,17 @@ def solve_alpha() -> float:
     return root
 
 
-def solve_delta(*, j0: Optional[float] = None, j1: Optional[float] = None) -> float:
-    """Root of J1(x) - x J0(x) on (2/sqrt(3/2 + 2/j1^2), j0): of the two
-    floats across the sign change, the one with the smaller residual
-    (bracketed Newton, see _newton_root), checked against
-    _ROOT_RESIDUAL_TOL; the bracket endpoints are checked to straddle a sign
-    change.  j0 and j1, the first zeros of J0 and J1, are computed here
-    unless the caller passes them in."""
-    j0 = bessel_zero(0) if j0 is None else j0
-    j1 = bessel_zero(1) if j1 is None else j1
+def solve_delta() -> float:
+    """Root of J1(x) - x J0(x) on [2/1.2, 2.0], the image of solve_alpha's
+    bracket under delta = 2/alpha: of the two floats across the sign
+    change, the one with the smaller residual (bracketed Newton, see
+    _newton_root), checked against _ROOT_RESIDUAL_TOL."""
 
     def fdf(x):
         b0, b1 = bessel_j(0, x), bessel_j(1, x)
         return b1 - x * b0, b1 * (x - 1 / x)
 
-    root = _newton_root(fdf, 2 / math.sqrt(1.5 + 2 / j1**2), j0)
+    root = _newton_root(fdf, 2 / 1.2, 2.0)
     _check_residual("delta", fdf(root)[0])
     return root
 

@@ -4,12 +4,17 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from disktransform import cli, spectral
+import disktransform
+from disktransform import cli, extremal, oracle
 from disktransform.cli import (
     PolyParseError,
     RunConfig,
@@ -338,12 +343,10 @@ def test_sampler_draws_as_randint():
 
 
 def test_verify_solves_each_bessel_zero_once(capsys, monkeypatch):
-    """j0 and j1 are shared between the bessel_zero rows and solve_delta."""
+    """The bessel_zero rows and the Galerkin bracket share one zero per order."""
     calls = []
-    for module in (cli, spectral):
-        real = module.bessel_zero
-        monkeypatch.setattr(module, "bessel_zero",
-                            lambda d, *a, real=real, **k: calls.append(d) or real(d, *a, **k))
+    real = cli.bessel_zero
+    monkeypatch.setattr(cli, "bessel_zero", lambda d: calls.append(d) or real(d))
     assert run(capsys, "verify")[0] == 0
     assert sorted(calls) == [0, 1, 2, 3, 4]
 
@@ -439,15 +442,71 @@ def test_norm_1_grid(capsys):
     assert "w = 0" in conj_rows[0]["computed"]
 
 
-def test_norm_1_output_independent_of_threads(capsys, monkeypatch):
-    # DISKT_THREADS is read by nothing; a stray setting must not move output
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("DISKT_THREADS", threads)
-        code, out, _ = run(capsys, "norm", "1", "--grid", "radial:5", "--format", "json")
-        assert code == 0
-        outs.append(out)
+def _diskt(blas_threads, *argv):
+    """stdout of `diskt argv` in a fresh interpreter, with numpy's OpenBLAS
+    held to one thread (blas_threads="1") or left at its default (None)."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    src = str(Path(disktransform.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "disktransform.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_norm_1_output_independent_of_threads():
+    # the package starts no threads; numpy's BLAS thread count must not move output
+    outs = [_diskt(threads, "norm", "1", "--grid", "radial:5", "--format", "json")
+            for threads in ("1", None)]
     assert outs[0] == outs[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_matches_golden_ledger(seed):
+    """`diskt verify --format json --seed S` prints tests/golden/verify_seedS.json
+    byte for byte, with numpy's BLAS on one thread and on its default.
+
+    A change that moves a row regenerates the file with
+
+        PYTHONPATH=src python -m disktransform.cli verify --format json \
+            --seed S > tests/golden/verify_seedS.json
+
+    and CHANGES.md lists every row that moved, with its old and new value."""
+    golden = (GOLDEN / f"verify_seed{seed}.json").read_text()
+    old = {row["check_id"]: row for row in json.loads(golden)}
+    for threads in ("1", None):
+        out = _diskt(threads, "verify", "--format", "json", "--seed", str(seed))
+        new = {row["check_id"]: row for row in json.loads(out)}
+        moved = []
+        for k in {**old, **new}:
+            a, b = old.get(k, {}), new.get(k, {})
+            if a != b:  # computed always, then every other field that moved
+                fields = ["computed"] + [f for f in {**a, **b}
+                                         if f != "computed" and a.get(f) != b.get(f)]
+                moved.append(f"{k}: " + ", ".join(f"{f} {a.get(f)} -> {b.get(f)}"
+                                                  for f in fields))
+        assert not moved, f"OPENBLAS_NUM_THREADS={threads} moved " + "; ".join(moved)
+        assert out == golden, f"OPENBLAS_NUM_THREADS={threads}: same rows, other bytes"
+
+
+def test_verify_passes_the_budget_to_every_quadrature(capsys, monkeypatch):
+    budgets = []
+    real = oracle._adaptive
+
+    def spy(F, box, tol, budget, *args):
+        budgets.append(budget)
+        return real(F, box, tol, budget, *args)
+
+    monkeypatch.setattr(oracle, "_adaptive", spy)
+    monkeypatch.setattr(extremal, "_adaptive", spy)
+    assert run(capsys, "verify", "--budget", "1999999")[0] == 0
+    assert budgets == [1999999] * 13
 
 
 def test_norm_bad_inputs(capsys):

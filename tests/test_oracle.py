@@ -203,10 +203,13 @@ def test_lp_norm_rejects_bad_p():
 _PARSEVAL_CASES = [(0.5, 0.3), (0.75, 0.6), (1.25, 0.8), (2.0, 0.45)]
 
 
-@pytest.mark.parametrize("beta,r", _PARSEVAL_CASES)
+@pytest.mark.parametrize("beta,r", _PARSEVAL_CASES + [(0.25, 0.999)])
 def test_angular_parseval(beta, r):
     lhs, rhs = angular_parseval_check(beta, r)
     assert abs(lhs - rhs) < 1e-9
+    with mpmath.workdps(40):  # the Parseval sum is 2F1(beta, beta; 1; r^2)
+        ref = mpmath.hyp2f1(beta, beta, 1, mpmath.mpf(r) ** 2)
+        assert abs(rhs - ref) <= 1e-15 * ref
 
 
 # --- input checks -------------------------------------------------------------

@@ -165,9 +165,9 @@ def test_specfun_bad_arguments_rejected(fn, args):
 
 
 def test_bessel_zero_work(monkeypatch):
-    """The scan and the bracketed Newton walk take d = 0..20 in at most 250
-    bessel_j and 500 fixed-point series evaluations (40 bisection steps and
-    a Newton polish took 1,047 and 860), to the same zeros."""
+    """The bracketed Newton walk from the closed-form bracket takes d = 0..20
+    in 296 fixed-point series evaluations and no bessel_j call, and a second
+    pass gives the same zeros."""
     zeros = [bessel_zero(d) for d in range(21)]
     calls = {"bessel_j": 0, "_bessel_j_fixed": 0}
     for name in calls:
@@ -176,7 +176,32 @@ def test_bessel_zero_work(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(specfun, name, spy)
     assert [bessel_zero(d) for d in range(21)] == zeros
-    assert calls["bessel_j"] <= 250 and calls["_bessel_j_fixed"] <= 500, calls
+    assert calls == {"bessel_j": 0, "_bessel_j_fixed": 296}
+
+
+def test_bessel_zero_bracket(monkeypatch):
+    """bessel_zero hands _newton_root the Qu & Wong bracket for d >= 1 and
+    (2, 3) for d = 0: it holds the first zero and not the second, and J_d
+    changes sign across it."""
+    brackets = []
+    real = specfun._newton_root
+    monkeypatch.setattr(specfun, "_newton_root",
+                        lambda fdf, a, b: brackets.append((a, b)) or real(fdf, a, b))
+    for d in range(21):
+        bessel_zero(d)
+    monkeypatch.undo()
+    with mpmath.workdps(40):
+        a1 = float(mpmath.airyaizero(1))  # the first zero of Airy Ai
+    assert specfun._QW_C == -a1 / 2 ** (1 / 3)
+    assert specfun._QW_E == 3 / 20 * a1**2 * 2 ** (1 / 3)
+    assert brackets[0] == (2.0, 3.0)
+    for d, (lo, hi) in enumerate(brackets):
+        if d:
+            assert lo == d + specfun._QW_C * d ** (1 / 3)
+            assert hi == lo + specfun._QW_E * d ** (-1 / 3)
+        first, second = scipy.special.jn_zeros(d, 2)
+        assert lo < first < hi < second, d
+        assert (specfun._bessel_j_fixed(d, lo) > 0) != (specfun._bessel_j_fixed(d, hi) > 0), d
 
 
 def test_bessel_zero_vs_scipy():
