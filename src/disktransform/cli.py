@@ -309,8 +309,8 @@ def run_verify(cfg: RunConfig):
 
     if cfg.max_degree >= 10:
         P = TransformKind.CauchyTransformP
-        est = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree)).value
-        rest = spectral.estimate_norm(P, spectral.TruncationSpec(cfg.max_degree, {1})).value
+        est = spectral.estimate_norm(P, cfg.max_degree).value
+        rest = spectral.estimate_norm(P, cfg.max_degree, {1}).value
         lo, hi = 2 / j[0], math.sqrt(1.5 + 2 / j[1] ** 2)
         rows += [
             _row("norm2_galerkin", "L2 norm estimate vs equation root", alpha, est, 1e-3),
@@ -324,8 +324,7 @@ def run_verify(cfg: RunConfig):
                      ("norm2_galerkin", "L2 norm estimate vs equation root"),
                      ("norm2_restricted_d1", "single-component bound 2/j0"),
                      ("norm2_bracket", "estimate inside the step-3 interval"))]
-    iso = spectral.estimate_norm(TransformKind.BeurlingH,
-                                 spectral.TruncationSpec(min(cfg.max_degree, 8) or 2))
+    iso = spectral.estimate_norm(TransformKind.BeurlingH, min(cfg.max_degree, 8) or 2)
 
     rng = random.Random(cfg.seed)
     samples = [_random_exact_poly(rng, 6, 5) for _ in range(2 * _TRIALS + 1)]
@@ -410,9 +409,10 @@ def _exit_code(rows) -> int:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_OPERATOR_ALIASES = {
+# every TransformKind by its value, and short names; a name not found as
+# given is looked up upper-cased
+_OPERATORS = {kind.value: kind for kind in TransformKind} | {
     "C": TransformKind.CauchyIntegral,
-    "J0": TransformKind.J0,
     "J0STAR": TransformKind.J0Star,
     "J0*": TransformKind.J0Star,
     "P": TransformKind.CauchyTransformP,
@@ -424,14 +424,11 @@ _OPERATOR_ALIASES = {
 
 
 def _resolve_operator(name: str) -> TransformKind:
-    for kind in TransformKind:
-        if name == kind.value:
-            return kind
-    key = name.upper()
-    if key in _OPERATOR_ALIASES:
-        return _OPERATOR_ALIASES[key]
-    raise ConfigError(f"unknown operator {name!r}; choose from "
-                      + ", ".join(k.value for k in TransformKind))
+    kind = _OPERATORS.get(name, _OPERATORS.get(name.upper()))
+    if kind is None:
+        raise ConfigError(f"unknown operator {name!r}; choose from "
+                          + ", ".join(k.value for k in TransformKind))
+    return kind
 
 
 def cmd_transform(cfg: RunConfig, opname: str, polytext: str, stream) -> int:
@@ -482,15 +479,14 @@ def _parse_grid(raw: str):
 def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> int:
     rows = []
     if kind == "2":
-        trunc_dset = None
+        d_set = None
         if d_set_raw:
             try:
-                trunc_dset = frozenset(int(x) for x in d_set_raw.split(","))
+                d_set = {int(x) for x in d_set_raw.split(",")}
             except ValueError:
                 raise ConfigError(f"invalid --d-set {d_set_raw!r}") from None
-        est = spectral.estimate_norm(TransformKind.CauchyTransformP,
-                                     spectral.TruncationSpec(cfg.max_degree, trunc_dset))
-        if trunc_dset is None:
+        est = spectral.estimate_norm(TransformKind.CauchyTransformP, cfg.max_degree, d_set)
+        if d_set is None:
             rows.append(_row("norm2_estimate", "full-basis reference value",
                              spectral.solve_alpha(), est.value, 1e-3))
         else:

@@ -104,7 +104,7 @@ def _phi0_boundary(qp: float):
 
 
 def extremal_ratio_pinf(p: float, z: complex, tol: float,
-                        budget: int = 4 * DEFAULT_BUDGET) -> float:
+                        budget: int = DEFAULT_BUDGET) -> float:
     """|P[phi0](z)| / ||phi0||_p for the extremal density of the Lp -> Linf
     problem; approaches the closed-form norm as z -> 1 along the real axis.
 
@@ -175,7 +175,7 @@ def _l1_point(w: complex, tol: float, budget: int):
     return (w, res.value.real, res.err_estimate)
 
 
-def l1_integrand_scan(grid, tol: float, budget: int = 2 * DEFAULT_BUDGET):
+def l1_integrand_scan(grid, tol: float, budget: int = DEFAULT_BUDGET):
     """F(w) = int |1/(w-z) + z/(1 - conj(w) z)| dA(z) for each grid point w.
 
     The 1/|w-z| singularity is removed by polar coordinates centered at w.

@@ -297,7 +297,7 @@ def cauchy_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> Qu
     return _about(z, F, tol, budget, u_degree)
 
 
-def pv_beurling_eval(phi, z: complex, tol: float, budget: int = 4 * DEFAULT_BUDGET) -> QuadResult:
+def pv_beurling_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
     """-p.v. int phi(w)/(z - w)^2 dA(w) for |z| < 1, phi C^1.
 
     Subtract the constant phi(z): its principal value vanishes, because the

@@ -76,12 +76,14 @@ def bessel_j(alpha: float, x: float) -> float:
         J_alpha(x) = sum_k (-1)^k / (Gamma(k+alpha+1) k!) (x/2)^(2k+alpha).
 
     alpha >= 0.  For x <= 8 the series is summed in float64.  For x > 8 the
-    alternating terms near x ~ 25 exceed the result by ~1e7, which float64
-    cannot absorb at the 1e-10 accuracy the zero finder needs, so integer
-    alpha switches to fixed-point integer summation of the same series (see
-    _bessel_j_fixed; its truncation error is below (terms + 1) * 2^-128).
-    Any other alpha with x > 8 raises DomainError, and so does a non-finite
-    alpha or x.
+    alternating terms near x ~ 25 exceed the result by ~1e7, more than
+    float64 can absorb, so integer alpha switches to fixed-point integer
+    summation of the same series (see _bessel_j_fixed; its truncation error
+    is below (terms + 1) * 2^-128), the one bessel_zero reads at every x.
+    The path serves callers that ask for x > 8: in the package only
+    spectral.restricted_Z can, for lam < 1/16, and the ledger's arguments
+    stay below 2.  Any other alpha with x > 8 raises DomainError, and so
+    does a non-finite alpha or x.
     """
     if not (math.isfinite(alpha) and math.isfinite(x)):
         raise DomainError(f"bessel_j needs finite alpha and x, got ({alpha}, {x})")
@@ -145,30 +147,24 @@ def _newton_root(fdf, a, b):
     """The float next to the sign change of f on [a, b] where |f| is least.
 
     fdf(x) returns (f(x), f'(x)).  Newton steps run inside the bracket of
-    the sign change, which each evaluation tightens; a step that leaves it
-    is replaced by the midpoint, and a step that rounds back onto its
-    starting point is replaced by the adjacent float towards the other end.
-    The walk ends at two adjacent floats across the sign change, and the
-    one with the smaller |f| is returned (a on a tie), as bisection to the
-    last float would return it.  A point where f is exactly 0 is returned
-    as it is.  ValueError when f(a) and f(b) have the same sign.
+    the sign change, which each evaluation tightens; the first starts from
+    the end with the smaller |f| (a on a tie), a step that leaves the
+    bracket is replaced by the midpoint, and a step that rounds back onto
+    its starting point is replaced by the adjacent float towards the other
+    end.  The walk ends at two adjacent floats across the sign change, and
+    the one with the smaller |f| is returned (a on a tie), as bisection to
+    the last float would return it.  A point where f is exactly 0 is
+    returned as it is.  ValueError when f(a) and f(b) have the same sign.
     """
-    fa, fb = fdf(a)[0], fdf(b)[0]
+    (fa, dfa), (fb, dfb) = fdf(a), fdf(b)
     if fa == 0:
         return a
     if fb == 0:
         return b
     if (fa > 0) == (fb > 0):
         raise ValueError(f"no sign change on [{a}, {b}]")
-    x = 0.5 * (a + b)
+    x, fx, dfx = (a, fa, dfa) if abs(fa) <= abs(fb) else (b, fb, dfb)
     for _ in range(200):  # a bound only: each step drops at least one float
-        fx, dfx = fdf(x)
-        if fx == 0:
-            return x
-        if (fx > 0) == (fa > 0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
         if math.nextafter(a, b) == b:
             break
         step = x - fx / dfx if dfx else math.nan
@@ -177,6 +173,13 @@ def _newton_root(fdf, a, b):
         elif not a < step < b:
             step = 0.5 * (a + b)
         x = step
+        fx, dfx = fdf(x)
+        if fx == 0:
+            return x
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
     return a if abs(fa) <= abs(fb) else b
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .transforms import TransformKind, cauchy_P
 
 __all__ = [
     "MAX_TOTAL_DEGREE",
-    "TruncationSpec",
     "NormEstimate",
     "estimate_norm",
     "solve_alpha",
@@ -57,20 +56,6 @@ MAX_TOTAL_DEGREE = 160
 # largest accepted |f(root)| of the two norm equations.
 _SVD_RESIDUAL_TOL = 1e-10
 _ROOT_RESIDUAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Input space spanned by the monomials z^m zbar^n with m + n <=
-    max_total_degree and, when d_set is given, angular degree m - n in it."""
-    max_total_degree: int
-    d_set: Optional[frozenset] = None
-
-    def __post_init__(self):
-        if not 0 <= self.max_total_degree <= MAX_TOTAL_DEGREE:
-            raise ValueError(f"max_total_degree must be in [0, {MAX_TOTAL_DEGREE}]")
-        if self.d_set is not None:
-            object.__setattr__(self, "d_set", frozenset(self.d_set))
 
 
 @dataclass(frozen=True)
@@ -241,8 +226,10 @@ _FORMS = {
 }
 
 
-def _blocks(kind: TransformKind, trunc: TruncationSpec):
-    """Realified Galerkin blocks of kind between orthonormal bases, in float64.
+def _blocks(kind: TransformKind, max_degree: int, d_set):
+    """Realified Galerkin blocks of kind between orthonormal bases, in
+    float64, on estimate_norm's truncation with D = max_degree; the
+    ValueErrors estimate_norm documents are raised here.
 
     Input sector d carries psi_k for k <= (D - |d|)//2.  By _FORMS, sector 1
     stands alone and each d <= 0 couples with 2 - d through the output
@@ -267,9 +254,11 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
     forms = _FORMS.get(kind)
     if forms is None:
         raise ValueError(f"no orthonormal-basis radial forms for {kind.name}")
-    D = trunc.max_total_degree
-    sectors = range(-D, D + 1) if trunc.d_set is None else trunc.d_set
-    size = {d: (D - abs(d)) // 2 + 1 for d in sectors if abs(d) <= D}
+    if not 0 <= max_degree <= MAX_TOTAL_DEGREE:
+        raise ValueError(f"max_degree must be in [0, {MAX_TOTAL_DEGREE}]")
+    D = max_degree
+    size = {d: (D - abs(d)) // 2 + 1 for d in range(-D, D + 1)
+            if d_set is None or d in d_set}
     if not size:
         raise ValueError("truncation admits no basis monomials")
     F = _Radial((D + 3) // 2)
@@ -308,15 +297,16 @@ def _blocks(kind: TransformKind, trunc: TruncationSpec):
         yield B
 
 
-def estimate_norm(kind: TransformKind, trunc: TruncationSpec) -> NormEstimate:
+def estimate_norm(kind: TransformKind, max_degree: int, d_set=None) -> NormEstimate:
     """Galerkin lower bound for the L2 norm of P (CauchyTransformP) or H
-    (BeurlingH) on the truncated basis; nondecreasing in max_total_degree.
+    (BeurlingH) on the monomials z^m zbar^n with m + n <= max_degree and,
+    when d_set is given, m - n in d_set; nondecreasing in max_degree.
 
     Solved in the orthonormal disk-polynomial basis in float64 (see
-    _blocks).  Any other kind raises ValueError, as does a truncation that
-    admits no basis monomial.
+    _blocks).  Any other kind raises ValueError, as do max_degree outside
+    [0, MAX_TOTAL_DEGREE] and a truncation that admits no basis monomial.
     """
-    return _top_singular(_blocks(kind, trunc))
+    return _top_singular(_blocks(kind, max_degree, d_set))
 
 
 def _check_residual(name: str, f: float) -> None:

@@ -16,16 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from disktransform.diskalg import DiskPolynomial, ExactScalar
-from disktransform.spectral import TruncationSpec, _top_singular
+from disktransform.spectral import _top_singular
 from disktransform.transforms import TransformKind, apply_transform
 
 
-def realified_columns(kind: TransformKind, trunc: TruncationSpec):
+def realified_columns(kind: TransformKind, max_degree: int, d_set=None):
     """(basis, basis_out, plus, minus): the input and output monomials, and
     per input monomial a map output monomial -> exact entry of the (T1 + T2)
     and of the (T1 - T2) block."""
-    basis = [(m, t - m) for t in range(trunc.max_total_degree + 1) for m in range(t + 1)
-             if trunc.d_set is None or 2 * m - t in trunc.d_set]
+    basis = [(m, t - m) for t in range(max_degree + 1) for m in range(t + 1)
+             if d_set is None or 2 * m - t in d_set]
     if not basis:
         raise ValueError("truncation admits no basis monomials")
     plus, minus = [], []
@@ -72,14 +72,14 @@ def _sectors(mons):
     return [(idx, *_ldl([mons[i] for i in idx])) for idx in groups.values()]
 
 
-def whitened_blocks(kind: TransformKind, trunc: TruncationSpec):
+def whitened_blocks(kind: TransformKind, max_degree: int, d_set=None):
     """The (T1 + T2) and (T1 - T2) matrices between orthonormalized bases,
     rows on output monomials and columns on input monomials.
 
     With sector Gram factorizations G_in = Li Di Li^T and G_out = Lo Do Lo^T
     a block W becomes Do^{1/2} (Lo^T W Li^{-T}) Di^{-1/2}; the bracket is
     exact."""
-    basis, basis_out, plus, minus = realified_columns(kind, trunc)
+    basis, basis_out, plus, minus = realified_columns(kind, max_degree, d_set)
     ins, outs = _sectors(basis), _sectors(basis_out)
     blocks = []
     for cols in (plus, minus):
@@ -102,5 +102,5 @@ def whitened_blocks(kind: TransformKind, trunc: TruncationSpec):
     return blocks
 
 
-def exact_norm(kind: TransformKind, trunc: TruncationSpec):
-    return _top_singular(whitened_blocks(kind, trunc))
+def exact_norm(kind: TransformKind, max_degree: int, d_set=None):
+    return _top_singular(whitened_blocks(kind, max_degree, d_set))

@@ -1,5 +1,6 @@
 import cmath
 import heapq
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -777,3 +778,21 @@ def test_accuracy_ladder_and_work():
     assert worst <= 1.0
     # the exact work of the set, so a change that inflates it fails here
     assert evals == 842_898
+
+
+def test_every_budget_defaults_to_the_default_budget():
+    """Every public oracle and extremal entry point that takes an
+    evaluation budget defaults to the one DEFAULT_BUDGET."""
+    with_budget = []
+    for module in (oracle, extremal):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            param = inspect.signature(fn).parameters.get("budget")
+            if param is not None:
+                with_budget.append(name)
+                assert param.default == oracle.DEFAULT_BUDGET, name
+    assert sorted(with_budget) == [
+        "angular_parseval_check", "cauchy_eval", "counterexample_p2", "extremal_ratio_pinf",
+        "l1_at_zero", "l1_integrand_scan", "pv_beurling_eval", "quad_disk"]

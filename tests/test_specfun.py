@@ -166,7 +166,7 @@ def test_specfun_bad_arguments_rejected(fn, args):
 
 def test_bessel_zero_work(monkeypatch):
     """The bracketed Newton walk from the closed-form bracket takes d = 0..20
-    in 296 fixed-point series evaluations and no bessel_j call, and a second
+    in 232 fixed-point series evaluations and no bessel_j call, and a second
     pass gives the same zeros."""
     zeros = [bessel_zero(d) for d in range(21)]
     calls = {"bessel_j": 0, "_bessel_j_fixed": 0}
@@ -176,7 +176,7 @@ def test_bessel_zero_work(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(specfun, name, spy)
     assert [bessel_zero(d) for d in range(21)] == zeros
-    assert calls == {"bessel_j": 0, "_bessel_j_fixed": 296}
+    assert calls == {"bessel_j": 0, "_bessel_j_fixed": 232}
 
 
 def test_bessel_zero_bracket(monkeypatch):

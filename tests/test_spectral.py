@@ -9,7 +9,6 @@ import scipy.special
 from disktransform import specfun, spectral
 from disktransform.specfun import _gl_nodes, bessel_j, bessel_zero
 from disktransform.spectral import (
-    TruncationSpec,
     estimate_norm,
     extremal_phi0_ratio,
     hardy_ratio,
@@ -185,85 +184,92 @@ P, H = TransformKind.CauchyTransformP, TransformKind.BeurlingH
 
 
 def test_assemble_degree0_P():
-    basis, basis_out, plus, minus = realified_columns(P, TruncationSpec(0))
+    basis, basis_out, plus, minus = realified_columns(P, 0)
     assert basis == [(0, 0)]
     # outputs z and zbar; each sign block is 2x1 with unit entries
     assert set(basis_out) == {(1, 0), (0, 1)}
-    assert [B.shape for B in whitened_blocks(P, TruncationSpec(0))] == [(2, 1), (2, 1)]
+    assert [B.shape for B in whitened_blocks(P, 0)] == [(2, 1), (2, 1)]
     assert sorted(abs(v) for col in plus + minus for v in col.values()) == [1, 1, 1, 1]
-    est = exact_norm(P, TruncationSpec(0))
+    est = exact_norm(P, 0)
     assert abs(est.value - 1.0) < 1e-12
 
 
 def test_assemble_empty_basis_rejected():
-    trunc = TruncationSpec(3, frozenset({7}))
     for kind in (P, H):
         with pytest.raises(ValueError):
-            estimate_norm(kind, trunc)
+            estimate_norm(kind, 3, {7})
     with pytest.raises(ValueError):
-        realified_columns(P, trunc)
+        realified_columns(P, 3, {7})
 
 
 @pytest.mark.parametrize("kind", [TransformKind.BeurlingS, TransformKind.BergmanB,
                                   TransformKind.HengartnerSchoberT])
 def test_estimate_norm_rejects_kinds_without_radial_forms(kind):
     with pytest.raises(ValueError):
-        estimate_norm(kind, TruncationSpec(4))
+        estimate_norm(kind, 4)
 
 
-def test_truncation_spec_validation():
-    with pytest.raises(ValueError):
-        TruncationSpec(-1)
-    t = TruncationSpec(4, {0, 2})
-    assert isinstance(t.d_set, frozenset)
+def test_estimate_norm_truncation_validation():
+    """A negative degree and a sector set that admits no monomial, a
+    non-integer sector included, are rejected; any collection of ints
+    serves as the sector set."""
+    for kind in (P, H):
+        with pytest.raises(ValueError, match="max_degree"):
+            estimate_norm(kind, -1)
+        for d_set in ({7}, {1.5}):
+            with pytest.raises(ValueError, match="no basis monomials"):
+                estimate_norm(kind, 3, d_set)
+    assert (estimate_norm(P, 4, {0, 2}) == estimate_norm(P, 4, [2, 0])
+            == estimate_norm(P, 4, frozenset({0, 2})))
 
 
-def test_truncation_spec_degree_bound():
+def test_estimate_norm_degree_bound():
     assert spectral.MAX_TOTAL_DEGREE == 160
-    TruncationSpec(160)
-    with pytest.raises(ValueError):
-        TruncationSpec(161)
+    assert estimate_norm(P, 160).value > 0
+    for kind in (P, H):
+        with pytest.raises(ValueError, match="max_degree"):
+            estimate_norm(kind, 161)
 
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 4, 5, 6, 7, 8])
 def test_H_isometry_matrix_norm(deg):
-    est = exact_norm(H, TruncationSpec(deg))
+    est = exact_norm(H, deg)
     assert abs(est.value - 1.0) < 1e-10
 
 
 def test_H_blocks_are_isometries():
     """H is an isometry of L2, so every singular value of every block is 1."""
     for deg, bound in [*((d, 2e-14) for d in range(41)), (80, 1e-13), (160, 1e-13)]:
-        for B in spectral._blocks(H, TruncationSpec(deg)):
+        for B in spectral._blocks(H, deg, None):
             assert np.abs(np.linalg.svd(B, compute_uv=False) - 1.0).max() < bound, deg
 
 
 def test_zero_operator_component():
     # S kills pure conjugate powers; restricting to d = -5 gives the zero map
-    est = exact_norm(TransformKind.BeurlingS, TruncationSpec(5, frozenset({-5})))
+    est = exact_norm(TransformKind.BeurlingS, 5, {-5})
     assert est.value == 0.0
 
 
 def test_bergman_matrix_idempotent_norm():
-    est = exact_norm(TransformKind.BergmanB, TruncationSpec(6))
+    est = exact_norm(TransformKind.BergmanB, 6)
     assert abs(est.value - 1.0) < 1e-10  # orthogonal projection
 
 
 def test_estimate_P_degree0():
-    est = estimate_norm(P, TruncationSpec(0))
+    est = estimate_norm(P, 0)
     assert abs(est.value - 1.0) < 1e-12
 
 
 def test_estimate_P_converges_to_alpha():
     alpha = solve_alpha()
     for deg, bound in ((12, 1e-6), (20, 1e-13), (40, 1e-13), (80, 1e-13), (160, 1e-13)):
-        est = estimate_norm(P, TruncationSpec(deg))
+        est = estimate_norm(P, deg)
         assert abs(est.value - alpha) < bound
         assert est.residual < 1e-10
 
 
 def test_estimate_monotone_in_degree():
-    vals = [estimate_norm(P, TruncationSpec(d)).value for d in (2, 4, 6, 8, 10)]
+    vals = [estimate_norm(P, d).value for d in (2, 4, 6, 8, 10)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
     # the Galerkin gap closes super-exponentially: 2.8e-4, 1.8e-7, 3.4e-11, ~1e-15
@@ -286,27 +292,26 @@ _D_SETS = [None, {1}, {0, 2}, {-3, 5}]
 def test_P_norm_float_route_matches_exact_route(kind, d_set):
     """The orthonormal float solve agrees with rational LDL whitening."""
     for deg in range(13):
-        trunc = TruncationSpec(deg, d_set)
         try:
-            blocks = whitened_blocks(kind, trunc)
+            blocks = whitened_blocks(kind, deg, d_set)
         except ValueError:
             with pytest.raises(ValueError):
-                estimate_norm(kind, trunc)
+                estimate_norm(kind, deg, d_set)
             continue
-        exact = exact_norm(kind, trunc)
-        est = estimate_norm(kind, trunc)
+        exact = exact_norm(kind, deg, d_set)
+        est = estimate_norm(kind, deg, d_set)
         assert abs(est.value - exact.value) < 1e-13
         # the same input space on both routes: one float block per mirror pair
-        assert sum(B.shape[1] for B in spectral._blocks(kind, trunc)) == blocks[0].shape[1]
+        widths = [B.shape[1] for B in spectral._blocks(kind, deg, d_set)]
+        assert sum(widths) == blocks[0].shape[1]
 
 
-def _units(trunc):
+def _units(D, d_set):
     """(d, a) for each block of _blocks in order: sector 1, then the coupled
     pairs d, 2 - d for d = 0, -1, ..., with a = the width of sector d."""
-    D = trunc.max_total_degree
 
     def size(d):
-        admitted = abs(d) <= D and (trunc.d_set is None or d in trunc.d_set)
+        admitted = abs(d) <= D and (d_set is None or d in d_set)
         return (D - abs(d)) // 2 + 1 if admitted else 0
 
     return ([(1, 0)] if size(1) else []) + [
@@ -325,12 +330,11 @@ def test_mirror_blocks_share_singular_values(kind):
     antilinear part: its two blocks are equal."""
     for d_set in _D_SETS:
         for deg in range(41):
-            trunc = TruncationSpec(deg, d_set)
             try:
-                blocks = list(spectral._blocks(kind, trunc))
+                blocks = list(spectral._blocks(kind, deg, d_set))
             except ValueError:
                 continue
-            units = _units(trunc)
+            units = _units(deg, d_set)
             assert len(blocks) == len(units)
             for B, (d, a) in zip(blocks, units):
                 n = B.shape[0] // 2
@@ -347,8 +351,8 @@ def test_top_singular_skips_only_blocks_that_cannot_win():
     included."""
     rng = np.random.default_rng(5)
     rank_one = np.outer([1.0, 2.0, 0.5], [0.3, -1.0])
-    cases = [list(spectral._blocks(P, TruncationSpec(20))),
-             list(spectral._blocks(H, TruncationSpec(8))),
+    cases = [list(spectral._blocks(P, 20, None)),
+             list(spectral._blocks(H, 8, None)),
              [rank_one, rank_one * (1 - 2e-11)], [rank_one * (1 - 1e-16), rank_one],
              [np.zeros((2, 2)), rank_one * 1e-12, np.zeros((3, 1))], [np.zeros((2, 3))]]
     for _ in range(20):
@@ -440,18 +444,18 @@ def test_radial_forms_match_quadrature():
 
 def test_restricted_pair_carries_norm():
     """The d in {0, 2} pair alone reproduces the full-basis value."""
-    full = estimate_norm(P, TruncationSpec(10)).value
-    pair = estimate_norm(P, TruncationSpec(10, frozenset({0, 2}))).value
+    full = estimate_norm(P, 10).value
+    pair = estimate_norm(P, 10, {0, 2}).value
     assert abs(full - pair) < 1e-9
 
 
 def test_restricted_d1_reaches_hardy_constant():
-    est = estimate_norm(P, TruncationSpec(12, frozenset({1})))
+    est = estimate_norm(P, 12, {1})
     assert abs(est.value - 2 / J0) < 1e-3
 
 
 def test_norm_estimate_interval():
-    est = estimate_norm(P, TruncationSpec(12))
+    est = estimate_norm(P, 12)
     assert 2 / J0 < est.value < math.sqrt(1.5 + 2 / J1 ** 2)
 
 
