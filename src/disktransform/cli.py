@@ -282,13 +282,30 @@ def _random_exact_poly(rng: random.Random, max_total: int, terms: int) -> DiskPo
     return DiskPolynomial(acc)
 
 
+def _real_part_vanishes_on_circle(phi: DiskPolynomial) -> bool:
+    """Re phi = 0 on |z| = 1, decided exactly on the coefficients.
+
+    On the circle z^m zbar^n = e^{i d theta} with d = m - n, so phi is the
+    Laurent series sum c_d e^{i d theta}, c_d the sum of the coefficients of
+    degree d.  Its real part vanishes iff c_-d + conj(c_d) = 0 for every d."""
+    by_degree: dict = {}
+    for (m, n), a in phi.items():
+        by_degree[m - n] = by_degree.get(m - n, 0) + a
+    return not any(c.conjugate() + by_degree.get(-d, 0) for d, c in by_degree.items())
+
+
 _BESSEL_TABLE = [2.4048, 3.8317, 5.1356, 6.3802, 7.5883]
 _TRIALS = 20
 
 
 def run_verify(cfg: RunConfig):
     """The ledger rows in order; alpha, delta, the Bessel zeros and the
-    Galerkin estimates are each computed once and shared between rows."""
+    Galerkin estimates are each computed once and shared between rows.
+
+    Four bool rows are exact certificates: the isometry and the solution
+    operator identity on the seeded polynomials, phi_monotone_q1 (phi's
+    derivative identity term by term at q = 1) and boundary_real_part
+    (T's Laurent coefficients on the circle, c_-d + conj(c_d) = 0)."""
     j = [bessel_zero(d) for d in range(len(_BESSEL_TABLE))]
     alpha = spectral.solve_alpha()
     delta = spectral.solve_delta()
@@ -333,9 +350,7 @@ def run_verify(cfg: RunConfig):
     identity = all(transforms.cauchy_P(phi) == -transforms.cauchy_integral(phi)
                    - transforms.j0_op(diskalg.conjugate(phi))
                    for phi in samples[_TRIALS:-1])
-    tphi = transforms.t_hs(samples[-1])
-    boundary = max(abs(diskalg.evaluate(tphi, complex(math.cos(th), math.sin(th))).real)
-                   for th in (2 * math.pi * k / 64 for k in range(64)))
+    boundary = _real_part_vanishes_on_circle(transforms.t_hs(samples[-1]))
 
     z = 0.3 + 0.4j
     w2 = parse_poly("w^2")
@@ -352,8 +367,9 @@ def run_verify(cfg: RunConfig):
                   f"exact rational norm equality on {_TRIALS} seeded polynomials", isometric),
         _row_bool("solution_operator_identity",
                   f"P = -C - J0(conj) on {_TRIALS} seeded polynomials", identity),
-        _row("boundary_real_part", "normalized variant vanishes on the circle",
-             0.0, boundary, 1e-12),
+        _row_bool("boundary_real_part",
+                  "Re T = 0 on |z| = 1: c_-d + conj(c_d) = 0 for every angular degree d",
+                  boundary),
         _row("oracle_cauchy_w2", "closed form vs centered-polar quadrature",
              closed, got.value, max(1e-6, 10 * got.err_estimate)),
         _row("oracle_area_moment", "second moment of the disk is 1/2",
@@ -363,8 +379,9 @@ def run_verify(cfg: RunConfig):
              8 / math.pi, extremal.norm_p_to_inf(math.inf), 1e-12),
         _row("phi_gauss_limit", "comparison function at t = 1, q = 1",
              2 * gamma(1.0) / gamma(1.5) ** 2, extremal.phi_fn(1.0, 1.0), 1e-8),
-        _row_bool("phi_monotone_q1", "nondecreasing on a 200-point grid",
-                  extremal.monotonicity_scan(1.0, 200)),
+        _row_bool("phi_monotone_q1",
+                  "phi' = (q/2) F(q/2+1, q/2; 2; t) (t^(q/2-1) - 1) >= 0 by DLMF 15.5.1 "
+                  "and 15.5.3; exact at q = 1 to order 40", extremal._phi_monotone_q1()),
         _row("riesz_thorin_endpoint", "interpolation bound at p = inf",
              8 / math.pi, extremal.riesz_thorin_bound(math.inf), 1e-12),
         _row("l1_at_zero_elliptic", "radial elliptic form, reference 2.10441",

@@ -58,7 +58,20 @@ def phi_fn(q: float, t: float) -> float:
     elliptic integrals E and K of one AGM loop: 2F1(1/2, -1/2; 1; m) =
     (2/pi) E(m) (DLMF 19.5.1) and, by a contiguous relation,
     2F1(1/2, 1/2; 2; m) = (4 / (pi m)) (E(m) - (1 - m) K(m)).  Below
-    X_SWITCH that difference cancels as m -> 0, and the series is used."""
+    X_SWITCH that difference cancels as m -> 0, and the series is used.
+
+    The function is nondecreasing on [0, 1] for every q in [1, 2).
+    DLMF 15.5.1, d/dt F(a, b; c; t) = (ab/c) F(a+1, b+1; c+1; t), turns the
+    first term's derivative into -(q/2) F(q/2+1, q/2; 2; t), and DLMF 15.5.3,
+    d/dt [t^a F(a, b; c; t)] = a t^{a-1} F(a+1, b; c; t), turns the
+    second's into (q/2) t^{q/2-1} F(q/2+1, q/2; 2; t).  Together
+
+        phi'(t) = (q/2) 2F1(q/2+1, q/2; 2; t) (t^{q/2-1} - 1).
+
+    The 2F1 has positive parameters, so every Taylor coefficient is
+    positive and it is positive on [0, 1).  The last factor is >= 0 on
+    (0, 1] because q/2 - 1 < 0.  _phi_monotone_q1 checks the identity
+    exactly, term by term, at q = 1."""
     if not (1 <= q < 2):
         raise ValueError("q must lie in [1, 2)")
     if not (0 <= t <= 1):
@@ -69,6 +82,35 @@ def phi_fn(q: float, t: float) -> float:
     first = (2.0 / (2.0 - q)) * hyp2f1(q / 2, q / 2 - 1, 1.0, t)
     second = hyp2f1(q / 2, q / 2, 2.0, t) * t ** (q / 2)
     return first + second
+
+
+def _taylor_2f1(a2: int, b2: int, c: int, order: int) -> list[tuple[int, int]]:
+    """The Taylor coefficients of 2F1(a2/2, b2/2; c; x) at x^0 .. x^{order-1},
+    as (numerator, denominator) int pairs, from the ratio of consecutive
+    terms (a+n)(b+n) / ((c+n)(n+1)), so no Fraction is built."""
+    num, den, out = 1, 1, []
+    for n in range(order):
+        out.append((num, den))
+        num *= (a2 + 2 * n) * (b2 + 2 * n)
+        den *= 4 * (c + n) * (n + 1)
+    return out
+
+
+def _phi_monotone_q1() -> bool:
+    """phi_fn's derivative identity at q = 1, checked exactly for n < 40.
+
+    In s = sqrt(t), phi = 2 A(s^2) + s B(s^2) with A = 2F1(1/2, -1/2; 1),
+    B = 2F1(1/2, 1/2; 2), and the identity reads
+    phi'(t) = (1/2) C(s^2) (1/s - 1) with C = 2F1(3/2, 1/2; 2).  Matching
+    the coefficients of s^{2n-1} and s^{2n} gives (2n+1) B_n = C_n and
+    4(n+1) A_{n+1} = -C_n; C_n > 0 is the positivity of C's series."""
+    A = _taylor_2f1(1, -1, 1, 41)
+    B = _taylor_2f1(1, 1, 2, 40)
+    C = _taylor_2f1(3, 1, 2, 40)
+    return all((2 * n + 1) * bn * cd == cn * bd
+               and 4 * (n + 1) * an * cd == -cn * ad
+               and cn * cd > 0
+               for n, ((an, ad), (bn, bd), (cn, cd)) in enumerate(zip(A[1:], B, C)))
 
 
 def norm_p_to_inf(p: float) -> float:

@@ -8,13 +8,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import disktransform
-from disktransform import cli, extremal, oracle
+from disktransform import cli, extremal, oracle, specfun, transforms
 from disktransform.cli import (
     PolyParseError,
     RunConfig,
@@ -349,6 +350,66 @@ def test_verify_solves_each_bessel_zero_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "bessel_zero", lambda d: calls.append(d) or real(d))
     assert run(capsys, "verify")[0] == 0
     assert sorted(calls) == [0, 1, 2, 3, 4]
+
+
+def test_verify_samples_no_grid(capsys, monkeypatch):
+    """One verify pass evaluates phi once (the Gauss limit row), runs no
+    monotonicity scan and sums three 2F1 (two in that phi value, one in the
+    angular Parseval row): the two exact rows sample nothing."""
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
+
+    count(extremal, "phi_fn")
+    count(extremal, "monotonicity_scan")
+    for module in (specfun, extremal, oracle):
+        count(module, "hyp2f1")
+    assert run(capsys, "verify")[0] == 0
+    assert (calls["phi_fn"], calls["monotonicity_scan"], calls["hyp2f1"]) == (1, 0, 3)
+
+
+def _seeded_samples(seed):
+    rng = random.Random(seed)
+    return [cli._random_exact_poly(rng, 6, 5) for _ in range(2 * cli._TRIALS + 1)]
+
+
+# a z^m zbar^n with a in {1, i} and m + n <= 6
+REAL_BASIS = [DiskPolynomial({(m, k - m): a}) for a in (ExactScalar(1), ExactScalar(0, 1))
+              for k in range(7) for m in range(k + 1)]
+# 1e-9 z: real part 1e-9 cos(theta) on the circle
+TINY_Z = DiskPolynomial({(1, 0): ExactScalar(Fraction(1, 10**9))})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_boundary_check_holds_for_T_and_P(seed):
+    for phi in _seeded_samples(seed) + REAL_BASIS:
+        assert cli._real_part_vanishes_on_circle(transforms.t_hs(phi))
+        assert cli._real_part_vanishes_on_circle(transforms.cauchy_P(phi))
+
+
+def test_boundary_check_fails_for_C_and_a_perturbed_T():
+    assert len(REAL_BASIS) == 56
+    for seed in (0, 1):
+        phi = _seeded_samples(seed)[-1]
+        assert not cli._real_part_vanishes_on_circle(transforms.cauchy_integral(phi))
+        assert not cli._real_part_vanishes_on_circle(transforms.t_hs(phi) + TINY_Z)
+    for phi in REAL_BASIS:
+        (m, n), = phi.coeffs
+        if m <= n:  # C maps the other monomials to 0
+            assert not cli._real_part_vanishes_on_circle(transforms.cauchy_integral(phi))
+
+
+def test_verify_fails_a_perturbed_T(capsys, monkeypatch):
+    """The ledger's exact boundary row sees T[phi] + 1e-9 z."""
+    real = transforms.t_hs
+    monkeypatch.setattr(transforms, "t_hs", lambda phi: real(phi) + TINY_Z)
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    status = {r["check_id"]: r["status"] for r in json.loads(out)}
+    assert {k for k, v in status.items() if v != "PASS"} == {"boundary_real_part"}
+    assert status["boundary_real_part"] == "FAIL"
 
 
 def test_cached_parser_leaks_no_state(capsys):

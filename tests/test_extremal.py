@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from disktransform import specfun, spectral
+from disktransform import extremal, specfun, spectral
 from disktransform.extremal import (
     ExponentPair,
     counterexample_p2,
@@ -112,6 +112,58 @@ def test_phi_near_one_sums_no_long_series(monkeypatch):
 @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.9])
 def test_phi_monotone(q):
     assert monotonicity_scan(q, 1000)
+
+
+def _phi_mp(q, t):
+    return (2 / (2 - q) * mpmath.hyp2f1(q / 2, q / 2 - 1, 1, t)
+            + mpmath.hyp2f1(q / 2, q / 2, 2, t) * t ** (q / 2))
+
+
+@pytest.mark.parametrize("q", [1, mpmath.mpf("1.2"), mpmath.mpf(4) / 3, mpmath.mpf("1.5"),
+                               mpmath.mpf("1.9")])
+def test_phi_derivative_identity(q):
+    """phi' = (q/2) F(q/2+1, q/2; 2; t) (t^{q/2-1} - 1), phi_fn's docstring
+    derivation, against mpmath's numerical derivative at 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.mpf(q)
+        for t in [mpmath.mpf(k) / 10 for k in range(1, 10)] + [mpmath.mpf("0.999")]:
+            numeric = mpmath.diff(lambda x: _phi_mp(q, x), t)
+            closed = q / 2 * mpmath.hyp2f1(q / 2 + 1, q / 2, 2, t) * (t ** (q / 2 - 1) - 1)
+            assert abs(numeric - closed) <= 1e-25 * abs(closed), (q, t)
+
+
+@pytest.mark.parametrize("a2, b2, c", [(1, -1, 1), (1, 1, 2), (3, 1, 2)])
+def test_q1_series_are_the_taylor_coefficients(a2, b2, c):
+    """The sequences _phi_monotone_q1 compares are the coefficients of
+    s^{2n} in 2F1(a2/2, b2/2; c; s^2), and the odd ones vanish."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a2) / 2, mpmath.mpf(b2) / 2
+        ref = mpmath.taylor(lambda s: mpmath.hyp2f1(a, b, c, s * s), 0, 79)
+        for n, (num, den) in enumerate(extremal._taylor_2f1(a2, b2, c, 40)):
+            exact = mpmath.mpf(num) / den
+            assert abs(ref[2 * n] - exact) <= 1e-25 * abs(exact), n
+            assert abs(ref[2 * n + 1]) <= 1e-25, n
+
+
+@pytest.mark.parametrize("wrong", [(1, -1, 1), (1, 1, 2), (3, 1, 2), "all negated"])
+def test_phi_monotone_q1_sees_a_wrong_series(monkeypatch, wrong):
+    """One coefficient off by one in any of the three series fails the
+    check, and so does negating all three, which keeps both identities but
+    not C_n > 0."""
+    assert extremal._phi_monotone_q1()
+    real = extremal._taylor_2f1
+
+    def broken(a2, b2, c, order):
+        out = real(a2, b2, c, order)
+        if wrong == "all negated":
+            return [(-num, den) for num, den in out]
+        if (a2, b2, c) == wrong:
+            num, den = out[-1]
+            out[-1] = (num + 1, den)
+        return out
+
+    monkeypatch.setattr(extremal, "_taylor_2f1", broken)
+    assert not extremal._phi_monotone_q1()
 
 
 def test_monotonicity_scan_needs_grid():
