@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import disktransform
-from disktransform import cli, extremal, oracle, specfun, transforms
+from disktransform import cli, diskalg, extremal, oracle, specfun, transforms
 from disktransform.cli import (
     PolyParseError,
     RunConfig,
@@ -317,32 +317,6 @@ def test_verify_deterministic(capsys):
     assert a == b
 
 
-def _randint_exact_poly(rng, max_total, terms):
-    """cli._random_exact_poly as it drew with rng.randint and built each
-    coefficient from two Fractions: the reference for its draws."""
-    acc = {}
-    for _ in range(terms):
-        m = rng.randint(0, max_total)
-        n = rng.randint(0, max_total - m)
-        c = ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        acc[(m, n)] = acc.get((m, n), ExactScalar(0)) + c
-    if not acc:
-        acc[(0, 0)] = ExactScalar(1)
-    return DiskPolynomial(acc)
-
-
-def test_sampler_draws_as_randint():
-    """The 41 polynomials of a verify pass, and the rng state after them,
-    are those of the randint sampler; a Python whose randint drew
-    differently would fail here."""
-    for seed in range(201):
-        ours, ref = random.Random(seed), random.Random(seed)
-        for _ in range(2 * cli._TRIALS + 1):
-            assert cli._random_exact_poly(ours, 6, 5) == _randint_exact_poly(ref, 6, 5), seed
-        assert ours.random() == ref.random(), seed
-
-
 def test_verify_solves_each_bessel_zero_once(capsys, monkeypatch):
     """The bessel_zero rows and the Galerkin bracket share one zero per order."""
     calls = []
@@ -371,8 +345,9 @@ def test_verify_samples_no_grid(capsys, monkeypatch):
 
 
 def _seeded_samples(seed):
+    """The two polynomials that verify --seed S checks its seeded rows on."""
     rng = random.Random(seed)
-    return [cli._random_exact_poly(rng, 6, 5) for _ in range(2 * cli._TRIALS + 1)]
+    return [cli._dense_exact_poly(rng) for _ in range(2)]
 
 
 # a z^m zbar^n with a in {1, i} and m + n <= 6
@@ -410,6 +385,82 @@ def test_verify_fails_a_perturbed_T(capsys, monkeypatch):
     status = {r["check_id"]: r["status"] for r in json.loads(out)}
     assert {k for k, v in status.items() if v != "PASS"} == {"boundary_real_part"}
     assert status["boundary_real_part"] == "FAIL"
+
+
+MONOMIALS = [(m, k - m) for k in range(7) for m in range(k + 1)]
+
+
+def test_verify_sample_is_two_dense_polynomials(capsys, monkeypatch):
+    """verify --seed S hands _seeded_samples(S) to H and T (and to P twice:
+    once for the identity, once inside T), and each holds every monomial of
+    degree <= 6 with nonzero real and imaginary parts."""
+    assert len(MONOMIALS) == 28
+    for seed in (0, 1):
+        seen = {"beurling_H": [], "cauchy_P": [], "t_hs": []}
+        with monkeypatch.context() as mp:
+            for name, args in seen.items():
+                mp.setattr(transforms, name, lambda phi, real=getattr(transforms, name),
+                           args=args: args.append(phi) or real(phi))
+            assert run(capsys, "verify", "--seed", str(seed))[0] == 0
+        samples = _seeded_samples(seed)
+        assert seen == {"beurling_H": samples, "cauchy_P": samples + samples, "t_hs": samples}
+        assert len(samples) == 2
+        for phi in samples:
+            assert sorted(phi.coeffs) == sorted(MONOMIALS)
+            assert all(a.re and a.im for a in phi.coeffs.values())
+
+
+def _planted(real, mono, target, antilinear):
+    """real plus 1e-9 times phi's coefficient at mono (its conjugate when
+    antilinear), put at target: a defect on the one monomial mono."""
+    def wrong(phi):
+        a = phi.coeffs.get(mono, ExactScalar(0))
+        a = a.conjugate() if antilinear else a
+        return real(phi) + DiskPolynomial({target: a.scaled(1, 10**9)})
+    return wrong
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_seeded_rows_see_every_single_monomial_defect(seed):
+    """A linear or antilinear 1e-9 defect on any one monomial of degree <= 6
+    fails its row on the verify sample: H's and P's put at z^(m+1) zbar^n of
+    the image, T's at z."""
+    samples = _seeded_samples(seed)
+    H, P, T = transforms.beurling_H, transforms.cauchy_P, transforms.t_hs
+
+    def solves(P_):
+        return all(P_(phi) == -transforms.cauchy_integral(phi)
+                   - transforms.j0_op(diskalg.conjugate(phi)) for phi in samples)
+
+    assert all(diskalg.norm_sq(H(phi)) == diskalg.norm_sq(phi) for phi in samples)
+    assert solves(P)
+    assert all(cli._real_part_vanishes_on_circle(T(phi)) for phi in samples)
+    for (m, n) in MONOMIALS:
+        for anti in (False, True):
+            H_ = _planted(H, (m, n), (m + 1, n), anti)
+            assert not all(diskalg.norm_sq(H_(phi)) == diskalg.norm_sq(phi)
+                           for phi in samples), ("H", m, n, anti)
+            assert not solves(_planted(P, (m, n), (m + 1, n), anti)), ("P", m, n, anti)
+            T_ = _planted(T, (m, n), (1, 0), anti)
+            assert not all(cli._real_part_vanishes_on_circle(T_(phi))
+                           for phi in samples), ("T", m, n, anti)
+
+
+@pytest.mark.parametrize("name, target, failing", [
+    ("beurling_H", (1, 6), {"isometry_exact_sample"}),
+    # t_hs calls cauchy_P, so P's defect reaches the boundary row too
+    ("cauchy_P", (1, 6), {"solution_operator_identity", "boundary_real_part"}),
+    ("t_hs", (1, 0), {"boundary_real_part"}),
+])
+def test_verify_fails_a_defect_on_zbar6(capsys, monkeypatch, name, target, failing):
+    """The ledger sees an operator that is wrong on zbar^6 alone."""
+    monkeypatch.setattr(transforms, name,
+                        _planted(getattr(transforms, name), (0, 6), target, False))
+    code, out, _ = run(capsys, "verify", "--seed", "0", "--format", "json")
+    assert code == 1
+    status = {r["check_id"]: r["status"] for r in json.loads(out)}
+    assert {k for k, v in status.items() if v != "PASS"} == failing
+    assert {status[k] for k in failing} == {"FAIL"}
 
 
 def test_cached_parser_leaks_no_state(capsys):
@@ -530,16 +581,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_matches_golden_ledger(seed):
-    """`diskt verify --format json --seed S` prints tests/golden/verify_seedS.json
-    byte for byte, with numpy's BLAS on one thread and on its default.
+    """`diskt verify --format json --seed S` prints tests/golden/verify.json
+    byte for byte at both seeds, with numpy's BLAS on one thread and on its
+    default: every seeded row is a bool, so the seed moves no byte.
 
     A change that moves a row regenerates the file with
 
         PYTHONPATH=src python -m disktransform.cli verify --format json \
-            --seed S > tests/golden/verify_seedS.json
+            > tests/golden/verify.json
 
     and CHANGES.md lists every row that moved, with its old and new value."""
-    golden = (GOLDEN / f"verify_seed{seed}.json").read_text()
+    golden = (GOLDEN / "verify.json").read_text()
     old = {row["check_id"]: row for row in json.loads(golden)}
     for threads in ("1", None):
         out = _diskt(threads, "verify", "--format", "json", "--seed", str(seed))
@@ -577,10 +629,12 @@ def test_norm_bad_inputs(capsys):
     for argv, prefix in ((("norm", "1", "--grid", "linear:5"), "config error: "),
                          (("norm", "pinf", "--p", "oops"), "config error: "),
                          (("norm", "2", "--d-set", "x"), "config error: "),
+                         (("norm", "2", "--d-set", ""), "config error: "),
                          (("norm", "rt", "--p", "1.2"), "error: ")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.count("\n") == 1 and err.startswith(prefix), (argv, err)
+    assert run(capsys, "norm", "2", "--d-set", "")[2] == "config error: invalid --d-set ''\n"
 
 
 def test_norm_rt_small_p_is_config_error(capsys):
