@@ -22,11 +22,20 @@ given configuration.
 
 In the polar maps centred at z (cauchy_eval, pv_beurling_eval), the
 integrand of a DiskPolynomial phi of degree D is a polynomial in the radial
-variable U, of degree D for C and 2D - 1 for S.  There U is integrated by
-the fixed Gauss-Legendre rule that is exact at that degree, D//2 + 1 or
-max(D, 1) points, and only beta is refined, by the interval loop: 21 n_U
-evaluations per beta panel.  Every other integrand, a callable that wraps
-a polynomial included, takes the box panels above, 441 evaluations per box.
+variable U, of degree D for C and 2D - 1 for S, which the fixed
+Gauss-Legendre rule exact at that degree integrates: D//2 + 1 or max(D, 1)
+points.  What is left in beta is integrated exactly too, with no panels
+(_trapezoid).  With s = U S, the beta integrand of C is
+e^{-i beta}/pi sum_k a_k(beta) S(beta)^{k+1}/(k+1), where
+a_k(beta + pi) = (-1)^k a_k(beta).  S(beta) and -S(beta + pi) are the two
+roots of s^2 + 2cs - (1 - |z|^2) = 0, c = Re(e^{i beta} conj z), so the
+integrand at beta plus that at beta + pi is symmetric in the two roots: a
+polynomial in their sum -2c and product -(1 - |z|^2), that is a
+trigonometric polynomial in beta of degree <= 2D + 2 with no square root
+left, and S reduces the same way.  The N-point trapezoid rule with N even
+sums exactly such antipodal pairs, so every even N >= 2D + 4 is exact.
+Every other integrand, a callable that wraps a polynomial included, takes
+the box panels above, 441 evaluations per box.
 
 Integrands are either a DiskPolynomial or a callable w -> value that accepts
 complex numpy arrays elementwise; w always has the full shape of the grid.
@@ -163,18 +172,16 @@ def _bisect(box, axis):
     return box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:]
 
 
-def _adaptive(F, box, tol, budget, points=1):
+def _adaptive(F, box, tol, budget):
     """Greedy panel refinement until the summed error indicator is <= tol.
 
     box is an interval (a, b) or a box (ax, bx, ay, by), and F takes one
     node array per axis (see _panels).  A panel costs 21 evaluations per
-    axis, 21 ** (len(box) // 2) in all, times `points`: each node of an
-    interval may stand for several integrand evaluations (the U rule of
-    _about's polynomial path), and all of them count in evals and against
-    the budget.  Returns (value, err, evals).  Each step pops the worst
-    panels until the error left in the heap is <= tol or the budget cannot
-    pay for another bisection, bisects each across the axis _panels names,
-    and measures all the children in one call of F; a step that pops none
+    axis, 21 ** (len(box) // 2) in all.  Returns (value, err, evals).  Each
+    step pops the worst panels until the error left in the heap is <= tol
+    or the budget cannot pay for another bisection, bisects each across the
+    axis _panels names, and measures all the children in one call of F; a
+    step that pops none
     raises OracleBudgetError, so evals never exceeds the budget.  The heap
     tie-break counter makes pop order, and hence the accumulated float
     sums, reproducible.  A non-finite integrand value makes the summed
@@ -182,7 +189,7 @@ def _adaptive(F, box, tol, budget, points=1):
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    cost = _X21.size ** (len(box) // 2) * points
+    cost = _X21.size ** (len(box) // 2)
     if cost > budget:
         raise OracleBudgetError(
             f"initial panel alone needs {cost} evaluations, budget is {budget}")
@@ -241,36 +248,77 @@ def _exit_radius(z: complex, beta):
     return -c + np.sqrt(c * c + 1.0 - abs(z) ** 2)
 
 
-def _about(z: complex, F, tol: float, budget: int, u_degree=None) -> QuadResult:
+def _about(z: complex, F, tol: float, budget: int) -> QuadResult:
     """Integral of F(beta, U, S) over (beta, U) in [0, 2 pi] x [0, 1], for
     polar coordinates centred at an interior point z: S = S(beta) is the exit
-    radius along e^{i beta}, and F maps U to a radius on [0, S] itself.
-    Rejects z outside the open disk (NaN included) before evaluating
-    anything.
-
-    Without u_degree the region is refined in box panels.  With it, F must
-    be a polynomial of that degree in U: U is then integrated by the
-    (u_degree//2 + 1)-point Gauss-Legendre rule, exact at that degree, with
-    F on beta nodes of shape (p, 21, 1) against U nodes of shape (n_U,), and
-    beta alone is refined in interval panels."""
+    radius along e^{i beta}, and F maps U to a radius on [0, S] itself.  The
+    region is refined in box panels.  Rejects z outside the open disk (NaN
+    included) before evaluating anything."""
     if not abs(z) < 1:
         raise ValueError(f"z must be interior, got {z}")
 
-    if u_degree is None:
-        def G(B, U):
-            return F(B, U, _exit_radius(z, B))
+    def G(B, U):
+        return F(B, U, _exit_radius(z, B))
 
-        v, e, ev = _adaptive(G, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
-    else:
-        x, w = _gl_nodes(u_degree // 2 + 1)
-        U, wu = 0.5 + 0.5 * x, 0.5 * w
-
-        def g(B):
-            B = B[..., None]
-            return np.einsum("...j,j->...", F(B, U, _exit_radius(z, B)), wu)
-
-        v, e, ev = _adaptive(g, (0.0, 2 * math.pi), tol, budget, U.size)
+    v, e, ev = _adaptive(G, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
     return QuadResult(complex(v), float(e), ev)
+
+
+def _trapezoid(z: complex, F, tol: float, budget: int, degree: int,
+               u_degree: int) -> QuadResult:
+    """_about's integral for an F built from a DiskPolynomial of the given
+    degree D, which is a polynomial of degree u_degree in U.
+
+    U takes the (u_degree//2 + 1)-point Gauss-Legendre rule, exact at that
+    degree, and beta the periodic trapezoid rule, exact for every even
+    N >= 2D + 4 (see the module docstring): one integrand call on the 2N
+    nodes beta_j = pi j / N, N = 2D + 4, gives T_2N, and the even-index
+    nodes of the same call give T_N.  The value is T_2N and its error
+    estimate |T_2N - T_N|, floored at the roundoff of the sum; while that
+    exceeds tol, N doubles and one call evaluates the new midpoints, so a
+    tol below roundoff ends in OracleBudgetError.  Every beta node counts
+    n_U evaluations in evals and against the budget, a call the budget
+    cannot pay for raises OracleBudgetError before it is made, and a
+    non-finite integrand raises ValueError.  z outside the open disk (NaN
+    included) and a tol that is not positive and finite are rejected before
+    evaluating anything."""
+    if not abs(z) < 1:
+        raise ValueError(f"z must be interior, got {z}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    x, w = _gl_nodes(u_degree // 2 + 1)
+    U, wu = 0.5 + 0.5 * x, 0.5 * w
+
+    def g(B):
+        B = B[:, None]
+        return np.einsum("pj,j->p", F(B, U, _exit_radius(z, B)), wu)
+
+    n = 2 * degree + 4
+    cost = 2 * n * U.size  # of the next call: all 2N nodes, then the 2N midpoints
+    if cost > budget:
+        raise OracleBudgetError(
+            f"initial {2 * n} nodes alone need {cost} evaluations, budget is {budget}")
+    vals = g(math.pi / n * np.arange(2 * n))
+    v_coarse = 2 * math.pi / n * vals[::2].sum()
+    evals = cost
+    while True:
+        v = math.pi / n * vals.sum()
+        # both rules are exact, so their difference reads roundoff alone and
+        # can be 0; eps times the rule applied to |g|, the least rounding the
+        # sum carries, keeps the estimate from claiming less (QUADPACK's
+        # floor is 50 eps, which would refuse tol 1e-13 near the circle)
+        floor = np.finfo(float).eps * math.pi / n * np.abs(vals).sum()
+        if not math.isfinite(floor):
+            raise ValueError("integrand is not finite on the integration region")
+        e = max(abs(v - v_coarse), floor)
+        if e <= tol:
+            return QuadResult(complex(v), float(e), evals)
+        if evals + cost > budget:
+            raise OracleBudgetError(
+                f"needed more than {budget} evaluations (err {e:.3e} > tol {tol:.3e})")
+        mids = g(math.pi / n * (np.arange(2 * n) + 0.5))
+        vals = np.stack([vals, mids], axis=1).ravel()
+        v_coarse, n, evals, cost = v, 2 * n, evals + cost, 2 * cost
 
 
 def _degree(phi) -> int:
@@ -284,8 +332,10 @@ def cauchy_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> Qu
     Polar coordinates centered at z: w = z + s e^{i beta} with s = U S in
     [0, S], S the exit radius; the Jacobian s cancels 1/|w - z| so the
     integrand is smooth.  For a DiskPolynomial of degree D it is a
-    polynomial of degree D in U, which a fixed rule integrates exactly, so
-    beta alone is refined (see _about).
+    polynomial of degree D in U, and the sum of its beta integrand at
+    antipodal directions is a trigonometric polynomial of degree <= 2D + 2,
+    so fixed rules in U and beta integrate it exactly (see _trapezoid).
+    A callable takes the box panels of _about.
     """
     fn = _as_fn(phi)
 
@@ -293,8 +343,10 @@ def cauchy_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> Qu
         w = z + (U * S) * np.exp(1j * B)
         return fn(w) * np.exp(-1j * B) * S / math.pi
 
-    u_degree = _degree(phi) if isinstance(phi, DiskPolynomial) else None
-    return _about(z, F, tol, budget, u_degree)
+    if isinstance(phi, DiskPolynomial):
+        d = _degree(phi)
+        return _trapezoid(z, F, tol, budget, d, d)
+    return _about(z, F, tol, budget)
 
 
 def pv_beurling_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
@@ -311,21 +363,27 @@ def pv_beurling_eval(phi, z: complex, tol: float, budget: int = DEFAULT_BUDGET) 
     sign included; the grading keeps it smooth in U even where phi is only
     C^1 at z (Duffy 1982).  For a DiskPolynomial of degree D, phi(z) - phi(w)
     is a polynomial in U^2 without constant term, so the integrand is a
-    polynomial of degree 2D - 1 in U and beta alone is refined (see _about).
+    polynomial of degree 2D - 1 in U.  Over s in [0, S] the integrand is
+    (phi(z) - phi(w)) e^{-2i beta}/(pi s), whose beta integrand sums at
+    antipodal directions to a trigonometric polynomial of degree <= 2D + 2
+    as C's does, so fixed rules in U and beta integrate it exactly (see
+    _trapezoid).  A callable takes the box panels of _about.
     """
     fn = _as_fn(phi)
 
     @functools.cache
     def fz():
-        # phi(z), on the first integrand call: _about has checked z by then
+        # phi(z), on the first integrand call: z is checked by then
         return complex(fn(np.array([complex(z)]))[0])
 
     def F(B, U, S):
         w = z + (S * U * U) * np.exp(1j * B)
         return (fz() - fn(w)) * np.exp(-2j * B) * (2 / math.pi) / U
 
-    u_degree = max(2 * _degree(phi) - 1, 0) if isinstance(phi, DiskPolynomial) else None
-    return _about(z, F, tol, budget, u_degree)
+    if isinstance(phi, DiskPolynomial):
+        d = _degree(phi)
+        return _trapezoid(z, F, tol, budget, d, max(2 * d - 1, 0))
+    return _about(z, F, tol, budget)
 
 
 def angular_parseval_check(beta: float, r: float, tol: float = 1e-10,

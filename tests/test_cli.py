@@ -610,14 +610,19 @@ def test_verify_matches_golden_ledger(seed):
 
 def test_verify_passes_the_budget_to_every_quadrature(capsys, monkeypatch):
     budgets = []
-    real = oracle._adaptive
+    real, real_trapezoid = oracle._adaptive, oracle._trapezoid
 
-    def spy(F, box, tol, budget, *args):
+    def spy(F, box, tol, budget):
         budgets.append(budget)
-        return real(F, box, tol, budget, *args)
+        return real(F, box, tol, budget)
+
+    def spy_trapezoid(z, F, tol, budget, *args):
+        budgets.append(budget)
+        return real_trapezoid(z, F, tol, budget, *args)
 
     monkeypatch.setattr(oracle, "_adaptive", spy)
     monkeypatch.setattr(extremal, "_adaptive", spy)
+    monkeypatch.setattr(oracle, "_trapezoid", spy_trapezoid)
     assert run(capsys, "verify", "--budget", "1999999")[0] == 0
     assert budgets == [1999999] * 13
 

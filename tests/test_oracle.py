@@ -241,6 +241,10 @@ def test_non_finite_integrand_rejected():
     with pytest.raises(ValueError, match="integrand is not finite"):
         oracle._adaptive(lambda x: np.where(x > 0.5, np.inf, 1.0), (0.0, 1.0),
                          1e-8, 10**6)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="integrand is not finite"):
+            oracle._trapezoid(0.5, lambda B, U, S: np.where(B > 1, bad, 1.0) * U,
+                              1e-8, 10**6, 2, 2)
 
 
 # --- broadcast panels -------------------------------------------------------
@@ -404,10 +408,10 @@ def test_budget_is_a_hard_cap():
 
 def test_integrand_calls_pinned():
     # the exact integrand calls and evaluations of C, S and B on one seeded
-    # set, so a change to the batching shows here
+    # set, so a change to the batching or to the beta rule shows here
     calls = {"C": 0, "S": 0, "B": 0}
     evals = dict.fromkeys(calls, 0)
-    real = oracle._panels
+    real_panels, real_trapezoid = oracle._panels, oracle._trapezoid
     rng = random.Random("integrand-calls")
     for radius in (0.0, 0.5, 0.9, 0.99) * 2:
         phi = rand_poly(rng, max_total=8, terms=6)
@@ -419,15 +423,20 @@ def test_integrand_calls_pinned():
         for name, run in (("C", lambda: cauchy_eval(phi, z, 1e-8)),
                           ("S", lambda: pv_beurling_eval(phi, z, 1e-8)),
                           ("B", lambda: quad_disk(bergman, 1e-9))):
-            def counting(F, boxes, name=name):
-                calls[name] += 1
-                return real(F, boxes)
+            def counted(F, name=name):
+                def G(*nodes):
+                    calls[name] += 1
+                    return F(*nodes)
+                return G
 
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(oracle, "_panels", counting)
+                m.setattr(oracle, "_panels",
+                          lambda F, boxes: real_panels(counted(F), boxes))
+                m.setattr(oracle, "_trapezoid",
+                          lambda z, F, *args: real_trapezoid(z, counted(F), *args))
                 evals[name] += run().evaluations
-    assert calls == {"C": 32, "S": 33, "B": 65}
-    assert evals == {"C": 9933, "S": 17115, "B": 128772}
+    assert calls == {"C": 8, "S": 8, "B": 65}
+    assert evals == {"C": 1544, "S": 2492, "B": 128772}
 
 
 def test_tie_cuts_first_axis():
@@ -440,28 +449,28 @@ def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
     # in the centred-polar maps the integrand of a degree <= 8 polynomial is
     # a polynomial of degree <= 15 in U, which G10 integrates exactly, so on
     # the box panels of a callable all the error, and every cut, is in beta;
-    # the polynomial itself never reaches a box panel
+    # the polynomial itself never reaches a panel, box or interval
     axes, boxes = [], []
     real = oracle._bisect
     monkeypatch.setattr(oracle, "_bisect",
                         lambda box, axis: axes.append(axis) or real(box, axis))
     real_panels = oracle._panels
-    monkeypatch.setattr(oracle, "_panels", lambda F, bs: boxes.extend(
-        b for b in bs if len(b) == 4) or real_panels(F, bs))
+    monkeypatch.setattr(oracle, "_panels",
+                        lambda F, bs: boxes.extend(bs) or real_panels(F, bs))
     rng = random.Random(f"bisect-axis/{radius}")
     for _ in range(6):
         phi = rand_poly(rng, max_total=8, terms=6)
         z = radius * cmath.exp(2j * math.pi * rng.random())
         cauchy_eval(phi, z, 1e-8)
         pv_beurling_eval(phi, z, 1e-8)
-    assert not boxes
-    axes.clear()
+    assert not boxes and not axes
     for _ in range(6):
         phi = rand_poly(rng, max_total=8, terms=6)
         z = radius * cmath.exp(2j * math.pi * rng.random())
         cauchy_eval(lambda w: evaluate(phi, w), z, 1e-8)
         pv_beurling_eval(lambda w: evaluate(phi, w), z, 1e-8)
-    assert boxes and axes and set(axes) == {0}
+    assert boxes and {len(b) for b in boxes} == {4}
+    assert axes and set(axes) == {0}
 
 
 def test_near_boundary_agreement():
@@ -479,12 +488,11 @@ def test_near_boundary_agreement():
             assert abs(got.value - complex(evaluate(closed(phi), z))) <= tol, (phi, z)
 
 
-def _reference_adaptive_1d(f, a, b, tol, budget, points=1):
+def _reference_adaptive_1d(f, a, b, tol, budget):
     """A stand-alone 1-D refinement loop: per segment one integrand call on
     the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, the K21 value and
     its distance to G10 as the indicator, and the batched pop of
-    _reference_loop; each node counts `points` evaluations.  The shared
-    loop must reproduce it bit for bit."""
+    _reference_loop.  The shared loop must reproduce it bit for bit."""
     nodes, wk, wg = oracle._X21, oracle._W21, oracle._W10
 
     def measure(lo, hi):
@@ -497,7 +505,7 @@ def _reference_adaptive_1d(f, a, b, tol, budget, points=1):
         mid = 0.5 * (lo + hi)
         return (lo, mid), (mid, hi)
 
-    return _reference_loop(measure, halves, (a, b), 21 * points, tol, budget)
+    return _reference_loop(measure, halves, (a, b), 21, tol, budget)
 
 
 def test_shared_loop_matches_1d_reference(monkeypatch):
@@ -554,33 +562,52 @@ def test_ledger_1d_integrals_meet_their_tol():
     assert abs(extremal.l1_at_zero(5e-6) - _L1_AT_ZERO_CLAMPED) <= 5e-6
 
 
-def _reference_about_1d(z, F, tol, budget, u_degree):
-    """_about's polynomial path, stand-alone: the n-point Gauss-Legendre rule
-    in U (n = u_degree//2 + 1) summed at each beta node, and beta refined by
-    the 1-D reference loop, each beta node counting n evaluations."""
+def _beta_values(z, F, m, u_degree):
+    """F summed by the n-point Gauss-Legendre rule in U (n = u_degree//2 + 1)
+    at the m beta nodes 2 pi j / m, and n."""
     x, w = _gl_nodes(u_degree // 2 + 1)
     U, wu = 0.5 + 0.5 * x, 0.5 * w
+    B = (2 * math.pi / m * np.arange(m))[:, None]
+    c = (np.exp(1j * B) * complex(z).conjugate()).real
+    S = -c + np.sqrt(c * c + 1.0 - abs(z) ** 2)
+    return np.einsum("pj,j->p", F(B, U, S), wu), U.size
 
-    def f(B):
-        B = B[:, None]
-        c = (np.exp(1j * B) * complex(z).conjugate()).real
-        S = -c + np.sqrt(c * c + 1.0 - abs(z) ** 2)
-        return np.einsum("pj,j->p", F(B, U, S), wu)
 
-    return _reference_adaptive_1d(f, 0.0, 2 * math.pi, tol, budget, points=U.size)
+def _reference_trapezoid(z, F, tol, budget, degree, u_degree):
+    """_trapezoid, stand-alone: per attempt one fresh call on all 2N beta
+    nodes, N = 2*degree + 4, 4*degree + 8, ...; T_2N over all of them, T_N
+    over the even ones, and the estimate |T_2N - T_N|, at least eps times
+    T_2N of |g|.  An attempt counts 2N n_U evaluations, and one the budget
+    cannot pay for raises."""
+    n = 2 * degree + 4
+    while True:
+        if 2 * n * (u_degree // 2 + 1) > budget:
+            raise OracleBudgetError("budget")
+        g, n_u = _beta_values(z, F, 2 * n, u_degree)
+        v = math.pi / n * g.sum()
+        e = max(abs(v - 2 * math.pi / n * g[::2].sum()),
+                np.finfo(float).eps * math.pi / n * np.abs(g).sum())
+        if e <= tol:
+            return v, e, 2 * n * n_u
+        n *= 2
+
+
+def _trapezoid_calls(monkeypatch):
+    """Record the arguments and the result of every _trapezoid call."""
+    calls, real = [], oracle._trapezoid
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_trapezoid", recording)
+    return calls
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.95])
 def test_polynomial_path_matches_1d_reference(monkeypatch, radius):
-    real = oracle._about
-    calls = []
-
-    def recording(z, F, tol, budget, u_degree=None):
-        out = real(z, F, tol, budget, u_degree)
-        calls.append((z, F, tol, budget, u_degree, out))
-        return out
-
-    monkeypatch.setattr(oracle, "_about", recording)
+    calls = _trapezoid_calls(monkeypatch)
     rng = random.Random(f"poly-path/{radius}")
     for _ in range(3):
         phi = rand_poly(rng, max_total=8, terms=6)
@@ -588,10 +615,24 @@ def test_polynomial_path_matches_1d_reference(monkeypatch, radius):
         cauchy_eval(phi, z, 1e-9)
         pv_beurling_eval(phi, z, 1e-9)
     assert len(calls) == 6
-    for z, F, tol, budget, u_degree, got in calls:
-        assert u_degree is not None
-        want = _reference_about_1d(z, F, tol, budget, u_degree)
-        assert (got.value, got.err_estimate, got.evaluations) == want, (z, u_degree)
+    for args, got in calls:
+        want = _reference_trapezoid(*args)
+        assert (got.value, got.err_estimate, got.evaluations) == want, args
+
+
+def test_trapezoid_doubling_matches_reference():
+    # a beta integrand that is no trigonometric polynomial, exp(cos 3 beta),
+    # makes the rule double: the new midpoints, interleaved with the nodes
+    # before, must give the values of fresh calls on all the nodes
+    def F(B, U, S):
+        return np.exp(np.cos(3 * B)) * (1 + 0 * U) + 0 * S
+
+    for tol in (1e-6, 1e-12):
+        got = oracle._trapezoid(0.3j, F, tol, 10**6, 0, 0)
+        want = _reference_trapezoid(0.3j, F, tol, 10**6, 0, 0)
+        assert (got.value, got.err_estimate, got.evaluations) == want
+        assert got.evaluations > 8  # doubled from the 8 nodes of degree 0
+        assert abs(got.value - 2 * math.pi * mpmath.besseli(0, 1)) <= tol
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.9, 0.99])
@@ -611,27 +652,123 @@ def test_polynomial_path_matches_box_panels(radius, tol):
 
 def test_polynomial_path_budget():
     # every beta node counts n_U evaluations: degree 8 takes 5 U nodes for
-    # C and 8 for S, so 21 n_U = 105 and 168 per beta panel
+    # C and 8 for S, and 2N = 2 (2*8 + 4) = 40 beta nodes, so the first call
+    # costs 200 and 320 evaluations, and it is exact at tol 1e-12
     phi = DiskPolynomial({(8, 0): ExactScalar(1), (3, 5): ExactScalar(2)})
     z = 0.99 * cmath.exp(0.7j)
-    assert cauchy_eval(phi, z, 1.0, budget=105).evaluations == 105
-    for fn, per_panel in ((cauchy_eval, 105), (pv_beurling_eval, 168)):
-        with pytest.raises(OracleBudgetError, match="initial panel"):
-            fn(phi, z, 1e-12, budget=per_panel - 1)
+    assert cauchy_eval(phi, z, 1.0, budget=200).evaluations == 200
+    for fn, first in ((cauchy_eval, 200), (pv_beurling_eval, 320)):
+        with pytest.raises(OracleBudgetError, match="initial 40 nodes"):
+            fn(phi, z, 1e-12, budget=first - 1)
+        assert fn(phi, z, 1e-12, budget=first).evaluations == first
+        # a tol below roundoff doubles 1x, 2x, 4x the first call's nodes:
+        # 8 first in all, and the next doubling does not fit 10 first
         with pytest.raises(OracleBudgetError, match="needed more than"):
-            fn(phi, z, 1e-12, budget=10 * per_panel)
-        full = fn(phi, z, 1e-12)
-        assert full.evaluations > 10 * per_panel and full.evaluations % per_panel == 0
+            fn(phi, z, 1e-20, budget=10 * first)
 
 
 @pytest.mark.parametrize("phi", [DiskPolynomial({}), DiskPolynomial({(0, 0): ExactScalar(3)})])
 def test_polynomial_path_degree_zero(phi):
-    # degree 0 takes one U node for C and for S, whose integrand is then 0
+    # degree 0 takes one U node and 2N = 8 beta nodes for C and for S,
+    # whose integrand is then 0
     z = 0.6 - 0.3j
     c = cauchy_eval(phi, z, 1e-12)
     assert abs(c.value - complex(evaluate(cauchy_integral(phi), z))) <= 1e-12
+    assert c.evaluations == 8
     s = pv_beurling_eval(phi, z, 1e-12)
-    assert (s.value, s.evaluations) == (0, 21)
+    assert (s.value, s.evaluations) == (0, 8)
+
+
+# --- the trapezoid rule in beta -----------------------------------------------
+
+def _no_panels(*args):
+    raise AssertionError("a DiskPolynomial reached the panels")
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.3, 0.9, 0.999])
+def test_trapezoid_is_exact_on_monomials(monkeypatch, radius):
+    # every monomial z^m zbar^n with m + n = D <= 16: C and S from the first
+    # call, on 2N = 2 (2D + 4) beta nodes times n_U, with no doubling and no
+    # panel, meet the closed forms to 1e-13 max(1, |value|)
+    monkeypatch.setattr(oracle, "_adaptive", _no_panels)
+    monkeypatch.setattr(oracle, "_panels", _no_panels)
+    z = radius * cmath.exp(0.9j)
+    for d in range(17):
+        for m in range(d + 1):
+            phi = DiskPolynomial({(m, d - m): ExactScalar(1)})
+            for fn, closed, n_u in ((cauchy_eval, cauchy_integral, d // 2 + 1),
+                                    (pv_beurling_eval, beurling_S, max(d, 1))):
+                got = fn(phi, z, 1e-12)
+                want = complex(evaluate(closed(phi), z))
+                assert abs(got.value - want) <= 1e-13 * max(1.0, abs(want)), \
+                    (fn.__name__, m, d - m)
+                assert got.evaluations == 2 * (2 * d + 4) * n_u
+
+
+def test_trapezoid_start_is_the_smallest_exact_one(monkeypatch):
+    # at |z| = 0.9 the (2D + 2)-point rule misses, for some monomial of every
+    # degree D = 1..16, by more than 1e-3 relative, so 2D + 4 is the
+    # smallest even N that is exact
+    calls = _trapezoid_calls(monkeypatch)
+    z = 0.9 * cmath.exp(0.9j)
+    for d in range(1, 17):
+        for fn, closed in ((cauchy_eval, cauchy_integral), (pv_beurling_eval, beurling_S)):
+            worst = 0.0
+            for m in range(d + 1):
+                phi = DiskPolynomial({(m, d - m): ExactScalar(1)})
+                fn(phi, z, 1e-12)
+                (_, F, _, _, _, u_degree), _ = calls[-1]
+                g, _ = _beta_values(z, F, 2 * d + 2, u_degree)
+                want = complex(evaluate(closed(phi), z))
+                rule = 2 * math.pi / (2 * d + 2) * g.sum()
+                worst = max(worst, abs(rule - want) / max(1.0, abs(want)))
+            assert worst > 1e-3, (fn.__name__, d)
+
+
+def test_trapezoid_does_not_alias(monkeypatch):
+    # nested doubling from N = 8 (the start for degree 2) returns
+    # C[zbar^15](0) = 0.125, true value 0, and S[zbar^14](0) off by 0.143,
+    # each with an error estimate below 1e-16; from N = 2D + 4 both meet tol
+    calls = _trapezoid_calls(monkeypatch)
+    for fn, closed, n, miss in ((cauchy_eval, cauchy_integral, 15, 0.125),
+                                (pv_beurling_eval, beurling_S, 14, 0.143)):
+        phi = DiskPolynomial({(0, n): ExactScalar(1)})
+        want = complex(evaluate(closed(phi), 0.0))
+        got = fn(phi, 0.0, 1e-12)
+        assert abs(got.value - want) <= 1e-12 and got.err_estimate <= 1e-12
+        (_, F, _, _, degree, u_degree), _ = calls[-1]
+        assert degree == n
+        v, e, _ = _reference_trapezoid(0.0, F, 1e-12, 10**6, 2, u_degree)
+        assert e < 1e-16 and abs(abs(v - want) - miss) < 1e-3
+
+
+def test_trapezoid_budget_and_contract(monkeypatch):
+    seen = []
+    monkeypatch.setattr(oracle, "evaluate",
+                        lambda phi, w: seen.append(w) or evaluate(phi, w))
+    phi = DiskPolynomial({(8, 0): ExactScalar(1), (3, 5): ExactScalar(2)})
+    for fn, first in ((cauchy_eval, 200), (pv_beurling_eval, 320)):
+        # a budget below the first call, 2N n_U evaluations, raises before it
+        with pytest.raises(OracleBudgetError, match="initial 40 nodes"):
+            fn(phi, 0.5, 1e-8, budget=first - 1)
+        # z on or outside the circle, or NaN, and a tol that is not positive
+        # and finite, are rejected before any evaluation
+        for z in (1.0, -1j, 1.5, complex(math.nan, 0.0), complex(0.0, math.inf)):
+            with pytest.raises(ValueError, match="z must be interior"):
+                fn(phi, z, 1e-8)
+        for tol in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                fn(phi, 0.5, tol)
+    assert not seen
+    # a tol below roundoff cannot be met: the rule doubles until the budget
+    # stops it, and raises before a call the budget cannot pay for, so the
+    # integrand never sees more points than the budget
+    for fn in (cauchy_eval, pv_beurling_eval):
+        for z in (0.0, 0.5, 0.99j):
+            seen.clear()
+            with pytest.raises(OracleBudgetError, match="needed more than 100000"):
+                fn(phi, z, 1e-20, budget=100_000)
+            assert 50_000 < sum(np.size(w) for w in seen) <= 100_000
 
 
 def _monomial_sum(phi, z):
@@ -777,7 +914,7 @@ def test_accuracy_ladder_and_work():
     worst, evals = _ladder()
     assert worst <= 1.0
     # the exact work of the set, so a change that inflates it fails here
-    assert evals == 842_898
+    assert evals == 701_138
 
 
 def test_every_budget_defaults_to_the_default_budget():
