@@ -278,9 +278,11 @@ def evaluate(phi: DiskPolynomial, z):
 
     On an array, each coefficient is converted to complex once and the
     powers z^k and conj(z)^k are tabulated by repeated multiplication up to
-    the largest exponents.  The oracle makes one such call per refinement
-    step: on the node grid of the initial panel, then on the grids of both
-    halves of each bisection."""
+    the largest exponents.  The oracle's exact rule for a polynomial in
+    cauchy_eval and pv_beurling_eval makes one such call on all its nodes
+    (pv_beurling_eval one more, at z alone); its panels make one per
+    refinement step, on the node grid of the initial panel and then on the
+    grids of both halves of each bisection."""
     if not hasattr(z, "shape"):
         total = 0j
         zb = complex(z).conjugate()

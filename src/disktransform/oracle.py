@@ -25,8 +25,9 @@ integrand of a DiskPolynomial phi of degree D is a polynomial in the radial
 variable U, of degree D for C and 2D - 1 for S, which the fixed
 Gauss-Legendre rule exact at that degree integrates: D//2 + 1 or max(D, 1)
 points.  What is left in beta is integrated exactly too, with no panels
-(_trapezoid).  With s = U S, the beta integrand of C is
-e^{-i beta}/pi sum_k a_k(beta) S(beta)^{k+1}/(k+1), where
+and in one integrand call (_trapezoid), which raises OracleBudgetError for
+a tol below the roundoff of its sum.  With s = U S, the beta integrand of
+C is e^{-i beta}/pi sum_k a_k(beta) S(beta)^{k+1}/(k+1), where
 a_k(beta + pi) = (-1)^k a_k(beta).  S(beta) and -S(beta + pi) are the two
 roots of s^2 + 2cs - (1 - |z|^2) = 0, c = Re(e^{i beta} conj z), so the
 integrand at beta plus that at beta + pi is symmetric in the two roots: a
@@ -102,7 +103,8 @@ _W10 = np.array([row[2] for row in _GK21 if len(row) == 3])
 
 
 class OracleBudgetError(RuntimeError):
-    """Evaluation budget exhausted before the tolerance was met."""
+    """Evaluation budget exhausted before the tolerance was met, or a tol
+    the exact rule cannot certify."""
 
 
 @dataclass(frozen=True)
@@ -181,11 +183,10 @@ def _adaptive(F, box, tol, budget):
     step pops the worst panels until the error left in the heap is <= tol
     or the budget cannot pay for another bisection, bisects each across the
     axis _panels names, and measures all the children in one call of F; a
-    step that pops none
-    raises OracleBudgetError, so evals never exceeds the budget.  The heap
-    tie-break counter makes pop order, and hence the accumulated float
-    sums, reproducible.  A non-finite integrand value makes the summed
-    indicator non-finite, which raises ValueError.
+    step that pops none raises OracleBudgetError, so evals never exceeds
+    the budget.  The heap tie-break counter makes pop order, and hence the
+    accumulated float sums, reproducible.  A non-finite integrand value
+    makes the summed indicator non-finite, which raises ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -271,54 +272,42 @@ def _trapezoid(z: complex, F, tol: float, budget: int, degree: int,
 
     U takes the (u_degree//2 + 1)-point Gauss-Legendre rule, exact at that
     degree, and beta the periodic trapezoid rule, exact for every even
-    N >= 2D + 4 (see the module docstring): one integrand call on the 2N
-    nodes beta_j = pi j / N, N = 2D + 4, gives T_2N, and the even-index
-    nodes of the same call give T_N.  The value is T_2N and its error
-    estimate |T_2N - T_N|, floored at the roundoff of the sum; while that
-    exceeds tol, N doubles and one call evaluates the new midpoints, so a
-    tol below roundoff ends in OracleBudgetError.  Every beta node counts
-    n_U evaluations in evals and against the budget, a call the budget
-    cannot pay for raises OracleBudgetError before it is made, and a
-    non-finite integrand raises ValueError.  z outside the open disk (NaN
-    included) and a tol that is not positive and finite are rejected before
-    evaluating anything."""
+    N >= 2D + 4 (see the module docstring), so one integrand call settles
+    it: on the 2N nodes beta_j = pi j / N, N = 2D + 4, it gives T_2N, and
+    its even-index nodes give T_N.  The value is T_2N and its error
+    estimate |T_2N - T_N|, floored at the roundoff of the sum; the two
+    exact rules agree, so the estimate is the runtime check of that
+    exactness.  An estimate above tol raises OracleBudgetError after the
+    call, as does a budget below its 2N n_U evaluations before it (every
+    beta node counts n_U), and a non-finite integrand raises ValueError.
+    z outside the open disk (NaN included) and a tol that is not positive
+    and finite are rejected before evaluating anything."""
     if not abs(z) < 1:
         raise ValueError(f"z must be interior, got {z}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     x, w = _gl_nodes(u_degree // 2 + 1)
     U, wu = 0.5 + 0.5 * x, 0.5 * w
-
-    def g(B):
-        B = B[:, None]
-        return np.einsum("pj,j->p", F(B, U, _exit_radius(z, B)), wu)
-
     n = 2 * degree + 4
-    cost = 2 * n * U.size  # of the next call: all 2N nodes, then the 2N midpoints
-    if cost > budget:
+    evals = 2 * n * U.size
+    if evals > budget:
         raise OracleBudgetError(
-            f"initial {2 * n} nodes alone need {cost} evaluations, budget is {budget}")
-    vals = g(math.pi / n * np.arange(2 * n))
-    v_coarse = 2 * math.pi / n * vals[::2].sum()
-    evals = cost
-    while True:
-        v = math.pi / n * vals.sum()
-        # both rules are exact, so their difference reads roundoff alone and
-        # can be 0; eps times the rule applied to |g|, the least rounding the
-        # sum carries, keeps the estimate from claiming less (QUADPACK's
-        # floor is 50 eps, which would refuse tol 1e-13 near the circle)
-        floor = np.finfo(float).eps * math.pi / n * np.abs(vals).sum()
-        if not math.isfinite(floor):
-            raise ValueError("integrand is not finite on the integration region")
-        e = max(abs(v - v_coarse), floor)
-        if e <= tol:
-            return QuadResult(complex(v), float(e), evals)
-        if evals + cost > budget:
-            raise OracleBudgetError(
-                f"needed more than {budget} evaluations (err {e:.3e} > tol {tol:.3e})")
-        mids = g(math.pi / n * (np.arange(2 * n) + 0.5))
-        vals = np.stack([vals, mids], axis=1).ravel()
-        v_coarse, n, evals, cost = v, 2 * n, evals + cost, 2 * cost
+            f"initial {2 * n} nodes alone need {evals} evaluations, budget is {budget}")
+    B = (math.pi / n * np.arange(2 * n))[:, None]
+    vals = np.einsum("pj,j->p", F(B, U, _exit_radius(z, B)), wu)
+    v = math.pi / n * vals.sum()
+    # both rules are exact, so their difference reads roundoff alone and can
+    # be 0; eps times the rule applied to |g|, the least rounding the sum
+    # carries, keeps the estimate from claiming less (QUADPACK's floor is
+    # 50 eps, which would refuse tol 1e-13 near the circle)
+    floor = np.finfo(float).eps * math.pi / n * np.abs(vals).sum()
+    if not math.isfinite(floor):
+        raise ValueError("integrand is not finite on the integration region")
+    e = max(abs(v - 2 * math.pi / n * vals[::2].sum()), floor)
+    if e > tol:
+        raise OracleBudgetError(
+            f"exact rule on {2 * n} nodes reads err {e:.3e} > tol {tol:.3e}")
+    return QuadResult(complex(v), float(e), evals)
 
 
 def _degree(phi) -> int:

@@ -251,6 +251,21 @@ def test_exhausted_budget_exit3(capsys):
     assert err.count("\n") == 1 and err.startswith("error: OracleBudgetError: ")
 
 
+def test_tol_below_roundoff_exit3_after_one_call(capsys, monkeypatch):
+    # verify's first quadrature is C of w^2: the exact beta rule makes one
+    # call on 2N = 16 nodes times n_U = 2 and cannot certify 1e-20, so it
+    # raises there instead of spending the budget
+    seen = []
+    real = oracle.evaluate
+    monkeypatch.setattr(oracle, "evaluate",
+                        lambda phi, w: seen.append(w.size) or real(phi, w))
+    code, out, err = run(capsys, "verify", "--tol-quad", "1e-20")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: OracleBudgetError: ")
+    assert sum(seen) <= 32
+
+
 def test_flags_after_subcommand(capsys):
     c1, o1, _ = run(capsys, "--max-degree", "6", "norm", "2")
     c2, o2, _ = run(capsys, "norm", "2", "--max-degree", "6")

@@ -574,22 +574,21 @@ def _beta_values(z, F, m, u_degree):
 
 
 def _reference_trapezoid(z, F, tol, budget, degree, u_degree):
-    """_trapezoid, stand-alone: per attempt one fresh call on all 2N beta
-    nodes, N = 2*degree + 4, 4*degree + 8, ...; T_2N over all of them, T_N
-    over the even ones, and the estimate |T_2N - T_N|, at least eps times
-    T_2N of |g|.  An attempt counts 2N n_U evaluations, and one the budget
-    cannot pay for raises."""
+    """_trapezoid, stand-alone: one call on all 2N beta nodes,
+    N = 2*degree + 4; T_2N over all of them, T_N over the even ones, and
+    the estimate |T_2N - T_N|, at least eps times T_2N of |g|.  The call
+    counts 2N n_U evaluations; a budget that cannot pay for it, or an
+    estimate above tol, raises."""
     n = 2 * degree + 4
-    while True:
-        if 2 * n * (u_degree // 2 + 1) > budget:
-            raise OracleBudgetError("budget")
-        g, n_u = _beta_values(z, F, 2 * n, u_degree)
-        v = math.pi / n * g.sum()
-        e = max(abs(v - 2 * math.pi / n * g[::2].sum()),
-                np.finfo(float).eps * math.pi / n * np.abs(g).sum())
-        if e <= tol:
-            return v, e, 2 * n * n_u
-        n *= 2
+    if 2 * n * (u_degree // 2 + 1) > budget:
+        raise OracleBudgetError("budget")
+    g, n_u = _beta_values(z, F, 2 * n, u_degree)
+    v = math.pi / n * g.sum()
+    e = max(abs(v - 2 * math.pi / n * g[::2].sum()),
+            np.finfo(float).eps * math.pi / n * np.abs(g).sum())
+    if e > tol:
+        raise OracleBudgetError("tol")
+    return v, e, 2 * n * n_u
 
 
 def _trapezoid_calls(monkeypatch):
@@ -620,21 +619,6 @@ def test_polynomial_path_matches_1d_reference(monkeypatch, radius):
         assert (got.value, got.err_estimate, got.evaluations) == want, args
 
 
-def test_trapezoid_doubling_matches_reference():
-    # a beta integrand that is no trigonometric polynomial, exp(cos 3 beta),
-    # makes the rule double: the new midpoints, interleaved with the nodes
-    # before, must give the values of fresh calls on all the nodes
-    def F(B, U, S):
-        return np.exp(np.cos(3 * B)) * (1 + 0 * U) + 0 * S
-
-    for tol in (1e-6, 1e-12):
-        got = oracle._trapezoid(0.3j, F, tol, 10**6, 0, 0)
-        want = _reference_trapezoid(0.3j, F, tol, 10**6, 0, 0)
-        assert (got.value, got.err_estimate, got.evaluations) == want
-        assert got.evaluations > 8  # doubled from the 8 nodes of degree 0
-        assert abs(got.value - 2 * math.pi * mpmath.besseli(0, 1)) <= tol
-
-
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 def test_polynomial_path_matches_box_panels(radius, tol):
@@ -661,10 +645,11 @@ def test_polynomial_path_budget():
         with pytest.raises(OracleBudgetError, match="initial 40 nodes"):
             fn(phi, z, 1e-12, budget=first - 1)
         assert fn(phi, z, 1e-12, budget=first).evaluations == first
-        # a tol below roundoff doubles 1x, 2x, 4x the first call's nodes:
-        # 8 first in all, and the next doubling does not fit 10 first
-        with pytest.raises(OracleBudgetError, match="needed more than"):
-            fn(phi, z, 1e-20, budget=10 * first)
+        # a tol below roundoff raises after the one call, whatever the budget
+        for budget in (first, 10 * first):
+            with pytest.raises(OracleBudgetError,
+                               match=r"exact rule on 40 nodes reads err .* > tol 1\.000e-20"):
+                fn(phi, z, 1e-20, budget=budget)
 
 
 @pytest.mark.parametrize("phi", [DiskPolynomial({}), DiskPolynomial({(0, 0): ExactScalar(3)})])
@@ -726,9 +711,9 @@ def test_trapezoid_start_is_the_smallest_exact_one(monkeypatch):
 
 
 def test_trapezoid_does_not_alias(monkeypatch):
-    # nested doubling from N = 8 (the start for degree 2) returns
-    # C[zbar^15](0) = 0.125, true value 0, and S[zbar^14](0) off by 0.143,
-    # each with an error estimate below 1e-16; from N = 2D + 4 both meet tol
+    # the rule from N = 8 (the start for degree 2) returns C[zbar^15](0) =
+    # 0.125, true value 0, and S[zbar^14](0) off by 0.143, each with an
+    # error estimate below 1e-16; from N = 2D + 4 both meet tol
     calls = _trapezoid_calls(monkeypatch)
     for fn, closed, n, miss in ((cauchy_eval, cauchy_integral, 15, 0.125),
                                 (pv_beurling_eval, beurling_S, 14, 0.143)):
@@ -740,6 +725,49 @@ def test_trapezoid_does_not_alias(monkeypatch):
         assert degree == n
         v, e, _ = _reference_trapezoid(0.0, F, 1e-12, 10**6, 2, u_degree)
         assert e < 1e-16 and abs(abs(v - want) - miss) < 1e-3
+
+
+@pytest.mark.parametrize("short", [1, 2, 4])
+def test_trapezoid_guard_catches_understated_degree(monkeypatch, short):
+    # _trapezoid told a degree `short` below the true one starts from too
+    # few nodes, and only the T_N term of its estimate can tell: every
+    # monomial of degree 1..16 at three radii, through C and S (912 calls),
+    # either raises or meets tol.  A call raises only where T_N misses by
+    # more than tol, and 4 below, T_2N itself misses in some of them, a
+    # wrong value that a rule with no second sum would return
+    real = oracle._trapezoid
+    raised = misses_2n = 0
+
+    def understated(z, F, tol, budget, degree, u_degree):
+        nonlocal raised, misses_2n
+        low = max(degree - short, 0)
+        try:
+            return real(z, F, tol, budget, low, u_degree)
+        except OracleBudgetError:
+            n = 2 * low + 4
+            g, _ = _beta_values(z, F, 2 * n, u_degree)
+            assert abs(2 * math.pi / n * g[::2].sum() - want) > tol
+            raised += 1
+            misses_2n += abs(math.pi / n * g.sum() - want) > tol
+            raise
+
+    monkeypatch.setattr(oracle, "_trapezoid", understated)
+    tol = 1e-10
+    for radius in (0.3, 0.9, 0.99):
+        z = radius * cmath.exp(0.9j)
+        for d in range(1, 17):
+            for m in range(d + 1):
+                phi = DiskPolynomial({(m, d - m): ExactScalar(1)})
+                for fn, closed in ((cauchy_eval, cauchy_integral),
+                                   (pv_beurling_eval, beurling_S)):
+                    want = complex(evaluate(closed(phi), z))
+                    try:
+                        got = fn(phi, z, tol)
+                    except OracleBudgetError:
+                        continue
+                    assert abs(got.value - want) <= tol, (fn.__name__, m, d - m, radius)
+    assert raised > 0
+    assert (misses_2n > 0) == (short == 4)
 
 
 def test_trapezoid_budget_and_contract(monkeypatch):
@@ -760,15 +788,15 @@ def test_trapezoid_budget_and_contract(monkeypatch):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 fn(phi, 0.5, tol)
     assert not seen
-    # a tol below roundoff cannot be met: the rule doubles until the budget
-    # stops it, and raises before a call the budget cannot pay for, so the
-    # integrand never sees more points than the budget
-    for fn in (cauchy_eval, pv_beurling_eval):
+    # a tol below roundoff cannot be met: the rule raises after its one
+    # call, so the integrand sees exactly that call's 2N n_U points (plus
+    # the one point phi(z) that S subtracts)
+    for fn, first in ((cauchy_eval, 200), (pv_beurling_eval, 321)):
         for z in (0.0, 0.5, 0.99j):
             seen.clear()
-            with pytest.raises(OracleBudgetError, match="needed more than 100000"):
+            with pytest.raises(OracleBudgetError, match="exact rule on 40 nodes"):
                 fn(phi, z, 1e-20, budget=100_000)
-            assert 50_000 < sum(np.size(w) for w in seen) <= 100_000
+            assert sum(np.size(w) for w in seen) == first
 
 
 def _monomial_sum(phi, z):
