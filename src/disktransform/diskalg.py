@@ -278,11 +278,14 @@ def evaluate(phi: DiskPolynomial, z):
 
     On an array, each coefficient is converted to complex once and the
     powers z^k and conj(z)^k are tabulated by repeated multiplication up to
-    the largest exponents.  The oracle's exact rule for a polynomial in
-    cauchy_eval and pv_beurling_eval makes one such call on all its nodes
-    (pv_beurling_eval one more, at z alone); its panels make one per
-    refinement step, on the node grid of the initial panel and then on the
-    grids of both halves of each bisection."""
+    the largest exponents.  Each term a z^m conj(z)^n is formed in one
+    preallocated buffer and added into the result in place, in the operand
+    order (a z^m) conj(z)^n, so no term or partial sum allocates.  The
+    oracle's exact rule for a polynomial in cauchy_eval and pv_beurling_eval
+    makes one such call on all its nodes (pv_beurling_eval one more, at z
+    alone); its panels make one per refinement step, on the node grids of
+    the starting panels and then on the grids of both halves of each
+    bisection."""
     if not hasattr(z, "shape"):
         total = 0j
         zb = complex(z).conjugate()
@@ -301,8 +304,11 @@ def evaluate(phi: DiskPolynomial, z):
         zp.append(zp[-1] * z)
     for _ in range(max(n for _, n in phi.coeffs)):
         zbp.append(zbp[-1] * zb)
+    term = np.empty_like(total)
     for (m, n), a in phi.items():
-        total = total + complex(a) * zp[m] * zbp[n]
+        np.multiply(complex(a), zp[m], out=term)
+        np.multiply(term, zbp[n], out=term)
+        np.add(total, term, out=total)
     return total
 
 

@@ -203,7 +203,7 @@ def l1_at_zero(tol: float, budget: int = DEFAULT_BUDGET) -> float:
     elliptic-integral form: (2/pi) times the integral over r in [0, 1]."""
 
     f = np.vectorize(_l1_radial_integrand, otypes=[float])
-    v, _, _ = _adaptive(f, (0.0, 1.0), tol, budget)
+    v, _, _ = _adaptive(f, [(0.0, 1.0)], tol, budget)
     return (2.0 / math.pi) * float(v)
 
 
@@ -247,7 +247,7 @@ def counterexample_p2(budget: int = DEFAULT_BUDGET) -> dict:
     def f_sq(t):
         return 2.0 / (t * t)
 
-    v, _, _ = _adaptive(f_sq, (math.log(2.0), t_hi), 1e-10, budget)
+    v, _, _ = _adaptive(f_sq, [(math.log(2.0), t_hi)], 1e-10, budget)
     norm_sq_numeric = float(v) + 2.0 / t_hi
     reference = 2.0 / math.log(2.0)
 
@@ -259,7 +259,7 @@ def counterexample_p2(budget: int = DEFAULT_BUDGET) -> dict:
     for k in range(1, 9):
         eps = 10.0 ** (-k)
         hi = math.log(2.0 / eps)
-        dv, _, _ = _adaptive(f_ann, (lo, hi), 1e-10 / 8, budget)
+        dv, _, _ = _adaptive(f_ann, [(lo, hi)], 1e-10 / 8, budget)
         lo, av = hi, av + float(dv)
         annuli.append((eps, av))
 

@@ -6,19 +6,25 @@ transforms is cross-checked against this module, so nothing here may import
 from transforms.
 
 Machinery: one greedy refinement loop (_adaptive) for intervals and boxes.
-Each step bisects the worst panels, as many as it takes to leave at most
-tol in the rest and as the budget still pays for, and measures all their
-children in one integrand call; the budget is a hard cap.  One rule serves
-both shapes: a panel is evaluated once on the tensor grid of the 21-point
-Gauss-Kronrod rule in each axis (21 evaluations per interval, 441 per box),
-whose nodes include those of the 10-point Gauss rule.  K21 in every axis
-gives the value, and dropping to G10 in one axis gives that axis's error
-indicator, so every point is read.  The indicator of the panel is their
-sum, and the panel is bisected across the axis with the largest one, so an
-integrand already resolved in one coordinate is refined in the other alone.
-Panel bookkeeping uses an insertion counter as the heap tie-break, and
-accumulation order is fixed, so a run is reproducible bit for bit for a
-given configuration.
+It starts from a list of panels, measured in one integrand call: an angle
+over a full turn starts as its four quarter-turns, since one panel over the
+whole turn resolves no angular frequency above a few, and every other
+interval starts whole.  A tol below the roundoff of that first sum raises
+OracleBudgetError right after it.  Each step then bisects the worst panels,
+as many as it takes to leave at most tol in the rest and as the budget
+still pays for, and measures all their children in one integrand call; the
+budget is a hard cap.  One rule serves both shapes: a panel is evaluated
+once on the tensor grid of the 21-point Gauss-Kronrod rule in each axis (21
+evaluations per interval, 441 per box, so 1764 for a full turn's four
+starting boxes), whose nodes include those of the 10-point Gauss rule.  K21
+in every axis gives the value, and dropping to G10 in one axis gives that
+axis's error indicator, so every point is read; the grids of all the
+panels of a call are contracted in two array passes, one axis at a time.
+The indicator of the panel is their sum, and the panel is bisected across
+the axis with the largest one, so an integrand already resolved in one
+coordinate is refined in the other alone.  Panel bookkeeping uses an
+insertion counter as the heap tie-break, and accumulation order is fixed,
+so a run is reproducible bit for bit for a given configuration.
 
 In the polar maps centred at z (cauchy_eval, pv_beurling_eval), the
 integrand of a DiskPolynomial phi of degree D is a polynomial in the radial
@@ -36,7 +42,8 @@ trigonometric polynomial in beta of degree <= 2D + 2 with no square root
 left, and S reduces the same way.  The N-point trapezoid rule with N even
 sums exactly such antipodal pairs, so every even N >= 2D + 4 is exact.
 Every other integrand, a callable that wraps a polynomial included, takes
-the box panels above, 441 evaluations per box.
+the box panels above, 441 evaluations per box, from the four quarter-turns
+in beta.
 
 Integrands are either a DiskPolynomial or a callable w -> value that accepts
 complex numpy arrays elementwise; w always has the full shape of the grid.
@@ -100,6 +107,8 @@ _GK21 = (
 )
 _X21, _W21 = np.array([row[:2] for row in _GK21]).T
 _W10 = np.array([row[2] for row in _GK21 if len(row) == 3])
+# K21 and G10 as the columns of one matrix, G10 zero at the Kronrod nodes
+_W2 = np.stack([_W21, np.r_[_W10, np.zeros(_X21.size - _W10.size)]], axis=1)
 
 
 class OracleBudgetError(RuntimeError):
@@ -128,42 +137,48 @@ def _as_fn(phi):
     raise TypeError("integrand must be a DiskPolynomial or a callable")
 
 
-def _panels(F, boxes):
-    """Panels for a list of intervals (a, b) or boxes (ax, bx, ay, by), all
-    in one call of F.
+def _grid(F, boxes):
+    """F on the node grids of a list of intervals (a, b) or boxes
+    (ax, bx, ay, by), all in one call, and each panel's Jacobian.
 
     Per axis, a panel's nodes are the 21 Kronrod nodes of _GK21, the 10
     Gauss nodes first.  F gets one node array per axis, of shape (p, 21) for
     intervals and (p, 21, 1), (p, 1, 21) for boxes, which broadcast to the
     (p, 21, ..., 21) tensor grid, so a factor of one coordinate costs 21
-    values per panel.  Each panel returns its value by K21 in every axis,
-    its error indicator, the sum over axes of the distance to G10 in that
-    axis (times K21 in the others), and the axis of the largest term, the
-    first one on a tie."""
-    p, k, n = len(boxes), len(boxes[0]) // 2, _X21.size
-    # per panel and axis: (midpoint, half-width)
-    mh = np.array([[(0.5 * (b[j] + b[j + 1]), 0.5 * (b[j + 1] - b[j]))
-                    for j in range(0, 2 * k, 2)] for b in boxes])
-    x = mh[:, :, :1] + mh[:, :, 1:] * _X21  # (p, k, 21): the nodes of each axis
+    values per panel.  Returns the values on the full grid and, per panel,
+    the product of its half-widths."""
+    b = np.array(boxes, dtype=float)
+    p, k, n = b.shape[0], b.shape[1] // 2, _X21.size
+    lo, hi = b[:, 0::2], b[:, 1::2]
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, :, None] + half[:, :, None] * _X21  # (p, k, 21)
     grid = (p,) + (n,) * k
     vals = F(*[x[:, i].reshape((p,) + (1,) * i + (n,) + (1,) * (k - 1 - i))
                for i in range(k)])
     if vals.shape != grid:  # F constant along an axis may return fewer values
         vals = np.broadcast_to(vals, grid)
-    axes = "ij"[:k]
-    spec = ",".join(axes) + ",p" + axes + "->p"
-    g = slice(None, _W10.size)
-    fine = np.einsum(spec, *[_W21] * k, vals).tolist()
-    coarse = [np.einsum(spec, *[_W10 if j == i else _W21 for j in range(k)],
-                        vals[(slice(None),) * (i + 1) + (g,)]).tolist()
-              for i in range(k)]
-    out = []
-    for halves, vf, *vc in zip(mh[:, :, 1].tolist(), fine, *coarse):
-        scale = math.prod(halves)
-        v = scale * vf
-        errs = [abs(v - scale * c) for c in vc]
-        out.append((v, sum(errs), errs.index(max(errs))))
-    return out
+    return vals, half.prod(axis=1)
+
+
+def _panels(vals, scale):
+    """The rule on the grid values of p panels (see _grid): per panel its
+    value by K21 in every axis, its error indicator, the sum over axes of
+    the distance to G10 in that axis (times K21 in the others), and the
+    axis of the largest term, the first one on a tie, as a list of
+    (value, indicator, axis).
+
+    Two array passes contract the grid with K21 and G10 at once (_W2): the
+    last axis first, then x.  Each panel's sums are small matrix products
+    of its own, an interval's values taken as a (1, 21) row, so they do not
+    depend on how many panels share the call."""
+    if vals.ndim == 2:  # intervals
+        r = scale[:, None] * (vals[:, None] @ _W2)[:, 0]  # r[:, i]: rule i
+        v = r[:, 0]
+        return list(zip(v.tolist(), np.abs(v - r[:, 1]).tolist(), [0] * len(v)))
+    r = scale[:, None, None] * (_W2.T @ (vals @ _W2))  # r[:, i, j]: rule i in x, j in y
+    v = r[:, 0, 0]
+    ex, ey = np.abs(v - r[:, 1, 0]), np.abs(v - r[:, 0, 1])
+    return list(zip(v.tolist(), (ex + ey).tolist(), (ey > ex).astype(int).tolist()))
 
 
 def _bisect(box, axis):
@@ -174,34 +189,55 @@ def _bisect(box, axis):
     return box[:i + 1] + (mid,) + box[i + 2:], box[:i] + (mid,) + box[i + 1:]
 
 
-def _adaptive(F, box, tol, budget):
+# [0, 2 pi] as its four quarter-turns: one panel over a full turn resolves
+# no angular frequency above a few, so a turn that starts whole is bisected
+# twice before any panel is kept
+_QUARTERS = [(q * math.pi / 2, (q + 1) * math.pi / 2) for q in range(4)]
+
+
+def _adaptive(F, panels, tol, budget):
     """Greedy panel refinement until the summed error indicator is <= tol.
 
-    box is an interval (a, b) or a box (ax, bx, ay, by), and F takes one
-    node array per axis (see _panels).  A panel costs 21 evaluations per
-    axis, 21 ** (len(box) // 2) in all.  Returns (value, err, evals).  Each
-    step pops the worst panels until the error left in the heap is <= tol
-    or the budget cannot pay for another bisection, bisects each across the
-    axis _panels names, and measures all the children in one call of F; a
-    step that pops none raises OracleBudgetError, so evals never exceeds
-    the budget.  The heap tie-break counter makes pop order, and hence the
-    accumulated float sums, reproducible.  A non-finite integrand value
-    makes the summed indicator non-finite, which raises ValueError.
+    panels is a list of starting intervals (a, b) or boxes (ax, bx, ay, by),
+    all of one kind, and F takes one node array per axis (see _grid).  A
+    panel costs 21 evaluations per axis, 21 ** (len(box) // 2) in all.
+    Returns (value, err, evals).  The starting panels are measured in one
+    call of F; a tol below eps times their summed K21 of |F|, the least
+    rounding the sum carries, raises OracleBudgetError right after it.
+    Each step then pops the worst panels until the error left in the heap
+    is <= tol or the budget cannot pay for another bisection, bisects each
+    across the axis _panels names, and measures all the children in one
+    call of F; a step that pops none raises OracleBudgetError, so evals
+    never exceeds the budget.  The heap tie-break counter makes pop order,
+    and hence the accumulated float sums, reproducible.  A non-finite
+    integrand value makes the summed indicator non-finite, which raises
+    ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    cost = _X21.size ** (len(box) // 2)
-    if cost > budget:
+    cost = _X21.size ** (len(panels[0]) // 2)
+    evals = len(panels) * cost
+    if evals > budget:
         raise OracleBudgetError(
-            f"initial panel alone needs {cost} evaluations, budget is {budget}")
-    evals = cost
-    [(v, e, axis)] = _panels(F, [box])
-    heap = [(-e, 0, box, v, e, axis)]
-    counter = 1
-    total_v, total_e = v, e
-    while not total_e <= tol:
+            f"initial panels alone need {evals} evaluations, budget is {budget}")
+    vals, scale = _grid(F, panels)
+    floor = np.finfo(float).eps * sum(v for v, _, _ in _panels(np.abs(vals), scale))
+    children, rows = panels, _panels(vals, scale)
+    heap, counter = [], 0
+    total_v = total_e = 0.0
+    while True:
+        for child, (v, e, axis) in zip(children, rows):
+            total_v += v
+            total_e += e
+            heapq.heappush(heap, (-e, counter, child, v, e, axis))
+            counter += 1
         if not math.isfinite(total_e):
             raise ValueError("integrand is not finite on the integration region")
+        if tol < floor:  # fixed by the first call, so it raises there
+            raise OracleBudgetError(
+                f"tol {tol:.3e} is below the roundoff {floor:.3e} of the initial panels")
+        if total_e <= tol:
+            return total_v, total_e, evals
         children = []
         while heap and not total_e <= tol and evals + 2 * cost <= budget:
             _, _, box, pv, pe, axis = heapq.heappop(heap)
@@ -213,19 +249,15 @@ def _adaptive(F, box, tol, budget):
             raise OracleBudgetError(
                 f"needed more than {budget} evaluations (err {total_e:.3e} > tol {tol:.3e})"
             )
-        for child, (v2, e2, axis2) in zip(children, _panels(F, children)):
-            total_v += v2
-            total_e += e2
-            heapq.heappush(heap, (-e2, counter, child, v2, e2, axis2))
-            counter += 1
-    return total_v, total_e, evals
+        rows = _panels(*_grid(F, children))
 
 
 def quad_disk(f, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
     """Integral of f over the unit disk against normalized area measure.
 
-    Polar panels (r, theta) on [0,1] x [0,2pi]; the r Jacobian divided by pi
-    is folded into the integrand.
+    Polar panels (r, theta) on [0,1] x [0,2pi], which start as the four
+    quarter-turns in theta; the r Jacobian divided by pi is folded into the
+    integrand, on the radial nodes before the full grid is multiplied.
 
     Observed floor: the Bergman integrand phi(w) / (1 - z conj(w))^2 of a
     degree <= 8 polynomial at |z| = 0.999 reads an error near 1e-12 at any
@@ -237,9 +269,9 @@ def quad_disk(f, tol: float, budget: int = DEFAULT_BUDGET) -> QuadResult:
     fn = _as_fn(f)
 
     def F(R, T):
-        return fn(R * np.exp(1j * T)) * R / math.pi
+        return fn(R * np.exp(1j * T)) * (R / math.pi)
 
-    v, e, ev = _adaptive(F, (0.0, 1.0, 0.0, 2 * math.pi), tol, budget)
+    v, e, ev = _adaptive(F, [(0.0, 1.0) + q for q in _QUARTERS], tol, budget)
     return QuadResult(complex(v), float(e), ev)
 
 
@@ -253,15 +285,16 @@ def _about(z: complex, F, tol: float, budget: int) -> QuadResult:
     """Integral of F(beta, U, S) over (beta, U) in [0, 2 pi] x [0, 1], for
     polar coordinates centred at an interior point z: S = S(beta) is the exit
     radius along e^{i beta}, and F maps U to a radius on [0, S] itself.  The
-    region is refined in box panels.  Rejects z outside the open disk (NaN
-    included) before evaluating anything."""
+    region is refined in box panels, which start as the four quarter-turns
+    in beta.  Rejects z outside the open disk (NaN included) before
+    evaluating anything."""
     if not abs(z) < 1:
         raise ValueError(f"z must be interior, got {z}")
 
     def G(B, U):
         return F(B, U, _exit_radius(z, B))
 
-    v, e, ev = _adaptive(G, (0.0, 2 * math.pi, 0.0, 1.0), tol, budget)
+    v, e, ev = _adaptive(G, [q + (0.0, 1.0) for q in _QUARTERS], tol, budget)
     return QuadResult(complex(v), float(e), ev)
 
 
@@ -379,10 +412,10 @@ def angular_parseval_check(beta: float, r: float, tol: float = 1e-10,
                            budget: int = DEFAULT_BUDGET) -> tuple:
     """Mean of |1 - r e^{i theta}|^{-2 beta} over the circle, two ways.
 
-    Left: 1-D adaptive quadrature in theta.  Right: the Parseval sum
-    sum_n (c_n r^n)^2 with c_n = (beta)_n / n!, which is
-    2F1(beta, beta; 1; r^2) (specfun.hyp2f1, whose SeriesError a series
-    that does not converge raises).  Returns (lhs, rhs).
+    Left: 1-D adaptive quadrature in theta, from the four quarter-turns.
+    Right: the Parseval sum sum_n (c_n r^n)^2 with c_n = (beta)_n / n!,
+    which is 2F1(beta, beta; 1; r^2) (specfun.hyp2f1, whose SeriesError a
+    series that does not converge raises).  Returns (lhs, rhs).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -392,5 +425,5 @@ def angular_parseval_check(beta: float, r: float, tol: float = 1e-10,
     def f(T):
         return 1.0 / np.abs(1.0 - r * np.exp(1j * T)) ** (2 * beta) / (2 * math.pi)
 
-    lhs, _, _ = _adaptive(f, (0.0, 2 * math.pi), tol, budget)
+    lhs, _, _ = _adaptive(f, _QUARTERS, tol, budget)
     return float(lhs), hyp2f1(beta, beta, 1.0, r * r)

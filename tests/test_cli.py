@@ -627,9 +627,9 @@ def test_verify_passes_the_budget_to_every_quadrature(capsys, monkeypatch):
     budgets = []
     real, real_trapezoid = oracle._adaptive, oracle._trapezoid
 
-    def spy(F, box, tol, budget):
+    def spy(F, panels, tol, budget):
         budgets.append(budget)
-        return real(F, box, tol, budget)
+        return real(F, panels, tol, budget)
 
     def spy_trapezoid(z, F, tol, budget, *args):
         budgets.append(budget)

@@ -157,6 +157,62 @@ def test_evaluate_scalar_vs_array(rng):
         assert abs(arr[k] - got) < 1e-14
 
 
+def _evaluate_by_new_arrays(phi, z):
+    """evaluate's array path as it was before it accumulated in place: a
+    new array for every term and every partial sum."""
+    total = np.zeros_like(z, dtype=complex)
+    if not phi:
+        return total
+    zp = [np.ones_like(z, dtype=complex)]
+    zbp = [zp[0]]
+    zb = np.conj(z)
+    for _ in range(max(m for m, _ in phi.coeffs)):
+        zp.append(zp[-1] * z)
+    for _ in range(max(n for _, n in phi.coeffs)):
+        zbp.append(zbp[-1] * zb)
+    for (m, n), a in phi.items():
+        total = total + complex(a) * zp[m] * zbp[n]
+    return total
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_evaluate_in_place_matches_new_arrays():
+    # the in-place accumulation keeps the operand order, so on arrays every
+    # value, signed zeros included, is the one a new array per term gave.
+    # On a 0-d z numpy returns scalars, whose arithmetic rounds some complex
+    # products other than its array loops do, and the two bodies reach them
+    # at different steps: there they agree to roundoff and in shape
+    rng = random.Random("evaluate-in-place")
+    gen = np.random.default_rng(7)
+    shapes = [(), (3, 21, 21), (4, 21, 1), (17,)]
+    kinds = [
+        lambda: rand_poly(rng, max_total=12, terms=8),  # mixed
+        lambda: DiskPolynomial({(rng.randint(1, 12), 0): ExactScalar(Fraction(rng.randint(1, 9), 7))}),
+        lambda: DiskPolynomial({(0, rng.randint(1, 12)): ExactScalar(-2, Fraction(1, 3))}),
+        lambda: DiskPolynomial({(0, 0): ExactScalar(Fraction(-5, 3), 2)}),
+        lambda: DiskPolynomial({}),
+    ]
+    checked = 0
+    for shape in shapes:
+        re, im = gen.uniform(-1, 1, shape), gen.uniform(-1, 1, shape)
+        for z in (re + 1j * im, re, np.zeros(shape) * -1.0):
+            for kind in kinds:
+                for _ in range(6):
+                    phi = kind()
+                    got, want = evaluate(phi, z), _evaluate_by_new_arrays(phi, z)
+                    if shape:
+                        assert _same_bits(got, want), (phi, z.dtype, shape)
+                    else:
+                        assert np.shape(got) == () and np.asarray(got).dtype == complex
+                        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (phi, z)
+                    checked += 1
+    assert checked == 4 * 3 * 5 * 6
+
+
 def test_evaluate_honors_conjugate_powers():
     phi = DiskPolynomial({(1, 2): ExactScalar(1)})
     z = 0.3 + 0.4j

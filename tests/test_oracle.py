@@ -62,9 +62,10 @@ def test_quad_accepts_plain_callable():
 
 
 def test_quad_accepts_constant_callable():
-    # a callable may return a scalar; the panel grid still takes its shape
+    # a callable may return a scalar; the panel grid still takes its shape,
+    # and the four quarter-turn panels settle it at once
     r = quad_disk(lambda w: 2.0, 1e-10)
-    assert abs(r.value - 2.0) < 1e-12 and r.evaluations == 441
+    assert abs(r.value - 2.0) < 1e-12 and r.evaluations == 4 * 441
 
 
 def test_quad_rejects_junk():
@@ -239,7 +240,7 @@ def test_non_finite_integrand_rejected():
     with pytest.raises(ValueError, match="integrand is not finite"):
         quad_disk(lambda w: np.where(abs(w) > 0.5, np.nan, 1.0), 1e-8)
     with pytest.raises(ValueError, match="integrand is not finite"):
-        oracle._adaptive(lambda x: np.where(x > 0.5, np.inf, 1.0), (0.0, 1.0),
+        oracle._adaptive(lambda x: np.where(x > 0.5, np.inf, 1.0), [(0.0, 1.0)],
                          1e-8, 10**6)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="integrand is not finite"):
@@ -249,25 +250,32 @@ def test_non_finite_integrand_rejected():
 
 # --- broadcast panels -------------------------------------------------------
 
-def _reference_adaptive_2d(F, box, tol, budget):
+def _rule_matrix():
+    """K21 and G10 as the two columns of a (21, 2) matrix, G10 zero at the
+    11 Kronrod nodes."""
+    return np.stack([oracle._W21, np.r_[oracle._W10, np.zeros(11)]], axis=1)
+
+
+def _reference_adaptive_2d(F, panels, tol, budget):
     """The per-panel anisotropic refinement loop on full np.meshgrid arrays:
     per axis the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, one
-    integrand call per panel, the K21 x K21 value, the indicators e_x and
-    e_y of G10 in x and in y (times K21 in the other axis), and each step
-    bisects the worst panels, each along the axis of its larger indicator
-    (x on a tie), until the error left is <= tol or the budget is spent.
-    The broadcast oracle must reproduce it bit for bit."""
-    nodes, wk, wg = oracle._X21, oracle._W21, oracle._W10
+    integrand call per panel, whose 21 x 21 values V give W^T (V W) for the
+    rule matrix W: the K21 x K21 value and the indicators e_x and e_y of
+    G10 in x and in y (times K21 in the other axis).  Each step bisects the
+    worst panels, each along the axis of its larger indicator (x on a tie),
+    until the error left is <= tol or the budget is spent.  The broadcast
+    oracle must reproduce it bit for bit."""
+    nodes, W = oracle._X21, _rule_matrix()
 
     def panel(ax, bx, ay, by):
         xs = 0.5 * (ax + bx) + 0.5 * (bx - ax) * nodes
         ys = 0.5 * (ay + by) + 0.5 * (by - ay) * nodes
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        V = F(X, Y)
-        scale = 0.25 * (bx - ax) * (by - ay)
-        v = scale * np.einsum("i,j,ij->", wk, wk, V)
-        ex = abs(v - scale * np.einsum("i,j,ij->", wg, wk, V[:10, :]))
-        ey = abs(v - scale * np.einsum("i,j,ij->", wk, wg, V[:, :10]))
+        r = 0.25 * (bx - ax) * (by - ay) * (W.T @ (F(X, Y) @ W))
+        v = r[0, 0]
+        # np.abs, as the oracle takes it: the built-in abs of a complex
+        # rounds some moduli differently
+        ex, ey = np.abs(v - np.array([r[1, 0], r[0, 1]]))
         return v, ex + ey, ey > ex
 
     def halves(a, b, c, d, cut_y):
@@ -277,20 +285,24 @@ def _reference_adaptive_2d(F, box, tol, budget):
         mx = 0.5 * (a + b)
         return (a, mx, c, d), (mx, b, c, d)
 
-    return _reference_loop(panel, halves, tuple(box), 441, tol, budget)
+    return _reference_loop(panel, halves, panels, 441, tol, budget)
 
 
-def _reference_loop(measure, halves, box, cost, tol, budget):
-    """The batched pop of both reference loops: per step, pop the worst
-    panels while the error left exceeds tol and the budget pays for two more
-    panels, then measure the children one after the other."""
-    if cost > budget:
-        raise OracleBudgetError("initial panel")
-    v, e, cut = measure(*box)
-    evals = cost
-    heap = [(-e, 0, box + (v, e, cut))]
-    counter = 1
-    total_v, total_e = v, e
+def _reference_loop(measure, halves, panels, cost, tol, budget):
+    """The batched pop of both reference loops: measure the starting panels
+    one after the other, then per step pop the worst panels while the error
+    left exceeds tol and the budget pays for two more panels, and measure
+    the children one after the other."""
+    evals = len(panels) * cost
+    if evals > budget:
+        raise OracleBudgetError("initial panels")
+    heap, counter, total_v, total_e = [], 0, 0.0, 0.0
+    for box in panels:
+        v, e, cut = measure(*box)
+        total_v += v
+        total_e += e
+        heapq.heappush(heap, (-e, counter, tuple(box) + (v, e, cut)))
+        counter += 1
     while total_e > tol:
         if evals + 2 * cost > budget:
             raise OracleBudgetError("budget")
@@ -345,10 +357,10 @@ def _cone(X, Y):
     return np.abs(X * np.exp(1j * Y) - 0.3)
 
 
-@pytest.mark.parametrize("F,box", [(_cusp, (0.0, 1.0)),
-                                   (_cone, (0.0, 1.0, 0.0, 2 * math.pi))],
+@pytest.mark.parametrize("F,panels", [(_cusp, [(0.0, 1.0)]),
+                                      (_cone, [(0.0, 1.0) + q for q in oracle._QUARTERS])],
                          ids=["interval", "box"])
-def test_one_integrand_call_per_refinement_step(monkeypatch, F, box):
+def test_one_integrand_call_per_refinement_step(monkeypatch, F, panels):
     # a step pops a batch of panels and measures all their children in one
     # call: the pops since the previous call are half of its panels
     events = []
@@ -361,8 +373,8 @@ def test_one_integrand_call_per_refinement_step(monkeypatch, F, box):
         events.append(nodes[0].shape[0])
         return F(*nodes)
 
-    k = len(box) // 2
-    _, _, evals = oracle._adaptive(recording, box, 1e-9, 10**7)
+    k = len(panels[0]) // 2
+    _, _, evals = oracle._adaptive(recording, panels, 1e-9, 10**7)
     splits = events.count(0)
     assert splits > 10  # a cusp or a cone: many splits
 
@@ -371,7 +383,7 @@ def test_one_integrand_call_per_refinement_step(monkeypatch, F, box):
                      for i in range(k))
 
     calls = [e for e in events if e]
-    assert events[0] == 1 and shapes == [grid(p) for p in calls]
+    assert events[0] == len(panels) and shapes == [grid(p) for p in calls]
     pops = 0
     for e in events[1:]:
         if e:
@@ -380,18 +392,18 @@ def test_one_integrand_call_per_refinement_step(monkeypatch, F, box):
         else:
             pops += 1
     assert pops == 0
-    assert evals == 21**k * (1 + 2 * splits)
+    assert evals == 21**k * (len(panels) + 2 * splits)
     if k == 2:
         assert len(calls) < splits  # the cone's steps bisect several panels
 
 
 def test_budget_is_a_hard_cap():
-    # the cone at 1e-7 takes 8,379 evaluations (19 panels); each budget over
+    # the cone at 1e-7 takes 7,056 evaluations (16 panels); each budget over
     # its last 8 panels, on and off the 441-evaluation grid, either returns
     # the full result within the budget or raises
     f = lambda w: np.abs(w - 0.3)
     full = quad_disk(f, 1e-7)
-    assert full.evaluations == 8379
+    assert full.evaluations == 7056
     for budget in range(full.evaluations - 8 * 441, full.evaluations + 441, 147):
         try:
             got = quad_disk(f, 1e-7, budget=budget)
@@ -399,10 +411,11 @@ def test_budget_is_a_hard_cap():
             assert "needed more than" in str(exc) and budget < full.evaluations
         else:
             assert got == full and got.evaluations <= budget
-    # a budget below one panel raises before the integrand is called
+    # a budget below the four starting panels raises before the integrand
+    # is called
     seen = []
-    with pytest.raises(OracleBudgetError, match="initial panel"):
-        quad_disk(lambda w: seen.append(w) or f(w), 1e-7, budget=440)
+    with pytest.raises(OracleBudgetError, match="initial panels alone need 1764"):
+        quad_disk(lambda w: seen.append(w) or f(w), 1e-7, budget=4 * 441 - 1)
     assert not seen
 
 
@@ -411,7 +424,7 @@ def test_integrand_calls_pinned():
     # set, so a change to the batching or to the beta rule shows here
     calls = {"C": 0, "S": 0, "B": 0}
     evals = dict.fromkeys(calls, 0)
-    real_panels, real_trapezoid = oracle._panels, oracle._trapezoid
+    real_grid, real_trapezoid = oracle._grid, oracle._trapezoid
     rng = random.Random("integrand-calls")
     for radius in (0.0, 0.5, 0.9, 0.99) * 2:
         phi = rand_poly(rng, max_total=8, terms=6)
@@ -430,18 +443,107 @@ def test_integrand_calls_pinned():
                 return G
 
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(oracle, "_panels",
-                          lambda F, boxes: real_panels(counted(F), boxes))
+                m.setattr(oracle, "_grid",
+                          lambda F, boxes: real_grid(counted(F), boxes))
                 m.setattr(oracle, "_trapezoid",
                           lambda z, F, *args: real_trapezoid(z, counted(F), *args))
                 evals[name] += run().evaluations
-    assert calls == {"C": 8, "S": 8, "B": 65}
-    assert evals == {"C": 1544, "S": 2492, "B": 128772}
+    assert calls == {"C": 8, "S": 8, "B": 49}
+    assert evals == {"C": 1544, "S": 2492, "B": 118188}
 
 
 def test_tie_cuts_first_axis():
     # a zero integrand has equal (zero) indicators in x and y
-    assert oracle._panels(lambda X, Y: 0.0 * X * Y, [(0.0, 1.0, 0.0, 1.0)]) == [(0.0, 0.0, 0)]
+    grid = oracle._grid(lambda X, Y: 0.0 * X * Y, [(0.0, 1.0, 0.0, 1.0)])
+    assert oracle._panels(*grid) == [(0.0, 0.0, 0)]
+
+
+# --- starting panels -----------------------------------------------------------
+
+_QUARTER_TURNS = [(0.0, math.pi / 2), (math.pi / 2, math.pi),
+                  (math.pi, 1.5 * math.pi), (1.5 * math.pi, 2 * math.pi)]
+
+
+def _starting_panels(monkeypatch):
+    """The panels of the first integrand call of every _adaptive run, in
+    run order."""
+    starts, real_adaptive, real_grid = [], oracle._adaptive, oracle._grid
+
+    def adaptive(F, panels, tol, budget):
+        starts.append(None)
+        return real_adaptive(F, panels, tol, budget)
+
+    def grid(F, boxes):
+        if starts[-1] is None:
+            starts[-1] = list(boxes)
+        return real_grid(F, boxes)
+
+    monkeypatch.setattr(oracle, "_adaptive", adaptive)
+    monkeypatch.setattr(extremal, "_adaptive", adaptive)
+    monkeypatch.setattr(oracle, "_grid", grid)
+    return starts
+
+
+def test_full_turns_start_as_four_quarter_turns(monkeypatch):
+    # theta in quad_disk, beta in C and S on callables, and theta in the
+    # Parseval mean each start as the four quarter-turns, in order; every
+    # 1-D interval of the extremal toolkit starts whole
+    starts = _starting_panels(monkeypatch)
+    phi = DiskPolynomial({(2, 1): ExactScalar(1), (0, 3): ExactScalar(2)})
+    f = lambda w: evaluate(phi, w)
+    quad_disk(f, 1e-9)
+    cauchy_eval(f, 0.3 + 0.2j, 1e-8)
+    pv_beurling_eval(f, 0.3 + 0.2j, 1e-8)
+    angular_parseval_check(0.75, 0.6)
+    assert starts == [[(0.0, 1.0) + q for q in _QUARTER_TURNS],
+                      [q + (0.0, 1.0) for q in _QUARTER_TURNS],
+                      [q + (0.0, 1.0) for q in _QUARTER_TURNS],
+                      _QUARTER_TURNS]
+    starts.clear()
+    extremal.l1_at_zero(5e-6)
+    extremal.counterexample_p2()
+    assert len(starts) == 10 and all(len(s) == 1 and len(s[0]) == 2 for s in starts)
+    assert starts[0] == [(0.0, 1.0)] and starts[1][0][0] == math.log(2.0)
+
+
+def test_radial_integrand_costs_the_four_quarter_turns():
+    # a radial integrand is settled by its starting panels: 4 x 441
+    # evaluations, where one whole-turn panel would take 441.  That is the
+    # price of starting every turn in quarters; the ledger's
+    # oracle_area_moment pays it
+    area = quad_disk(DiskPolynomial({(1, 1): ExactScalar(1)}), 1e-8)
+    assert area.evaluations == 1764 and abs(area.value - 0.5) <= 1e-15
+    gauss = quad_disk(lambda w: np.exp(-np.abs(w) ** 2), 1e-10)
+    assert gauss.evaluations == 1764 and abs(gauss.value - (1 - math.exp(-1))) <= 1e-15
+
+
+def test_tol_below_roundoff_raises_after_one_call(monkeypatch):
+    # eps times the K21 of |F| over the starting panels is the least
+    # rounding their sum carries, and no refinement lowers it, so a tol
+    # below it raises right after the first integrand call
+    seen = []
+    monkeypatch.setattr(oracle, "evaluate", lambda phi, w: seen.append(w.size) or evaluate(phi, w))
+    phi = DiskPolynomial({(2, 1): ExactScalar(1)})
+    below = r"tol 1\.000e-20 is below the roundoff .* of the initial panels"
+    with pytest.raises(OracleBudgetError, match=below):
+        quad_disk(phi, 1e-20)
+    assert seen == [1764]
+    # the answer is settled by that call, so a tol above the floor returns
+    seen.clear()
+    assert quad_disk(phi, 1e-15).evaluations == 1764 and seen == [1764]
+    calls = []
+
+    def counted(fn):
+        return lambda *x: calls.append(1) or fn(*x)
+
+    for run in (lambda: cauchy_eval(counted(lambda w: w * w * np.conj(w)), 0.3, 1e-20),
+                lambda: oracle._adaptive(counted(lambda x: np.exp(x)), [(0.0, 1.0)], 1e-20, 10**6)):
+        calls.clear()
+        with pytest.raises(OracleBudgetError, match=below):
+            run()
+        assert len(calls) == 1
+    with pytest.raises(OracleBudgetError, match=below):
+        angular_parseval_check(0.75, 0.6, 1e-20)
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
@@ -449,14 +551,15 @@ def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
     # in the centred-polar maps the integrand of a degree <= 8 polynomial is
     # a polynomial of degree <= 15 in U, which G10 integrates exactly, so on
     # the box panels of a callable all the error, and every cut, is in beta;
-    # the polynomial itself never reaches a panel, box or interval
+    # at z = 0 the four quarter-turns settle C and S with no cut at all.
+    # The polynomial itself never reaches a panel, box or interval
     axes, boxes = [], []
     real = oracle._bisect
     monkeypatch.setattr(oracle, "_bisect",
                         lambda box, axis: axes.append(axis) or real(box, axis))
-    real_panels = oracle._panels
-    monkeypatch.setattr(oracle, "_panels",
-                        lambda F, bs: boxes.extend(bs) or real_panels(F, bs))
+    real_grid = oracle._grid
+    monkeypatch.setattr(oracle, "_grid",
+                        lambda F, bs: boxes.extend(bs) or real_grid(F, bs))
     rng = random.Random(f"bisect-axis/{radius}")
     for _ in range(6):
         phi = rand_poly(rng, max_total=8, terms=6)
@@ -470,7 +573,10 @@ def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
         cauchy_eval(lambda w: evaluate(phi, w), z, 1e-8)
         pv_beurling_eval(lambda w: evaluate(phi, w), z, 1e-8)
     assert boxes and {len(b) for b in boxes} == {4}
-    assert axes and set(axes) == {0}
+    if radius == 0.0:
+        assert not axes
+    else:
+        assert axes and set(axes) == {0}
 
 
 def test_near_boundary_agreement():
@@ -488,33 +594,33 @@ def test_near_boundary_agreement():
             assert abs(got.value - complex(evaluate(closed(phi), z))) <= tol, (phi, z)
 
 
-def _reference_adaptive_1d(f, a, b, tol, budget):
+def _reference_adaptive_1d(f, panels, tol, budget):
     """A stand-alone 1-D refinement loop: per segment one integrand call on
-    the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, the K21 value and
-    its distance to G10 as the indicator, and the batched pop of
-    _reference_loop.  The shared loop must reproduce it bit for bit."""
-    nodes, wk, wg = oracle._X21, oracle._W21, oracle._W10
+    the 21 Gauss-Kronrod nodes, the 10 Gauss nodes first, whose values as a
+    (1, 21) row times the rule matrix give the K21 value and its distance
+    to G10 as the indicator, and the batched pop of _reference_loop.  The
+    shared loop must reproduce it bit for bit."""
+    nodes, W = oracle._X21, _rule_matrix()
 
     def measure(lo, hi):
         y = f(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
-        scale = 0.5 * (hi - lo)
-        v = scale * np.einsum("i,i->", wk, y)
-        return v, abs(v - scale * np.einsum("i,i->", wg, y[:10])), None
+        r = 0.5 * (hi - lo) * (y[None] @ W)[0]
+        return r[0], abs(r[0] - r[1]), None
 
     def halves(lo, hi, _):
         mid = 0.5 * (lo + hi)
         return (lo, mid), (mid, hi)
 
-    return _reference_loop(measure, halves, (a, b), 21, tol, budget)
+    return _reference_loop(measure, halves, panels, 21, tol, budget)
 
 
 def test_shared_loop_matches_1d_reference(monkeypatch):
     real = oracle._adaptive
     calls = []
 
-    def recording(F, box, tol, budget):
-        out = real(F, box, tol, budget)
-        calls.append((F, box, tol, budget, out))
+    def recording(F, panels, tol, budget):
+        out = real(F, panels, tol, budget)
+        calls.append((F, panels, tol, budget, out))
         return out
 
     monkeypatch.setattr(oracle, "_adaptive", recording)
@@ -523,9 +629,11 @@ def test_shared_loop_matches_1d_reference(monkeypatch):
         angular_parseval_check(beta, r)
     extremal.l1_at_zero(5e-6)
     extremal.counterexample_p2()  # the L2 norm integral and eight annuli
-    assert [len(box) for _, box, _, _, _ in calls] == [2] * 14
-    for F, (a, b), tol, budget, got in calls:
-        assert got == _reference_adaptive_1d(F, a, b, tol, budget), (a, b, tol)
+    # Parseval's turn starts as four quarter-turns, every other interval whole
+    assert [len(panels) for _, panels, _, _, _ in calls] == [4] * 4 + [1] * 10
+    assert {len(box) for _, panels, _, _, _ in calls for box in panels} == {2}
+    for F, panels, tol, budget, got in calls:
+        assert got == _reference_adaptive_1d(F, panels, tol, budget), (panels, tol)
 
 
 # (2/pi) int_0^1 of l1_at_zero's integrand, clamped at r = 1 - 1e-8 as there
@@ -942,7 +1050,7 @@ def test_accuracy_ladder_and_work():
     worst, evals = _ladder()
     assert worst <= 1.0
     # the exact work of the set, so a change that inflates it fails here
-    assert evals == 701_138
+    assert evals == 642_926
 
 
 def test_every_budget_defaults_to_the_default_budget():
