@@ -273,18 +273,32 @@ def norm_sq(phi: DiskPolynomial) -> Fraction:
     return Fraction(num, den * q * q)
 
 
+# Most points per pass of evaluate's array path: 32 KB per complex temporary
+_CHUNK = 2048
+
+
 def evaluate(phi: DiskPolynomial, z):
     """Evaluate at a point (or ndarray) with |z| <= 1.
 
-    On an array, each coefficient is converted to complex once and the
-    powers z^k and conj(z)^k are tabulated by repeated multiplication up to
-    the largest exponents.  Each term a z^m conj(z)^n is formed in one
-    preallocated buffer and added into the result in place, in the operand
-    order (a z^m) conj(z)^n, so no term or partial sum allocates.  The
-    oracle's exact rule for a polynomial in cauchy_eval and pv_beurling_eval
-    makes one such call on all its nodes (pv_beurling_eval one more, at z
-    alone); its panels make one per refinement step, on the node grids of
-    the starting panels and then on the grids of both halves of each
+    An array is evaluated in complex128, a 0-d one or a numpy scalar as a
+    (1,) array, returned as a 0-d array.  Its points are taken in flat C
+    order, in contiguous chunks of at most 2048 and near-equal size, so no
+    chunk holds one point unless z does: on one element numpy's in-place
+    multiply rounds some products other than on longer arrays.  Per chunk,
+    z^k and conj(z)^k are tabulated by repeated multiplication from z^1 = z
+    up to the largest exponents the terms read, conj(z)^k only when some
+    term has n > 0.  Each term a z^m conj(z)^n, a converted to complex
+    once, is formed in one preallocated buffer in the operand order
+    (a z^m) conj(z)^n, with no factor z^0 or conj(z)^0, and added into the
+    result in place, in dict order; a constant term is added as a scalar.
+    The chunks bound each temporary to 32 KB, reused from the heap: a table
+    on a whole 16-panel oracle grid (7056 points) took 113 KB per power,
+    which glibc handed back to the OS when freed at the top of the heap
+    (its trim threshold is 128 KB), so the next call faulted its pages in
+    again.  The oracle's exact rule for a polynomial in cauchy_eval and
+    pv_beurling_eval makes one call on all its nodes (pv_beurling_eval one
+    more, at z alone); its panels make one per refinement step, on the node
+    grids of the starting panels and then of both halves of each
     bisection."""
     if not hasattr(z, "shape"):
         total = 0j
@@ -294,22 +308,37 @@ def evaluate(phi: DiskPolynomial, z):
         return total
     import numpy as np
 
-    total = np.zeros_like(z, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
     if not phi:
-        return total
-    zp = [np.ones_like(z, dtype=complex)]
-    zbp = [zp[0]]
-    zb = np.conj(z)
-    for _ in range(max(m for m, _ in phi.coeffs)):
-        zp.append(zp[-1] * z)
-    for _ in range(max(n for _, n in phi.coeffs)):
-        zbp.append(zbp[-1] * zb)
-    term = np.empty_like(total)
-    for (m, n), a in phi.items():
-        np.multiply(complex(a), zp[m], out=term)
-        np.multiply(term, zbp[n], out=term)
-        np.add(total, term, out=total)
-    return total
+        return out
+    terms = [(m, n, complex(a)) for (m, n), a in phi.items()]
+    m_max = max(m for m, _, _ in terms)
+    n_max = max(n for _, n, _ in terms)
+    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+    k = -(-z.size // _CHUNK)
+    cuts = [z.size * i // k for i in range(k + 1)]
+    for i, j in zip(cuts, cuts[1:]):
+        w, total = flat_z[i:j], flat_out[i:j]
+        zp = [None, w]
+        for _ in range(m_max - 1):
+            zp.append(zp[-1] * w)
+        zbp = [None, np.conj(w)] if n_max else [None]
+        for _ in range(n_max - 1):
+            zbp.append(zbp[-1] * zbp[1])
+        term = np.empty_like(total)
+        for m, n, a in terms:
+            if m:
+                np.multiply(a, zp[m], out=term)
+            elif n:
+                term.fill(a)  # times conj(z)^n in place, as the other terms
+            else:
+                np.add(total, a, out=total)
+                continue
+            if n:
+                np.multiply(term, zbp[n], out=term)
+            np.add(total, term, out=total)
+    return out
 
 
 def d_dz(phi: DiskPolynomial) -> DiskPolynomial:

@@ -109,6 +109,8 @@ _X21, _W21 = np.array([row[:2] for row in _GK21]).T
 _W10 = np.array([row[2] for row in _GK21 if len(row) == 3])
 # K21 and G10 as the columns of one matrix, G10 zero at the Kronrod nodes
 _W2 = np.stack([_W21, np.r_[_W10, np.zeros(_X21.size - _W10.size)]], axis=1)
+# _W2 in complex, for complex grids: numpy would cast _W2 on every product
+_W2C = _W2.astype(complex)
 
 
 class OracleBudgetError(RuntimeError):
@@ -167,18 +169,35 @@ def _panels(vals, scale):
     axis of the largest term, the first one on a tie, as a list of
     (value, indicator, axis).
 
-    Two array passes contract the grid with K21 and G10 at once (_W2): the
-    last axis first, then x.  Each panel's sums are small matrix products
-    of its own, an interval's values taken as a (1, 21) row, so they do not
-    depend on how many panels share the call."""
+    Two array passes contract the grid with K21 and G10 at once: the last
+    axis first, then x.  The rule matrix is _W2, or its complex copy _W2C
+    on a complex grid, the product numpy forms after casting _W2 itself.
+    Each panel's sums are small matrix products of its own, an interval's
+    values taken as a (1, 21) row, so they do not depend on how many panels
+    share the call."""
+    w = _W2C if np.iscomplexobj(vals) else _W2
     if vals.ndim == 2:  # intervals
-        r = scale[:, None] * (vals[:, None] @ _W2)[:, 0]  # r[:, i]: rule i
+        r = scale[:, None] * (vals[:, None] @ w)[:, 0]  # r[:, i]: rule i
         v = r[:, 0]
         return list(zip(v.tolist(), np.abs(v - r[:, 1]).tolist(), [0] * len(v)))
-    r = scale[:, None, None] * (_W2.T @ (vals @ _W2))  # r[:, i, j]: rule i in x, j in y
+    r = scale[:, None, None] * (w.T @ (vals @ w))  # r[:, i, j]: rule i in x, j in y
     v = r[:, 0, 0]
     ex, ey = np.abs(v - r[:, 1, 0]), np.abs(v - r[:, 0, 1])
     return list(zip(v.tolist(), (ex + ey).tolist(), (ey > ex).astype(int).tolist()))
+
+
+def _roundoff_floor(vals, scale, tol):
+    """eps times the K21 of |vals| summed over the panels (see _panels), the
+    least rounding their summed value carries, or 0.0 where that cannot
+    exceed tol.  The K21 weights are positive and sum to 2 per axis, so the
+    floor is at most eps max|vals| sum(scale) 2^axes, and it is computed
+    only for a tol below twice that bound: the factor 2 covers the rounding
+    of both sums, which is of the order of 100 eps."""
+    eps = np.finfo(float).eps
+    a = np.abs(vals)
+    if not tol < 2 * eps * a.max() * scale.sum() * 2 ** (vals.ndim - 1):
+        return 0.0
+    return eps * sum(v for v, _, _ in _panels(a, scale))
 
 
 def _bisect(box, axis):
@@ -203,7 +222,8 @@ def _adaptive(F, panels, tol, budget):
     panel costs 21 evaluations per axis, 21 ** (len(box) // 2) in all.
     Returns (value, err, evals).  The starting panels are measured in one
     call of F; a tol below eps times their summed K21 of |F|, the least
-    rounding the sum carries, raises OracleBudgetError right after it.
+    rounding the sum carries (_roundoff_floor), raises OracleBudgetError
+    right after it.
     Each step then pops the worst panels until the error left in the heap
     is <= tol or the budget cannot pay for another bisection, bisects each
     across the axis _panels names, and measures all the children in one
@@ -221,7 +241,7 @@ def _adaptive(F, panels, tol, budget):
         raise OracleBudgetError(
             f"initial panels alone need {evals} evaluations, budget is {budget}")
     vals, scale = _grid(F, panels)
-    floor = np.finfo(float).eps * sum(v for v, _, _ in _panels(np.abs(vals), scale))
+    floor = _roundoff_floor(vals, scale, tol)
     children, rows = panels, _panels(vals, scale)
     heap, counter = [], 0
     total_v = total_e = 0.0

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,28 @@ def _evaluate_by_new_arrays(phi, z):
     return total
 
 
+def _evaluate_with_unit_powers(phi, z):
+    """evaluate's array path before it dropped the tables' z^0 = 1 and the
+    factors it gave: every term is multiplied in place in one buffer, so
+    on a single point numpy takes its in-place rounding there too."""
+    total = np.zeros_like(z, dtype=complex)
+    if not phi:
+        return total
+    zp = [np.ones_like(z, dtype=complex)]
+    zbp = [zp[0]]
+    zb = np.conj(z)
+    for _ in range(max(m for m, _ in phi.coeffs)):
+        zp.append(zp[-1] * z)
+    for _ in range(max(n for _, n in phi.coeffs)):
+        zbp.append(zbp[-1] * zb)
+    term = np.empty_like(total)
+    for (m, n), a in phi.items():
+        np.multiply(complex(a), zp[m], out=term)
+        np.multiply(term, zbp[n], out=term)
+        np.add(total, term, out=total)
+    return total
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -182,35 +205,64 @@ def _same_bits(a, b):
 
 def test_evaluate_in_place_matches_new_arrays():
     # the in-place accumulation keeps the operand order, so on arrays every
-    # value, signed zeros included, is the one a new array per term gave.
-    # On a 0-d z numpy returns scalars, whose arithmetic rounds some complex
-    # products other than its array loops do, and the two bodies reach them
-    # at different steps: there they agree to roundoff and in shape
+    # value, signed zeros included, is the one a new array per term gave,
+    # across the 2048-point chunk boundaries and on a view or a
+    # Fortran-ordered array alike.  On one point numpy's in-place multiply
+    # rounds some complex products other than on longer arrays, and its
+    # scalar arithmetic, which the references take on a 0-d z, other than
+    # both: a 0-d z or numpy scalar is evaluated as a (1,) array, with the
+    # bits the in-place body with unit powers gives there
     rng = random.Random("evaluate-in-place")
     gen = np.random.default_rng(7)
-    shapes = [(), (3, 21, 21), (4, 21, 1), (17,)]
+    shapes = [(), (3, 21, 21), (4, 21, 1), (17,), (2047,), (2048,), (2049,), (6149,),
+              (16, 21, 21)]
+    layouts = [(shape, lambda a: a) for shape in shapes] + [
+        ((16, 21, 42), lambda a: a[:, 1:, ::2]),  # a non-contiguous view
+        ((16, 21, 21), np.asfortranarray),
+    ]
     kinds = [
         lambda: rand_poly(rng, max_total=12, terms=8),  # mixed
         lambda: DiskPolynomial({(rng.randint(1, 12), 0): ExactScalar(Fraction(rng.randint(1, 9), 7))}),
-        lambda: DiskPolynomial({(0, rng.randint(1, 12)): ExactScalar(-2, Fraction(1, 3))}),
+        lambda: DiskPolynomial({(0, rng.randint(1, 12)): ExactScalar(Fraction(rng.randint(1, 9), 7),
+                                                                     Fraction(-rng.randint(1, 9), 5))}),
         lambda: DiskPolynomial({(0, 0): ExactScalar(Fraction(-5, 3), 2)}),
         lambda: DiskPolynomial({}),
     ]
     checked = 0
-    for shape in shapes:
+    for shape, layout in layouts:
         re, im = gen.uniform(-1, 1, shape), gen.uniform(-1, 1, shape)
-        for z in (re + 1j * im, re, np.zeros(shape) * -1.0):
+        for z in map(layout, (re + 1j * im, re, np.zeros(shape) * -1.0)):
             for kind in kinds:
                 for _ in range(6):
                     phi = kind()
-                    got, want = evaluate(phi, z), _evaluate_by_new_arrays(phi, z)
+                    got = evaluate(phi, z)
                     if shape:
-                        assert _same_bits(got, want), (phi, z.dtype, shape)
+                        assert _same_bits(got, _evaluate_by_new_arrays(phi, z)), (phi, z.dtype, shape)
                     else:
-                        assert np.shape(got) == () and np.asarray(got).dtype == complex
-                        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (phi, z)
+                        one = _evaluate_with_unit_powers(phi, z.reshape(1))
+                        assert _same_bits(evaluate(phi, z.reshape(1)), one), (phi, z)
+                        assert _same_bits(got, one.reshape(())), (phi, z)
+                        assert _same_bits(evaluate(phi, z[()]), one.reshape(())), (phi, z)
                     checked += 1
-    assert checked == 4 * 3 * 5 * 6
+    assert checked == 11 * 3 * 5 * 6
+
+
+def test_evaluate_peak_memory_is_chunked():
+    # a degree-8 polynomial on a 16-panel oracle grid (7056 points): its
+    # power tables on the whole grid would peak near 2 MB, its chunks of at
+    # most 2048 points hold each temporary to 32 KB
+    phi = DiskPolynomial({(8, 0): ExactScalar(1), (0, 8): ExactScalar(0, 1),
+                          (4, 4): ExactScalar(Fraction(1, 3)), (5, 2): ExactScalar(-2)})
+    gen = np.random.default_rng(8)
+    z = gen.uniform(0, 1, (16, 21, 1)) * np.exp(1j * gen.uniform(0, 2 * math.pi, (16, 1, 21)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(phi, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2**20, peak - before
 
 
 def test_evaluate_honors_conjugate_powers():

@@ -546,6 +546,33 @@ def test_tol_below_roundoff_raises_after_one_call(monkeypatch):
         angular_parseval_check(0.75, 0.6, 1e-20)
 
 
+def test_roundoff_floor_is_never_skipped_above_tol():
+    # the exact floor, eps times the K21 of |f| over the panels, is computed
+    # only for a tol below twice its cheap bound eps max|f| sum(scale)
+    # 2^axes, so a floor above tol is never skipped, on random grids and on
+    # a constant |f|, where the bound and the floor coincide up to rounding
+    gen = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    grids = []
+    for p in (1, 3, 16):
+        for shape in ((p, 21), (p, 21, 21)):
+            scale = gen.uniform(0.01, 2.0, p)
+            grids += [
+                (gen.normal(size=shape) + 1j * gen.normal(size=shape), scale),
+                (gen.standard_cauchy(size=shape), scale),  # max|f| far above the mean
+                (3.7 * np.exp(1j * gen.uniform(0, 2 * math.pi, shape)), scale),
+                (np.full(shape, -0.25), scale),
+            ]
+    for vals, scale in grids:
+        floor = eps * sum(v for v, _, _ in oracle._panels(np.abs(vals), scale))
+        for tol in (floor, np.nextafter(floor, 0), floor * (1 - 1e-12), floor / 1.5,
+                    np.nextafter(floor, 1), floor * 1.5, floor * 10):
+            got = oracle._roundoff_floor(vals, scale, tol)
+            assert got == floor if floor > tol else got in (0.0, floor), (vals.shape, tol)
+        # far above the floor the cheap bound settles it: no exact floor
+        assert oracle._roundoff_floor(vals, scale, 1e6 * floor) == 0.0
+
+
 @pytest.mark.parametrize("radius", [0.0, 0.5, 0.99])
 def test_polynomial_kernels_never_bisect_U(monkeypatch, radius):
     # in the centred-polar maps the integrand of a degree <= 8 polynomial is
