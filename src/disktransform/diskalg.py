@@ -193,7 +193,8 @@ def _fields(x) -> tuple[int, int, int] | None:
 
 class DiskPolynomial:
     """Sparse polynomial in z and zbar; keys (m, n) with m, n >= 0, values
-    nonzero ExactScalar."""
+    nonzero ExactScalar.  The constructor checks every key and coefficient;
+    results built in the package skip the checks (_poly)."""
 
     __slots__ = ("coeffs",)
 
@@ -228,22 +229,45 @@ class DiskPolynomial:
         return self.coeffs == other.coeffs
 
     def __add__(self, other):
+        if not isinstance(other, DiskPolynomial):
+            return NotImplemented
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out[k] + v if k in out else v
-        return DiskPolynomial(out)
+        return _poly(out)
 
     def __sub__(self, other):
+        if not isinstance(other, DiskPolynomial):
+            return NotImplemented
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out[k] - v if k in out else -v
-        return DiskPolynomial(out)
+        return _poly(out)
 
     def __neg__(self):
-        return DiskPolynomial({k: -v for k, v in self.coeffs.items()})
+        return _poly({k: -v for k, v in self.coeffs.items()})
 
     def __repr__(self):
         return f"DiskPolynomial({self.coeffs!r})"
+
+
+_set_coeffs = DiskPolynomial.coeffs.__set__
+
+
+def _poly(coeffs: dict) -> DiskPolynomial:
+    """The DiskPolynomial of coeffs without __init__'s checks, for results
+    built in this package: its keys are pairs of ints >= 0 and its values
+    ExactScalar.  Zero values are dropped; the rest keep their order."""
+    p = _new(DiskPolynomial)
+    _set_coeffs(p, {k: a for k, a in coeffs.items() if a})
+    return p
+
+
+def _from_fields(acc: dict) -> DiskPolynomial:
+    """The DiskPolynomial of acc, which maps keys to int fields (a, b, d),
+    d > 0, of values (a + b i)/d not in normal form; each nonzero value is
+    brought to normal form once."""
+    return _poly({k: _reduced(a, b, d) for k, (a, b, d) in acc.items() if a or b})
 
 
 def norm_sq(phi: DiskPolynomial) -> Fraction:
@@ -347,7 +371,7 @@ def d_dz(phi: DiskPolynomial) -> DiskPolynomial:
     for (m, n), a in phi.items():
         if m >= 1:
             out[(m - 1, n)] = a * m
-    return DiskPolynomial(out)
+    return _poly(out)
 
 
 def d_dzbar(phi: DiskPolynomial) -> DiskPolynomial:
@@ -355,12 +379,12 @@ def d_dzbar(phi: DiskPolynomial) -> DiskPolynomial:
     for (m, n), a in phi.items():
         if n >= 1:
             out[(m, n - 1)] = a * n
-    return DiskPolynomial(out)
+    return _poly(out)
 
 
 def conjugate(phi: DiskPolynomial) -> DiskPolynomial:
     """Pointwise complex conjugate: (m, n) -> (n, m) with conjugated coefficients."""
-    return DiskPolynomial({(n, m): a.conjugate() for (m, n), a in phi.items()})
+    return _poly({(n, m): a.conjugate() for (m, n), a in phi.items()})
 
 
 def to_tuples(phi: DiskPolynomial) -> list[tuple[int, int, float, float]]:

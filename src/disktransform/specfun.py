@@ -97,7 +97,7 @@ def bessel_j(alpha: float, x: float) -> float:
         if alpha != int(alpha):
             raise DomainError(f"bessel_j({alpha}, {x}): for x > 8 only integer orders "
                               "are supported")
-        return _bessel_j_fixed(int(alpha), x)
+        return _bessel_j_fixed(int(alpha), x)[0]
     half = 0.5 * x
     term = half**alpha / gamma(alpha + 1.0)
     total = term
@@ -111,19 +111,24 @@ def bessel_j(alpha: float, x: float) -> float:
     raise SeriesError(f"bessel_j({alpha}, {x}) did not converge")
 
 
-def _bessel_j_fixed(n: int, x: float) -> float:
-    """J_n(x) for integer n, the series summed in Python integers scaled by
-    2^P.
+def _bessel_j_fixed(n: int, x: float) -> tuple[float, float]:
+    """(J_n(x), J_{n+1}(x)) for integer n, both series summed in one loop in
+    Python integers scaled by 2^P.
 
-    x/2 = num / 2^sh exactly (x is a binary float).  Term k is term k-1
-    times num^2 / 2^(2 sh) / (k (k + n)), truncated toward zero.
+    x/2 = num / 2^sh exactly (x is a binary float).  Term k of J_n is term
+    k-1 times num^2 / 2^(2 sh) / (k (k + n)), and term k of J_{n+1} is term
+    k of J_n times num / 2^sh / (k + n + 1), each truncated toward zero.
 
     Each truncation errs by less than one unit 2^-P, and a unit dropped at
-    term j reaches term k multiplied by at most (x/2)^(2m) / (m!)^2,
-    m = k - j, a term of I_0(x) <= e^x.  So the summed error is below
-    (terms + 1) e^x 2^-P, and P = 128 + ceil(x log2 e) makes it below
-    (terms + 1) 2^-128.  total / 2^P is correctly rounded int division.
-    The sum stops once k > x/2 and |term| < ABS_TOL/100.
+    term j of J_n reaches its term k multiplied by at most (x/2)^(2m) /
+    (m!)^2, m = k - j, a term of I_0(x) <= e^x.  So J_n's summed error is
+    below (terms + 1) e^x 2^-P, and P = 128 + ceil(x log2 e) makes it below
+    (terms + 1) 2^-128.  Term k of J_{n+1} errs by below one unit plus
+    (x/2) / (k + n + 1) times the error of J_n's term k, which is below
+    I_1(x) <= sinh(x) units, so J_{n+1} has the same bound.  total / 2^P is
+    correctly rounded int division.  The sum stops once k > x/2 and J_n's
+    |term| < ABS_TOL/100; past k > x/2 the terms of J_{n+1} are below those
+    of J_n and fall too, so its tail is below ABS_TOL/100 as well.
     """
     num, den = x.as_integer_ratio()
     sh = den.bit_length()  # den = 2^(sh-1), so x/2 = num / 2^sh
@@ -131,15 +136,23 @@ def _bessel_j_fixed(n: int, x: float) -> float:
     tn, td = ABS_TOL.as_integer_ratio()
     bound = (tn << prec) // (100 * td)
     a = (num**n << prec) // (math.factorial(n) << (n * sh))  # |term_0| 2^P
-    total = a
+    b = a * num // (n + 1 << sh)
+    total, total1 = a, b
     num2 = num * num
     half = 0.5 * x
     shift = 2 * sh
     for k in range(1, MAX_TERMS):
         a = a * num2 // (k * (k + n) << shift)
-        total += -a if k & 1 else a
+        b = a * num // (k + n + 1 << sh)
+        if k & 1:
+            total -= a
+            total1 -= b
+        else:
+            total += a
+            total1 += b
         if k > half and a < bound:
-            return total / (1 << prec)
+            scale = 1 << prec
+            return total / scale, total1 / scale
     raise SeriesError(f"bessel_j({n}, {x}) fixed-point series did not converge")
 
 
@@ -198,10 +211,11 @@ def bessel_zero(d: int) -> float:
     The bracketed Newton walk of _newton_root, the one that also finds
     alpha and delta, takes it to the last float, with
     J_d' = (d/x) J_d - J_{d+1} (DLMF 10.6.2).  The walk evaluates J_d and
-    J_d' by the fixed-point series at every x: below x = 8 the float64
-    series errs by about 1e-15 near the root, enough to move the zero of J_4
-    by 15 ulp.  With it the result equals the correctly rounded zero
-    (40-digit mpmath) for every d.
+    J_{d+1} by the fixed-point series at every x, both from one loop of
+    _bessel_j_fixed, whose J_{d+1} terms are J_d's times (x/2)/(k+d+1)
+    (DLMF 10.2.2): below x = 8 the float64 series errs by about 1e-15 near
+    the root, enough to move the zero of J_4 by 15 ulp.  With it the result
+    equals the correctly rounded zero (40-digit mpmath) for every d.
     """
     if not (isinstance(d, numbers.Integral) and 0 <= d <= 20):
         raise DomainError(f"bessel_zero supports integer 0 <= d <= 20, got {d!r}")
@@ -212,8 +226,8 @@ def bessel_zero(d: int) -> float:
         hi = lo + _QW_E * d ** (-1 / 3)
 
     def fdf(x):
-        jd = _bessel_j_fixed(d, x)
-        return jd, d / x * jd - _bessel_j_fixed(d + 1, x)
+        jd, jd1 = _bessel_j_fixed(d, x)
+        return jd, d / x * jd - jd1
 
     return _newton_root(fdf, lo, hi)
 

@@ -110,7 +110,9 @@ def _jacobi(kmax: int, a: int, beta, x: np.ndarray) -> np.ndarray:
 
     beta is an int or a 1-D array of ints; an array runs all its weights in
     one recurrence on a new leading axis, from step coefficients tabulated
-    once.
+    once.  The factors A x + B of all steps are formed in one array pass, so
+    a step is three elementwise operations, (A x + B) P_k - C P_{k-1}, each
+    element rounded in the same order as in scalar arithmetic.
     """
     bt = np.asarray(beta)[..., None]  # on x's axis
     P1 = (a + 1.0) + 0.5 * (a + bt + 2) * (x - 1.0)
@@ -124,10 +126,9 @@ def _jacobi(kmax: int, a: int, beta, x: np.ndarray) -> np.ndarray:
     s = n + nb + a
     s1, s2 = s + 1.0, s + 2.0
     den = (n + 1.0) * (nb + a + 1.0) * s
-    steps = zip(s * s1 * s2 / (den + den), (a * a - bt * bt) * s1 / (den + den),
-                (n + a) * nb * s2 / den)
-    for k, (A, B, C) in enumerate(steps, 2):
-        P0, P1 = P1, (A * x + B) * P1 - C * P0
+    AxB = s * s1 * s2 / (den + den) * x + (a * a - bt * bt) * s1 / (den + den)
+    for k, (AB, C) in enumerate(zip(AxB, (n + a) * nb * s2 / den), 2):
+        P0, P1 = P1, AB * P1 - C * P0
         out[..., k] = P1
     return out
 

@@ -1,7 +1,12 @@
 """Closed-form integral transforms of disk polynomials.
 
 Every operator acts per monomial a z^m zbar^n and returns a DiskPolynomial,
-exactly.  Conventions (dA normalized by 1/pi):
+exactly.  Each monomial's images are added under their output keys as int
+fields that are not reduced (_add_fields); each output coefficient is
+brought to normal form once, at the end, and the keys keep the order in
+which the rules first reach them.  t_hs sums its constant as int fields too
+and adds it to the z^0 coefficient of cauchy_P's result.  Conventions (dA
+normalized by 1/pi):
 
     cauchy_integral  C[f](z) = int f(w) / (w - z) dA(w)
     j0_op            J0[f](z) = int z f(w) / (1 - conj(w) z) dA(w)
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .diskalg import DiskPolynomial
+from .diskalg import DiskPolynomial, ExactScalar, _from_fields, _poly
 
 __all__ = [
     "TransformKind",
@@ -46,11 +51,15 @@ class TransformKind(Enum):
     HengartnerSchoberT = "HengartnerSchoberT"
 
 
-def _accumulate(out: dict, key: tuple, val) -> None:
-    if key in out:
-        out[key] = out[key] + val
+def _add_fields(out: dict, key: tuple, a: int, b: int, d: int) -> None:
+    """Adds (a + b i)/d, d > 0, to out[key] as int fields (a, b, d) that are
+    not brought to normal form; a new key goes to the end of out."""
+    f = out.get(key)
+    if f is None:
+        out[key] = a, b, d
     else:
-        out[key] = val
+        c, e, g = f
+        out[key] = a * g + c * d, b * g + e * d, d * g
 
 
 def cauchy_integral(phi: DiskPolynomial) -> DiskPolynomial:
@@ -58,10 +67,11 @@ def cauchy_integral(phi: DiskPolynomial) -> DiskPolynomial:
     -a z^m zbar^{n+1} / (n+1) otherwise."""
     out: dict = {}
     for (m, n), a in phi.items():
+        x, y, q = a._a, a._b, a._d * (n + 1)
         if m - n >= 1:
-            _accumulate(out, (m - n - 1, 0), a.scaled(1, n + 1))
-        _accumulate(out, (m, n + 1), a.scaled(-1, n + 1))
-    return DiskPolynomial(out)
+            _add_fields(out, (m - n - 1, 0), x, y, q)
+        _add_fields(out, (m, n + 1), -x, -y, q)
+    return _from_fields(out)
 
 
 def j0_op(phi: DiskPolynomial) -> DiskPolynomial:
@@ -69,8 +79,8 @@ def j0_op(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (m, n), a in phi.items():
         if m >= n:
-            _accumulate(out, (m - n + 1, 0), a.scaled(1, m + 1))
-    return DiskPolynomial(out)
+            _add_fields(out, (m - n + 1, 0), a._a, a._b, a._d * (m + 1))
+    return _from_fields(out)
 
 
 def j0_star(phi: DiskPolynomial) -> DiskPolynomial:
@@ -83,8 +93,8 @@ def j0_star(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (m, n), a in phi.items():
         if m >= n + 1:
-            _accumulate(out, (m - n - 1, 0), a.scaled(1, m + 1))
-    return DiskPolynomial(out)
+            _add_fields(out, (m - n - 1, 0), a._a, a._b, a._d * (m + 1))
+    return _from_fields(out)
 
 
 def cauchy_P(phi: DiskPolynomial) -> DiskPolynomial:
@@ -95,13 +105,14 @@ def cauchy_P(phi: DiskPolynomial) -> DiskPolynomial:
     """
     out: dict = {}
     for (m, n), a in phi.items():
+        x, y, q = a._a, a._b, a._d * (n + 1)
         if m - n >= 1:
-            _accumulate(out, (m - n - 1, 0), a.scaled(-1, n + 1))
-            _accumulate(out, (m, n + 1), a.scaled(1, n + 1))
+            _add_fields(out, (m - n - 1, 0), -x, -y, q)
+            _add_fields(out, (m, n + 1), x, y, q)
         else:
-            _accumulate(out, (m, n + 1), a.scaled(1, n + 1))
-            _accumulate(out, (1 + n - m, 0), a.conjugate().scaled(-1, n + 1))
-    return DiskPolynomial(out)
+            _add_fields(out, (m, n + 1), x, y, q)
+            _add_fields(out, (1 + n - m, 0), -x, y, q)
+    return _from_fields(out)
 
 
 def beurling_S(phi: DiskPolynomial) -> DiskPolynomial:
@@ -112,11 +123,13 @@ def beurling_S(phi: DiskPolynomial) -> DiskPolynomial:
     """
     out: dict = {}
     for (m, n), a in phi.items():
+        x, y, q = a._a, a._b, a._d * (n + 1)
         if m >= 1:
-            _accumulate(out, (m - 1, n + 1), a.scaled(m, n + 1))
+            _add_fields(out, (m - 1, n + 1), x * m, y * m, q)
         if m - n > 1:
-            _accumulate(out, (m - n - 2, 0), a.scaled(n + 1 - m, n + 1))
-    return DiskPolynomial(out)
+            k = n + 1 - m
+            _add_fields(out, (m - n - 2, 0), x * k, y * k, q)
+    return _from_fields(out)
 
 
 def bergman_B(phi: DiskPolynomial) -> DiskPolynomial:
@@ -125,8 +138,9 @@ def bergman_B(phi: DiskPolynomial) -> DiskPolynomial:
     out: dict = {}
     for (p, q), a in phi.items():
         if p >= q:
-            _accumulate(out, (p - q, 0), a.scaled(p - q + 1, p + 1))
-    return DiskPolynomial(out)
+            k = p - q + 1
+            _add_fields(out, (p - q, 0), a._a * k, a._b * k, a._d * (p + 1))
+    return _from_fields(out)
 
 
 def beurling_H(phi: DiskPolynomial) -> DiskPolynomial:
@@ -137,13 +151,15 @@ def beurling_H(phi: DiskPolynomial) -> DiskPolynomial:
     """
     out: dict = {}
     for (m, n), a in phi.items():
+        x, y, q = a._a, a._b, a._d * (n + 1)
         if m >= 1:
-            _accumulate(out, (m - 1, n + 1), a.scaled(m, n + 1))
-        if m - n > 1:
-            _accumulate(out, (m - n - 2, 0), a.scaled(n + 1 - m, n + 1))
-        elif 1 - m + n > 0:
-            _accumulate(out, (n - m, 0), a.conjugate().scaled(m - n - 1, n + 1))
-    return DiskPolynomial(out)
+            _add_fields(out, (m - 1, n + 1), x * m, y * m, q)
+        k = n + 1 - m
+        if k < 0:
+            _add_fields(out, (m - n - 2, 0), x * k, y * k, q)
+        elif k > 0:
+            _add_fields(out, (n - m, 0), -x * k, y * k, q)
+    return _from_fields(out)
 
 
 def t_hs(phi: DiskPolynomial) -> DiskPolynomial:
@@ -157,11 +173,14 @@ def t_hs(phi: DiskPolynomial) -> DiskPolynomial:
     against the quadrature oracle in the tests.
     """
     out = dict(cauchy_P(phi).coeffs)
+    y, g = 0, 1  # c(f) = i y / g
     for (m, n), a in phi.items():
-        if m == n + 1:
-            corr = (a - a.conjugate()).scaled(1, 2 * m)
-            _accumulate(out, (0, 0), corr)
-    return DiskPolynomial(out)
+        if m == n + 1:  # (a - conj(a)) / (2m) = i Im(a) / m
+            d = a._d * m
+            y, g = y * d + a._b * g, g * d
+    if y:
+        out[0, 0] = out.get((0, 0), 0) + ExactScalar(0, y).scaled(1, g)
+    return _poly(out)
 
 
 _DISPATCH = {

@@ -391,6 +391,27 @@ def test_boundary_check_fails_for_C_and_a_perturbed_T():
             assert not cli._real_part_vanishes_on_circle(transforms.cauchy_integral(phi))
 
 
+def _real_part_vanishes_by_scalars(phi):
+    """The boundary check summed in ExactScalar arithmetic: the reference
+    for cli._real_part_vanishes_on_circle, which sums int fields."""
+    by_degree: dict = {}
+    for (m, n), a in phi.items():
+        by_degree[m - n] = by_degree.get(m - n, 0) + a
+    return not any(c.conjugate() + by_degree.get(-d, 0) for d, c in by_degree.items())
+
+
+def test_boundary_check_matches_scalar_reference():
+    cases = [p for seed in range(10) for p in _seeded_samples(seed)] + REAL_BASIS
+    verdicts = Counter()
+    for phi in cases:
+        for img in (phi, transforms.t_hs(phi), transforms.cauchy_P(phi),
+                    transforms.cauchy_integral(phi), transforms.t_hs(phi) + TINY_Z):
+            got = cli._real_part_vanishes_on_circle(img)
+            assert got == _real_part_vanishes_by_scalars(img), img
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_verify_fails_a_perturbed_T(capsys, monkeypatch):
     """The ledger's exact boundary row sees T[phi] + 1e-9 z."""
     real = transforms.t_hs
@@ -410,7 +431,7 @@ def test_verify_sample_is_two_dense_polynomials(capsys, monkeypatch):
     once for the identity, once inside T), and each holds every monomial of
     degree <= 6 with nonzero real and imaginary parts."""
     assert len(MONOMIALS) == 28
-    for seed in (0, 1):
+    for seed in range(10):
         seen = {"beurling_H": [], "cauchy_P": [], "t_hs": []}
         with monkeypatch.context() as mp:
             for name, args in seen.items():
@@ -435,7 +456,7 @@ def _planted(real, mono, target, antilinear):
     return wrong
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", range(10))
 def test_seeded_rows_see_every_single_monomial_defect(seed):
     """A linear or antilinear 1e-9 defect on any one monomial of degree <= 6
     fails its row on the verify sample: H's and P's put at z^(m+1) zbar^n of
@@ -621,6 +642,14 @@ def test_verify_matches_golden_ledger(seed):
                                                   for f in fields))
         assert not moved, f"OPENBLAS_NUM_THREADS={threads} moved " + "; ".join(moved)
         assert out == golden, f"OPENBLAS_NUM_THREADS={threads}: same rows, other bytes"
+
+
+@pytest.mark.parametrize("seed", range(2, 10))
+def test_verify_matches_golden_ledger_in_process(capsys, seed):
+    """At the other seeds too the seeded rows pass, so verify prints the
+    golden bytes."""
+    assert run(capsys, "verify", "--format", "json", "--seed", str(seed)) == (
+        0, (GOLDEN / "verify.json").read_text(), "")
 
 
 def test_verify_passes_the_budget_to_every_quadrature(capsys, monkeypatch):

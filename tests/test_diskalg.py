@@ -117,6 +117,25 @@ def test_poly_arith():
     assert -q == DiskPolynomial({(1, 0): ExactScalar(1), (0, 1): ExactScalar(-2)})
 
 
+def test_poly_results_pass_the_checks(rng):
+    """+, -, unary -, conjugate, d_dz and d_dzbar build their results
+    without DiskPolynomial's checks; the results pass them, zeros dropped."""
+    for _ in range(20):
+        p, q = rand_poly(rng), rand_poly(rng)
+        for out in (p + q, p - q, p - p, p + (-p), -p, conjugate(p), d_dz(p), d_dzbar(p)):
+            checked = DiskPolynomial(dict(out.coeffs))
+            assert checked == out and list(checked.coeffs) == list(out.coeffs)
+
+
+@pytest.mark.parametrize("x", [1, Fraction(1, 2), ExactScalar(1, 2), 1 + 2j],
+                         ids=["int", "Fraction", "ExactScalar", "complex"])
+def test_poly_plus_scalar_is_a_type_error(x):
+    p = DiskPolynomial({(1, 0): ExactScalar(1)})
+    for op in (lambda: p + x, lambda: x + p, lambda: p - x, lambda: x - p):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_mono_inner_orthogonality():
     # <z^m zbar^n, z^p zbar^q> = [m+q == n+p] / (m+q+1)
     zw = DiskPolynomial({(1, 0): ExactScalar(1)})

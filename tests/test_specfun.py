@@ -101,12 +101,18 @@ def _elliptic_e_series(m):
 
 
 def test_bessel_fixed_point_matches_rational_series():
+    """The fixed-point J_n equals the rational series bit for bit, and the
+    J_{n+1} summed in the same loop is within ABS_TOL/100 of 50-digit
+    mpmath."""
     rng = random.Random(20)
     points = [(rng.randint(0, 21), 45.0 - 37.0 * rng.random()) for _ in range(300)]
     # values near the zeros are tiny, so their last bits are the hardest to hit
     points += [(d, bessel_zero(d)) for d in range(5, 21)]
     for d, x in points:
-        assert bessel_j(d, x) == _bessel_j_fraction(d, x), (d, x)
+        jd, jd1 = specfun._bessel_j_fixed(d, x)
+        assert bessel_j(d, x) == jd == _bessel_j_fraction(d, x), (d, x)
+        with mpmath.workdps(50):
+            assert abs(jd1 - mpmath.besselj(d + 1, x)) <= ABS_TOL / 100, (d, x)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 7.5, 20.5])
@@ -166,8 +172,8 @@ def test_specfun_bad_arguments_rejected(fn, args):
 
 def test_bessel_zero_work(monkeypatch):
     """The bracketed Newton walk from the closed-form bracket takes d = 0..20
-    in 232 fixed-point series evaluations and no bessel_j call, and a second
-    pass gives the same zeros."""
+    in 116 fixed-point evaluations, each summing J_d and J_{d+1} in one loop,
+    and no bessel_j call, and a second pass gives the same zeros."""
     zeros = [bessel_zero(d) for d in range(21)]
     calls = {"bessel_j": 0, "_bessel_j_fixed": 0}
     for name in calls:
@@ -176,7 +182,7 @@ def test_bessel_zero_work(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(specfun, name, spy)
     assert [bessel_zero(d) for d in range(21)] == zeros
-    assert calls == {"bessel_j": 0, "_bessel_j_fixed": 232}
+    assert calls == {"bessel_j": 0, "_bessel_j_fixed": 116}
 
 
 def test_bessel_zero_bracket(monkeypatch):
@@ -201,7 +207,8 @@ def test_bessel_zero_bracket(monkeypatch):
             assert hi == lo + specfun._QW_E * d ** (-1 / 3)
         first, second = scipy.special.jn_zeros(d, 2)
         assert lo < first < hi < second, d
-        assert (specfun._bessel_j_fixed(d, lo) > 0) != (specfun._bessel_j_fixed(d, hi) > 0), d
+        (j_lo, _), (j_hi, _) = specfun._bessel_j_fixed(d, lo), specfun._bessel_j_fixed(d, hi)
+        assert (j_lo > 0) != (j_hi > 0), d
 
 
 def test_bessel_zero_vs_scipy():

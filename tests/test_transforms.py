@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from disktransform.diskalg import (
@@ -33,6 +34,7 @@ from disktransform.transforms import (
 )
 from conftest import rand_component, rand_poly
 from _exact_inner import inner_product
+import _transforms_ref
 
 E1 = ExactScalar(1)
 
@@ -271,3 +273,45 @@ def test_cross_term_bound_step2():
             b = cauchy_P(rand_component(rng, 2 - d))
             re2 = 2 * inner_product(a, b).re
             assert abs(re2) <= norm_sq(a) + norm_sq(b)
+
+
+# --- the rules against the per-term reference -----------------------------
+
+# pairs whose images cancel on one key: C and P at z^0 (and T with them),
+# J0 at z, J0* at z^0, B at z^0, S at z^0 and H at z^0
+CANCELLING = [{(1, 0): 1, (2, 1): -2}, {(0, 0): 1, (1, 1): -2},
+              {(1, 0): 2, (2, 1): -3}, {(2, 0): 1, (3, 1): -2}]
+
+
+def _rule_cases(rng) -> list[DiskPolynomial]:
+    """Random polynomials of up to 30 terms, pairs that cancel in the image
+    (times a complex unit, alone and inside a random polynomial), the zero
+    polynomial and single z-bar powers, whose J0, J0* and B images are
+    empty."""
+    cases = [P({}), mono(0, 1), mono(0, 3, Fraction(-2, 7))]
+    for c in (ExactScalar(1), ExactScalar(Fraction(2, 3), -1)):
+        for pair in CANCELLING:
+            cancel = P({k: c * v for k, v in pair.items()})
+            cases += [cancel, rand_poly(rng) + cancel]
+    cases += [rand_poly(rng, max_total=t, terms=k)
+              for t, k in ((2, 3), (6, 5), (8, 12), (12, 30)) for _ in range(10)]
+    return cases
+
+
+def _fields(phi):
+    return [(key, a._a, a._b, a._d) for key, a in phi.items()]
+
+
+@pytest.mark.parametrize("kind", list(TransformKind))
+def test_rules_match_per_term_reference(kind, rng):
+    """Each rule gives the per-term reference's coefficients, in normal form
+    (gcd 1, d > 0) and in the same key order, so evaluate reads the same
+    bits; and its result, built without DiskPolynomial's checks, passes
+    them."""
+    z = np.array([0.3 + 0.4j, -0.7 + 0.1j, 0.05 - 0.9j, 0.999j, 0j])
+    for phi in _rule_cases(rng):
+        out, ref = apply_transform(kind, phi), _transforms_ref.RULES[kind](phi)
+        assert _fields(out) == _fields(ref), (kind, phi)
+        assert all(math.gcd(a._a, a._b, a._d) == 1 and a._d > 0 for _, a in out.items())
+        assert DiskPolynomial(dict(out.coeffs)) == out
+        assert evaluate(out, z).tobytes() == evaluate(ref, z).tobytes()
