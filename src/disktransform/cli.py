@@ -305,8 +305,9 @@ def run_verify(cfg: RunConfig):
     circle, c_-d + conj(c_d) = 0, decided on unreduced int fields).  The
     seed picks the coefficients only, and every seeded row is a bool, so
     --seed moves no output byte; the tests hold the seeded rows at seeds
-    0-9.  The five Bessel zeros each sum J_d and J_{d+1} in one fixed-point
-    loop per Newton step (specfun._bessel_j_fixed)."""
+    0-9.  beurling_isometry_matrix holds B^T B = I on every Galerkin block
+    of H at --max-degree.  The five Bessel zeros each sum J_d and J_{d+1}
+    in one fixed-point loop per Newton step (specfun._bessel_j_fixed)."""
     j = [bessel_zero(d) for d in range(len(_BESSEL_TABLE))]
     alpha = spectral.solve_alpha()
     delta = spectral.solve_delta()
@@ -326,9 +327,8 @@ def run_verify(cfg: RunConfig):
     ]
 
     if cfg.max_degree >= 10:
-        P = TransformKind.CauchyTransformP
-        est = spectral.estimate_norm(P, cfg.max_degree).value
-        rest = spectral.estimate_norm(P, cfg.max_degree, {1}).value
+        est = spectral.estimate_norm(cfg.max_degree).value
+        rest = spectral.estimate_norm(cfg.max_degree, {1}).value
         lo, hi = 2 / j[0], math.sqrt(1.5 + 2 / j[1] ** 2)
         rows += [
             _row("norm2_galerkin", "L2 norm estimate vs equation root", alpha, est, 1e-3),
@@ -342,8 +342,6 @@ def run_verify(cfg: RunConfig):
                      ("norm2_galerkin", "L2 norm estimate vs equation root"),
                      ("norm2_restricted_d1", "single-component bound 2/j0"),
                      ("norm2_bracket", "estimate inside the step-3 interval"))]
-    iso = spectral.estimate_norm(TransformKind.BeurlingH, min(cfg.max_degree, 8) or 2)
-
     rng = random.Random(cfg.seed)
     samples = [_dense_exact_poly(rng) for _ in range(2)]
     isometric = all(diskalg.norm_sq(transforms.beurling_H(phi)) == diskalg.norm_sq(phi)
@@ -361,7 +359,8 @@ def run_verify(cfg: RunConfig):
     mean, series = oracle.angular_parseval_check(0.75, 0.6, budget=cfg.budget)
     cx = extremal.counterexample_p2(cfg.budget)
     return rows + [
-        _row("beurling_isometry_matrix", "matrix norm of the isometry", 1.0, iso.value, 1e-10),
+        _row("beurling_isometry_matrix", "max |B^T B - I| over H's Galerkin blocks",
+             0.0, spectral._isometry_defect(cfg.max_degree), 1e-13),
         _row("hardy_d1_profile_u1", "exact ratio 1/6 for the constant profile",
              1 / 6, float(spectral.hardy_ratio(1, [1])), 1e-15),
         _row_bool("isometry_exact_sample",
@@ -504,7 +503,7 @@ def cmd_norm(cfg: RunConfig, kind: str, p_raw, grid_raw, d_set_raw, stream) -> i
                 d_set = {int(x) for x in d_set_raw.split(",")}
             except ValueError:
                 raise ConfigError(f"invalid --d-set {d_set_raw!r}") from None
-        est = spectral.estimate_norm(TransformKind.CauchyTransformP, cfg.max_degree, d_set)
+        est = spectral.estimate_norm(cfg.max_degree, d_set)
         if d_set is None:
             rows.append(_row("norm2_estimate", "full-basis reference value",
                              spectral.solve_alpha(), est.value, 1e-3))

@@ -16,8 +16,8 @@ So estimate_norm evaluates every form at the Gauss-Legendre nodes alone, in
 one recurrence for all sectors, and assembles the Galerkin blocks between
 orthonormal bases directly in float64, with no Gram matrix and no rational
 arithmetic.  The real and imaginary blocks of a coupled sector pair are
-mirrors with the same singular values, so one block per pair is decomposed.
-The Galerkin value is the largest singular value over the blocks.
+mirrors, so one block per pair is checked: estimate_norm takes P's largest
+singular value over the blocks, and _isometry_defect H's max |B^T B - I|.
 
 The two transcendental norm equations (solved by specfun's bracketed Newton
 walk, which also finds the Bessel zeros) and the exact weighted Hardy-type
@@ -60,9 +60,8 @@ _ROOT_RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A Galerkin value and the residual of its singular triple.  Every
-    realified P or H block is one of a mirror pair (see _blocks), so a
-    nonzero value is a double singular value by construction."""
+    """A Galerkin value and the residual of its singular triple (see
+    _top_singular: a nonzero value is a double singular value)."""
     value: float
     residual: float
 
@@ -240,9 +239,9 @@ def _blocks(kind: TransformKind, max_degree: int, d_set):
     block B, with R = diag(I, -I) on the two output sectors and
     C = diag(I_a, -I_b) on the columns of d and 2 - d, so it has B's
     singular values (sector 1's two blocks are equal).  Only B is yielded,
-    once for sector 1 and once per coupled pair by increasing |d|, and
-    _top_singular counts each block as a pair.  Each form is evaluated once,
-    for every admitted sector it applies to.
+    once for sector 1 and once per coupled pair by increasing |d|, for both
+    blocks of the pair.  Each form is evaluated once, for every admitted
+    sector it applies to.
 
     Rows sample each output sector e at n Gauss-Legendre nodes t_i in [0, 1]
     with weights sqrt(w_i t_i^|e|), so ||B c|| is the exact L2 norm of the
@@ -252,9 +251,7 @@ def _blocks(kind: TransformKind, max_degree: int, d_set):
     2k + d, Hardy of g' at 2k + |d|, constant |d|), so n = (D + 3)//2
     suffices.
     """
-    forms = _FORMS.get(kind)
-    if forms is None:
-        raise ValueError(f"no orthonormal-basis radial forms for {kind.name}")
+    forms = _FORMS[kind]
     if not 0 <= max_degree <= MAX_TOTAL_DEGREE:
         raise ValueError(f"max_degree must be in [0, {MAX_TOTAL_DEGREE}]")
     D = max_degree
@@ -298,16 +295,20 @@ def _blocks(kind: TransformKind, max_degree: int, d_set):
         yield B
 
 
-def estimate_norm(kind: TransformKind, max_degree: int, d_set=None) -> NormEstimate:
-    """Galerkin lower bound for the L2 norm of P (CauchyTransformP) or H
-    (BeurlingH) on the monomials z^m zbar^n with m + n <= max_degree and,
-    when d_set is given, m - n in d_set; nondecreasing in max_degree.
+def estimate_norm(max_degree: int, d_set=None) -> NormEstimate:
+    """Galerkin lower bound for the L2 norm of P on the monomials z^m zbar^n
+    with m + n <= max_degree and, when d_set is given, m - n in d_set;
+    nondecreasing in max_degree.  Solved in the orthonormal disk-polynomial
+    basis in float64 (see _blocks); max_degree outside [0, MAX_TOTAL_DEGREE]
+    and a truncation that admits no basis monomial raise ValueError."""
+    return _top_singular(_blocks(TransformKind.CauchyTransformP, max_degree, d_set))
 
-    Solved in the orthonormal disk-polynomial basis in float64 (see
-    _blocks).  Any other kind raises ValueError, as do max_degree outside
-    [0, MAX_TOTAL_DEGREE] and a truncation that admits no basis monomial.
-    """
-    return _top_singular(_blocks(kind, max_degree, d_set))
+
+def _isometry_defect(max_degree: int) -> float:
+    """max |B^T B - I| over H's blocks at D = max_degree; a mirror R B C
+    (see _blocks) has the Gram matrix C (B^T B) C, so it is covered too."""
+    return max(float(np.abs(B.T @ B - np.eye(B.shape[1])).max())
+               for B in _blocks(TransformKind.BeurlingH, max_degree, None))
 
 
 def _check_residual(name: str, f: float) -> None:

@@ -30,7 +30,6 @@ from disktransform.spectral import (
     solve_delta,
 )
 from disktransform.transforms import (
-    TransformKind,
     bergman_B,
     beurling_H,
     beurling_S,
@@ -81,7 +80,7 @@ def test_criterion_02_consistency_triangle():
 def test_criterion_03_galerkin_convergence():
     t0 = time.time()
     alpha = solve_alpha()
-    vals = [estimate_norm(TransformKind.CauchyTransformP, d).value
+    vals = [estimate_norm(d).value
             for d in (10, 20, 30, 40)]
     elapsed = time.time() - t0
     mono = all(hi >= lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
@@ -249,7 +248,7 @@ def test_criterion_12_counterexample_p2():
 
 def test_criterion_13_bounds_ledger():
     rng = random.Random(65)
-    rest = estimate_norm(TransformKind.CauchyTransformP, 12, {1}).value
+    rest = estimate_norm(12, {1}).value
     rest_ok = abs(rest - 2 / bessel_zero(0)) < 1e-3
     j0_ok = True
     for d in (-1, -2, -3):
@@ -257,7 +256,7 @@ def test_criterion_13_bounds_ledger():
             g = rand_component(rng, d)
             if 3 * norm_sq(j0_op(conjugate(g))) > norm_sq(g):
                 j0_ok = False
-    full = estimate_norm(TransformKind.CauchyTransformP, 20).value
+    full = estimate_norm(20).value
     lo, hi = 2 / bessel_zero(0), math.sqrt(1.5 + 2 / bessel_zero(1) ** 2)
     interval_ok = lo < full < hi
     ok = rest_ok and j0_ok and interval_ok

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import disktransform
-from disktransform import cli, diskalg, extremal, oracle, specfun, transforms
+from disktransform import cli, diskalg, extremal, oracle, specfun, spectral, transforms
 from disktransform.cli import (
     PolyParseError,
     RunConfig,
@@ -497,6 +497,37 @@ def test_verify_fails_a_defect_on_zbar6(capsys, monkeypatch, name, target, faili
     status = {r["check_id"]: r["status"] for r in json.loads(out)}
     assert {k for k, v in status.items() if v != "PASS"} == failing
     assert {status[k] for k in failing} == {"FAIL"}
+
+
+@pytest.mark.parametrize("beta, factor", [
+    (None, 1 - 1e-6), (None, 0.5), (3, 1 - 1e-9), (3, 1 + 1e-9)])
+def test_verify_fails_a_scaled_H_form(capsys, monkeypatch, beta, factor):
+    """The isometry row sees H's d <= 0 radial form scaled on every sector
+    (beta None) or on sector d = -beta alone.  The blocks that are left
+    alone keep H's top singular value at 1, so a bound on the norm passes
+    the first three; their Gram matrices do not."""
+    real = spectral._FORMS[transforms.TransformKind.BeurlingH]
+
+    def lower(F, b, k):
+        out = real.lower(F, b, k)
+        out[slice(None) if beta is None else b == beta] *= factor
+        return out
+
+    monkeypatch.setitem(spectral._FORMS, transforms.TransformKind.BeurlingH,
+                        dataclasses.replace(real, lower=lower))
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    status = {r["check_id"]: r["status"] for r in json.loads(out)}
+    assert {k for k, v in status.items() if v != "PASS"} == {"beurling_isometry_matrix"}
+    assert status["beurling_isometry_matrix"] == "FAIL"
+
+
+@pytest.mark.parametrize("max_degree", ["0", "1", "160"])
+def test_verify_isometry_row_at_the_degree_edges(capsys, max_degree):
+    code, out, _ = run(capsys, "verify", "--max-degree", max_degree, "--format", "json")
+    assert code == 0
+    row, = (r for r in json.loads(out) if r["check_id"] == "beurling_isometry_matrix")
+    assert row["status"] == "PASS"
 
 
 def test_cached_parser_leaks_no_state(capsys):
