@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 __all__ = [
     "ExactScalar",
@@ -202,7 +202,7 @@ class DiskPolynomial:
         clean = {}
         for (m, n), a in (coeffs or {}).items():
             if type(m) is not int or type(n) is not int or m < 0 or n < 0:
-                if m < 0 or n < 0 or m != int(m) or n != int(n):
+                if not (0 <= m < inf and 0 <= n < inf and m == int(m) and n == int(n)):
                     raise ValueError(f"bad monomial key ({m}, {n})")
                 m, n = int(m), int(n)
             if not isinstance(a, ExactScalar):

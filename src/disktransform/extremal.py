@@ -182,20 +182,13 @@ def riesz_thorin_bound(p: float) -> float:
     return solve_alpha() ** w * (8.0 / math.pi) ** (1.0 - w)
 
 
-_R_CLAMP = 1.0 - 1e-8
-
-
 def _l1_radial_integrand(r: float) -> float:
-    """(1-r^2) E(-4r^2/(1-r^2)^2) + (1+r^2) E(4r^2/(1+r^2)^2), clamped at
-    r = 1 - 1e-8: the first factor tends to a finite limit as r -> 1 and the
-    clamp extends the integrand by its last value across the final sliver
-    (constant endpoint extrapolation, error O(1e-8))."""
-    r = min(r, _R_CLAMP)
-    um = 1.0 - r * r
+    """2 (1+r^2) E(m), m = 4r^2/(1+r^2)^2: the sum (1-r^2) E(-4r^2/(1-r^2)^2)
+    + (1+r^2) E(m) of two terms that are equal by DLMF 19.7.5.  m is passed
+    as 1 - ((1-r)(1+r)/(1+r^2))^2, which is at most 1 and does not cancel
+    as r -> 1, where the integrand is 4 E(1) = 4."""
     up = 1.0 + r * r
-    first = um * elliptic_e(-4 * r * r / (um * um))
-    second = up * elliptic_e(4 * r * r / (up * up))
-    return first + second
+    return 2.0 * up * elliptic_e(1.0 - ((1.0 - r) * (1.0 + r) / up) ** 2)
 
 
 def l1_at_zero(tol: float, budget: int = DEFAULT_BUDGET) -> float:

@@ -78,26 +78,22 @@ def _top_singular(blocks) -> NormEstimate:
     mirror has exactly B's singular values and the top one is double: a
     nonzero estimate is degenerate by construction.  A block whose Frobenius
     norm, which bounds its largest singular value, is no more than the best
-    so far cannot win and is not decomposed.  The residual ||B v - s u|| of
-    the winning singular triple is reported and must not exceed
+    so far cannot win and is not decomposed; every other block gets one SVD
+    with vectors.  The residual ||B v - s u|| of the winning singular triple,
+    from that same decomposition, is reported and must not exceed
     _SVD_RESIDUAL_TOL.
     """
-    best = 0.0
-    best_block = None
+    best = residual = 0.0
     for B in blocks:
         if np.linalg.norm(B) <= best:
             continue
-        s = float(np.linalg.svd(B, compute_uv=False)[0])
-        if s > best:
-            best, best_block = s, B
-
-    residual = 0.0
-    if best_block is not None:
-        U, S, Vt = np.linalg.svd(best_block)
-        residual = float(np.linalg.norm(best_block @ Vt[0] - S[0] * U[:, 0]))
-        if residual > _SVD_RESIDUAL_TOL:
-            raise RuntimeError(
-                f"singular value residual {residual:.3e} exceeds {_SVD_RESIDUAL_TOL}")
+        U, S, Vt = np.linalg.svd(B, full_matrices=False)
+        if S[0] > best:
+            best = float(S[0])
+            residual = float(np.linalg.norm(B @ Vt[0] - S[0] * U[:, 0]))
+    if residual > _SVD_RESIDUAL_TOL:
+        raise RuntimeError(
+            f"singular value residual {residual:.3e} exceeds {_SVD_RESIDUAL_TOL}")
     return NormEstimate(value=best, residual=residual)
 
 

@@ -103,6 +103,20 @@ def test_poly_rejects_inexact_coefficients(coeff):
         DiskPolynomial({(0, 0): ExactScalar(1), (1, 0): coeff})
 
 
+@pytest.mark.parametrize("key", [(math.inf, 0), (0, math.inf), (-math.inf, 1), (math.nan, 0),
+                                 (2, math.nan), (1.5, 0), (-1, 0), (0, -2), (-0.5, 1)])
+def test_poly_rejects_bad_keys(key):
+    # every bad key raises the documented ValueError, not int()'s errors
+    with pytest.raises(ValueError, match=r"^bad monomial key"):
+        DiskPolynomial({key: 1})
+
+
+def test_poly_normalises_integral_keys():
+    p = DiskPolynomial({(2.0, 1): 1, (0, Fraction(3)): 2})
+    assert p.coeffs == {(2, 1): ExactScalar(1), (0, 3): ExactScalar(2)}
+    assert all(type(m) is int and type(n) is int for m, n in p.coeffs)
+
+
 def test_poly_drops_zero_terms():
     p = DiskPolynomial({(1, 0): ExactScalar(1), (2, 2): ExactScalar(0)})
     assert len(p) == 1

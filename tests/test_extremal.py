@@ -217,6 +217,53 @@ def test_l1_at_zero_reference():
     assert v > 4 / 3  # strictly above the trivial lower bound
 
 
+def _l1_two_terms(r):
+    """The radial integrand as the sum it came from:
+    (1-r^2) E(-4r^2/(1-r^2)^2) + (1+r^2) E(4r^2/(1+r^2)^2), both terms
+    returned; it is 0 * inf at r = 1, so r < 1 here."""
+    um, up = 1.0 - r * r, 1.0 + r * r
+    return (um * specfun.elliptic_e(-4 * r * r / (um * um)),
+            up * specfun.elliptic_e(4 * r * r / (up * up)))
+
+
+def test_l1_integrand_is_either_term_twice():
+    # DLMF 19.7.5 makes the two terms equal; the single form's half matches
+    # each of them across [0, 1 - 1e-8] to elliptic_e's own 1e-14 relative
+    # (test_elliptic_e_vs_scipy): the three values round E at three m.
+    # Measured: at most 6 ulp below r = 0.5, 27 ulp near r = 1
+    grid = [k / 400 for k in range(400)] + [1 - 10.0**-k for k in range(3, 9)]
+    for r in grid:
+        half = extremal._l1_radial_integrand(r) / 2
+        for term in _l1_two_terms(r):
+            assert abs(term - half) <= 1e-14 * half, r
+
+
+def test_l1_integrand_finite_at_the_rim(monkeypatch):
+    # no clamp: the form is finite at r = 1, where it is 4 E(1) = 4, and at
+    # the floats just below, and it never asks elliptic_e for m > 1
+    ms = []
+    monkeypatch.setattr(extremal, "elliptic_e",
+                        lambda m: ms.append(m) or specfun.elliptic_e(m))
+    assert extremal._l1_radial_integrand(1.0) == 4.0
+    r = 1.0
+    for _ in range(64):
+        r = math.nextafter(r, 0.0)
+        v = extremal._l1_radial_integrand(r)
+        assert math.isfinite(v) and 3.99 < v <= 4.0, r
+    for r in np.linspace(0.0, 1.0, 1001):
+        assert math.isfinite(extremal._l1_radial_integrand(float(r)))
+    assert max(ms) <= 1.0 and min(ms) >= 0.0
+
+
+def test_l1_at_zero_one_elliptic_integral_per_node(monkeypatch):
+    # one elliptic_e per node: the 21 Kronrod nodes of its one panel
+    calls = []
+    monkeypatch.setattr(extremal, "elliptic_e",
+                        lambda m: calls.append(m) or specfun.elliptic_e(m))
+    l1_at_zero(5e-6)
+    assert len(calls) == 21
+
+
 def test_l1_two_routes_agree():
     # the kernel modulus at the origin is |z - 1/z|, integrated over the disk
     # directly (the polar Jacobian absorbs the 1/|z| blow-up at the origin)

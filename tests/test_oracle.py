@@ -663,21 +663,19 @@ def test_shared_loop_matches_1d_reference(monkeypatch):
         assert got == _reference_adaptive_1d(F, panels, tol, budget), (panels, tol)
 
 
-# (2/pi) int_0^1 of l1_at_zero's integrand, clamped at r = 1 - 1e-8 as there
-_L1_AT_ZERO_CLAMPED = 2.1044083131985785
+# (2/pi) int_0^1 of l1_at_zero's integrand 2 (1+r^2) E(4r^2/(1+r^2)^2);
+# 40-digit mpmath reads 2.10440831319857867...
+_L1_AT_ZERO = 2.1044083131985785
 
 
 def test_l1_at_zero_constant_by_mpmath():
     with mpmath.workdps(30):
-        R = mpmath.mpf(extremal._R_CLAMP)
-
         def g(r):
-            um, up = 1 - r * r, 1 + r * r
-            return (um * mpmath.ellipe(-4 * r * r / um**2)
-                    + up * mpmath.ellipe(4 * r * r / up**2))
+            up = 1 + r * r
+            return 2 * up * mpmath.ellipe(4 * r * r / up**2)
 
-        value = 2 / mpmath.pi * (mpmath.quad(g, [0, R]) + (1 - R) * g(R))
-        assert float(value) == _L1_AT_ZERO_CLAMPED
+        value = 2 / mpmath.pi * mpmath.quad(g, [0, 1])
+        assert float(value) == _L1_AT_ZERO
 
 
 def test_ledger_1d_integrals_meet_their_tol():
@@ -694,7 +692,7 @@ def test_ledger_1d_integrals_meet_their_tol():
     for beta, r in _PARSEVAL_CASES:
         lhs, rhs = angular_parseval_check(beta, r)
         assert abs(lhs - rhs) <= tol, (beta, r)
-    assert abs(extremal.l1_at_zero(5e-6) - _L1_AT_ZERO_CLAMPED) <= 5e-6
+    assert abs(extremal.l1_at_zero(5e-6) - _L1_AT_ZERO) <= 5e-6
 
 
 def _beta_values(z, F, m, u_degree):

@@ -368,6 +368,25 @@ def test_top_singular_skips_only_blocks_that_cannot_win():
         assert abs(est.value - every) <= 4 * np.finfo(float).eps * every
 
 
+def test_top_singular_decomposes_each_candidate_once(monkeypatch):
+    """One SVD, with vectors, per block that passes the Frobenius skip, and
+    none for the winner afterwards: P at D = 20 has two such blocks, and
+    sector 1 alone one."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(B, *args, **kwargs):
+        shapes.append(B.shape)
+        return svd(B, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.np.linalg, "svd", spy)
+    assert estimate_norm(20).residual <= spectral._SVD_RESIDUAL_TOL
+    assert len(shapes) == 2
+    shapes.clear()
+    assert estimate_norm(20, {1}).residual <= spectral._SVD_RESIDUAL_TOL
+    assert len(shapes) == 1
+
+
 def test_disk_polys_batch_matches_each_weight():
     """One Jacobi recurrence over an array of weights gives, bit for bit,
     what one call per weight gives: the steps are the same elementwise
